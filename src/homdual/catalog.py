@@ -20,13 +20,6 @@ class GraphFilters:
     min_vertices: int = 0
 
 
-def _has_triangle(G: Graph) -> bool:
-    for u, v in G.edges():
-        if G.rows[u] & G.rows[v]:
-            return True
-    return False
-
-
 def _invariant(G: Graph) -> tuple:
     """Cheap isomorphism-invariant bucket key."""
     degs = sorted(G.degree(v) for v in range(G.n))
@@ -60,7 +53,7 @@ def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,
                 G = Graph(n, rows)
                 if f.max_degree is not None and G.max_degree() > f.max_degree:
                     continue
-                if f.triangle_free and _has_triangle(G):
+                if f.triangle_free and G.triangle_mask():
                     continue
                 key = _invariant(G)
                 bucket = buckets.setdefault(key, [])

@@ -24,7 +24,7 @@ from .duality import (
 )
 from .errors import GraphError, SizeLimitError
 from .formats import parse_edge_list, parse_graph6, parse_graph_lines, to_graph6
-from .graphs import Graph
+from .graphs import Graph, bits
 from .powers import (
     INFINITY,
     exact_distance_graph,
@@ -121,20 +121,9 @@ def _cmd_grad(args):
         "rank": args.rank,
         "value": _frac(res.value),
         "exact": res.exact,
-        "witness_balls": [sorted_bits(b) for b in res.witness.balls],
+        "witness_balls": [list(bits(b)) for b in res.witness.balls],
     }
     return _report("grad", {"n": G.n, "rank": args.rank}, results, True, args)
-
-
-def sorted_bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def _cmd_orient(args):
@@ -157,7 +146,7 @@ def _cmd_centered_verify(args):
     results = {
         "p": args.p,
         "centered": ok,
-        "counterexample": None if counter is None else sorted_bits(counter),
+        "counterexample": None if counter is None else list(bits(counter)),
     }
     return _report("centered-verify", {"n": G.n, "p": args.p}, results, ok, args)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
+
 from .errors import GraphError
-from .graphs import Graph, build_graph
+from .graphs import Graph, bits, build_graph
 
 
 class ParseError(GraphError):
@@ -19,29 +21,28 @@ def _read_g6_size(data: bytes) -> tuple[int, int]:
     if not data:
         raise ParseError("empty graph6 string", 0)
     c = data[0]
-    if c == 126:  # '~': extended sizes
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise ParseError("truncated 8-byte size header", len(data))
-            vals = [b - 63 for b in data[2:8]]
-            if any(v < 0 or v > 63 for v in vals):
-                raise ParseError("invalid size byte", 2)
-            n = 0
-            for v in vals:
-                n = n << 6 | v
-            return n, 8
-        if len(data) < 4:
-            raise ParseError("truncated 4-byte size header", len(data))
-        vals = [b - 63 for b in data[1:4]]
+    if c == 126:  # '~': extended sizes, '~' + 3 bytes or '~~' + 6 bytes
+        start, end = (2, 8) if len(data) >= 2 and data[1] == 126 else (1, 4)
+        if len(data) < end:
+            raise ParseError(f"truncated {end}-byte size header", len(data))
+        vals = [b - 63 for b in data[start:end]]
         if any(v < 0 or v > 63 for v in vals):
-            raise ParseError("invalid size byte", 1)
+            raise ParseError("invalid size byte", start)
         n = 0
         for v in vals:
             n = n << 6 | v
-        return n, 4
+        return n, end
     if not 63 <= c <= 126:
         raise ParseError(f"invalid header byte {c}", 0)
     return c - 63, 1
+
+
+# graph6 packs six bits per byte as chr(63 + value); base64 packs six bits
+# per byte too, so the standard codec does the bit packing at C speed.
+_G6_CHARS = bytes(range(63, 127))
+_B64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_G6 = bytes.maketrans(_G6_CHARS, _B64_CHARS)
+_TO_G6 = bytes.maketrans(_B64_CHARS, _G6_CHARS)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -57,24 +58,24 @@ def parse_graph6(line: str) -> Graph:
     if len(body) != need:
         raise ParseError(
             f"expected {need} payload bytes for n={n}, got {len(body)}", pos)
-    bitstream = 0
-    for off, b in enumerate(body):
-        v = b - 63
-        if v < 0 or v > 63:
-            raise ParseError(f"invalid payload byte {b}", pos + off)
-        bitstream = bitstream << 6 | v
-    total = len(body) * 6
-    pad = total - nbits
-    if pad and bitstream & ((1 << pad) - 1):
+    bad = body.lstrip(_G6_CHARS)
+    if bad:
+        raise ParseError(f"invalid payload byte {bad[0]}",
+                         pos + len(body) - len(bad))
+    b64 = body.translate(_FROM_G6) + b"A" * (-len(body) % 4)
+    raw = base64.b64decode(b64)
+    stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in stream[nbits:]:
         raise ParseError("nonzero padding bits", pos + len(body) - 1)
-    edges = []
-    k = 0
+    # Column j holds the bits of pairs (0, j), ..., (j - 1, j) in order.
+    rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bitstream >> (total - 1 - k) & 1:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+        k = j * (j - 1) // 2
+        col = int(stream[k:k + j][::-1], 2)
+        rows[j] = col
+        for i in bits(col):
+            rows[i] |= 1 << j
+    return Graph(n, rows)
 
 
 def to_graph6(G: Graph) -> str:
@@ -85,19 +86,13 @@ def to_graph6(G: Graph) -> str:
         header = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         header = bytes([126, 126] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)])
-    bitsbuf = []
-    for j in range(1, n):
-        for i in range(j):
-            bitsbuf.append(1 if G.has_edge(i, j) else 0)
-    while len(bitsbuf) % 6:
-        bitsbuf.append(0)
-    body = bytearray()
-    for k in range(0, len(bitsbuf), 6):
-        v = 0
-        for b in bitsbuf[k:k + 6]:
-            v = v << 1 | b
-        body.append(v + 63)
-    return (header + bytes(body)).decode("ascii")
+    stream = "".join(format(G.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                     for j in range(1, n))
+    need = (len(stream) + 5) // 6
+    stream += "0" * (-len(stream) % 24)
+    raw = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
+    body = base64.b64encode(raw).translate(_TO_G6)[:need]
+    return (header + body).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

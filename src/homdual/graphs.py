@@ -32,7 +32,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple graph: ``rows[v]`` is the neighbor bitmask of v."""
 
-    __slots__ = ("n", "rows", "labels", "_hash")
+    __slots__ = ("n", "rows", "labels", "_hash", "_triangles")
 
     def __init__(self, n: int, rows: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 0:
@@ -54,6 +54,7 @@ class Graph:
         self.rows = rows
         self.labels = tuple(labels) if labels is not None else None
         self._hash = hash((n, rows))
+        self._triangles = None
 
     @property
     def full_mask(self) -> int:
@@ -78,6 +79,19 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
+
+    def triangle_mask(self) -> int:
+        """Bitmask of the vertices on a triangle; computed once, kept on the
+        instance, and no part of equality or hashing."""
+        if self._triangles is None:
+            rows, mask = self.rows, 0
+            for v in range(self.n):
+                for u in bits(rows[v] >> (v + 1) << (v + 1)):
+                    common = rows[u] & rows[v]
+                    if common:
+                        mask |= common | (1 << u) | (1 << v)
+            self._triangles = mask
+        return self._triangles
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -96,7 +96,7 @@ def _search_order(G: Graph) -> list[int]:
     descending degree.
 
     Putting a dense seed first lets forward checking refute impossible
-    instances (e.g. a triangle into a triangle-free target) early.
+    instances (e.g. a K4 into a K4-free target) early.
     """
     if G.n == 0:
         return []
@@ -117,6 +117,21 @@ def _search_order(G: Graph) -> list[int]:
     return order
 
 
+def _start_domains(G: Graph, H: Graph) -> Optional[list[int]]:
+    """Images each vertex of G may take before branching, or None if some
+    vertex has none. A homomorphism is injective on cliques, so a vertex on
+    a triangle of G maps to a vertex on a triangle of H; only images that
+    no homomorphism uses are removed, so the searches find the same maps.
+    """
+    in_triangle = G.triangle_mask()
+    if not in_triangle:
+        return [H.full_mask] * G.n
+    targets = H.triangle_mask()
+    if not targets:
+        return None
+    return [targets if in_triangle >> v & 1 else H.full_mask for v in range(G.n)]
+
+
 def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomResult:
     """Decide G -> H by backtracking with forward checking.
 
@@ -128,12 +143,13 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
         return HomResult(PRESENT, VertexMap(G, H, ()))
     if H.n == 0:
         return HomResult(ABSENT)
+    cand = _start_domains(G, H)
+    if cand is None:
+        return HomResult(ABSENT)
     order = _search_order(G)
     pos = [0] * G.n
     for i, v in enumerate(order):
         pos[v] = i
-    full_h = H.full_mask
-    cand = [full_h] * G.n
     image = [0] * G.n
     nodes = 0
 
@@ -176,8 +192,10 @@ def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
         if G.n == 0:
             yield VertexMap(G, H, ())
         return
+    cand = _start_domains(G, H)
+    if cand is None:
+        return
     image = [0] * G.n
-    full_h = H.full_mask
 
     def rec(v: int, cands: list[int]) -> Iterator[VertexMap]:
         if v == G.n:
@@ -196,7 +214,7 @@ def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
             if ok:
                 yield from rec(v + 1, new)
 
-    yield from rec(0, [full_h] * G.n)
+    yield from rec(0, cand)
 
 
 def forb_member(G: Graph, f_set: Sequence[Graph], budget: Optional[int] = None) -> Optional[bool]:

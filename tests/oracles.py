@@ -14,26 +14,45 @@ from functools import lru_cache
 from homdual.graphs import Graph, bits
 
 
+def brute_homomorphisms(G: Graph, H: Graph) -> list[tuple[int, ...]]:
+    """Every homomorphism image tuple, in lexicographic order, by exhaustive
+    map enumeration."""
+    edges = G.edges()
+    return [img for img in itertools.product(range(H.n), repeat=G.n)
+            if all(H.has_edge(img[u], img[v]) for u, v in edges)]
+
+
 def brute_homomorphism(G: Graph, H: Graph):
     """First homomorphism image tuple by exhaustive map enumeration, or None."""
     if G.n == 0:
         return ()
     if H.n == 0:
         return None
+    edges = G.edges()
     for img in itertools.product(range(H.n), repeat=G.n):
-        if all(H.has_edge(img[u], img[v]) for u, v in G.edges()):
+        if all(H.has_edge(img[u], img[v]) for u, v in edges):
             return img
     return None
 
 
-def brute_hom_count(G: Graph, H: Graph) -> int:
-    if G.n == 0:
-        return 1
-    count = 0
-    for img in itertools.product(range(H.n), repeat=G.n):
-        if all(H.has_edge(img[u], img[v]) for u, v in G.edges()):
-            count += 1
-    return count
+def brute_triangle_mask(G: Graph) -> int:
+    """Vertices on a triangle, by checking every vertex triple."""
+    mask = 0
+    for a, b, c in itertools.combinations(range(G.n), 3):
+        if G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(a, c):
+            mask |= 1 << a | 1 << b | 1 << c
+    return mask
+
+
+def naive_graph6(G: Graph) -> str:
+    """graph6 written one adjacency bit at a time, straight from the format's
+    definition (sizes up to 258,047 vertices)."""
+    n = G.n
+    head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    stream = [int(G.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    stream += [0] * (-len(stream) % 6)
+    body = [int("".join(map(str, stream[k:k + 6])), 2) for k in range(0, len(stream), 6)]
+    return "".join(chr(63 + x) for x in head + body)
 
 
 @lru_cache(maxsize=8)

@@ -19,6 +19,8 @@ from homdual.graphs import build_graph, complete_graph, cycle_graph, path_graph
 from homdual.homs import is_isomorphic
 from homdual.powers import is_bipartite
 
+from oracles import naive_graph6
+
 
 # --- graph6 -------------------------------------------------------------------
 
@@ -61,6 +63,42 @@ def test_parse_graph6_rejects_malformed():
         parse_graph6("A\x19")  # byte below the graph6 alphabet
     with pytest.raises(ParseError):
         parse_graph6("@~")  # nonzero padding / trailing garbage
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 1000])
+def test_graph6_roundtrip_sizes(n):
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    sparse = build_graph(n, [e for e in pairs if rng.random() < 0.05])
+    dense = build_graph(n, [e for e in pairs if rng.random() < 0.5])
+    for G in (sparse, dense):
+        line = to_graph6(G)
+        assert line == naive_graph6(G)
+        assert parse_graph6(line) == G
+
+
+@pytest.mark.parametrize("line, message, offset", [
+    ("", "empty graph6 string", 0),
+    ("\x19", "invalid header byte 25", 0),
+    ("B", "expected 1 payload bytes for n=3, got 0", 1),
+    ("A_extra", "expected 1 payload bytes for n=2, got 6", 1),
+    ("@~", "expected 0 payload bytes for n=1, got 1", 1),
+    ("Ex?", "expected 3 payload bytes for n=6, got 2", 1),
+    ("A\x19", "invalid payload byte 25", 1),
+    ("E?\x7f?", "invalid payload byte 127", 2),
+    ("E??\x19", "invalid payload byte 25", 3),
+    ("A`", "nonzero padding bits", 1),
+    ("D?@", "nonzero padding bits", 2),
+    ("~?", "truncated 4-byte size header", 2),
+    ("~\x19??", "invalid size byte", 1),
+    ("~~??", "truncated 8-byte size header", 4),
+    ("~~?\x19????", "invalid size byte", 2),
+])
+def test_parse_graph6_error_offsets(line, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_graph6(line)
+    assert str(exc.value) == f"{message} (at {offset})"
+    assert exc.value.offset == offset
 
 
 # --- edge lists ------------------------------------------------------------------
@@ -206,6 +244,22 @@ def test_cli_dual_build_and_verify(tmp_path, capsys):
     assert D.n == doc["results"]["provenance"]["dual_order"]
     code, doc = run_cli(["dual-verify", "--gen", "--n-max", "4", "--connected",
                          "--forbid", str(forbid), "--dual", str(dual)], capsys)
+    assert code == 0
+    assert doc["results"]["verdict"] == "pass"
+
+
+def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
+    """The 3,645-vertex dual of the connected subcubic graphs on at most 7
+    vertices survives a graph6 round trip through the CLI."""
+    forbid = tmp_path / "k3.g6"
+    forbid.write_text(to_graph6(complete_graph(3)) + "\n")
+    dual = tmp_path / "dual.g6"
+    corpus = ["--gen", "--n-max", "7", "--max-degree", "3", "--connected",
+              "--forbid", str(forbid)]
+    code, doc = run_cli(["dual-build", *corpus, "--dual-out", str(dual)], capsys)
+    assert code == 0
+    assert doc["results"]["provenance"]["dual_order"] == 3645
+    code, doc = run_cli(["dual-verify", *corpus, "--dual", str(dual)], capsys)
     assert code == 0
     assert doc["results"]["verdict"] == "pass"
 

@@ -25,7 +25,26 @@ from homdual.homs import (
     is_isomorphic,
 )
 
-from oracles import brute_hom_count, brute_homomorphism
+from oracles import brute_homomorphism, brute_homomorphisms, brute_triangle_mask
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return build_graph(10, outer + inner + spokes)
+
+
+def grotzsch():
+    """Mycielskian of C5: triangle-free, 11 vertices, chromatic number 4."""
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    twins = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, -1)]
+    hub = [(10, 5 + i) for i in range(5)]
+    return build_graph(11, rim + twins + hub)
+
+
+def triangle_free_targets():
+    return [cycle_graph(5), petersen(), grotzsch()]
 
 
 def test_vertex_map_and_check():
@@ -72,12 +91,46 @@ def test_odd_cycle_order():
             assert r.present == (k >= l), (k, l)
 
 
-def test_find_homomorphism_matches_oracle(catalog4):
-    for G in catalog4:
-        for H in catalog4:
+def test_find_homomorphism_matches_oracle(catalog5):
+    for G in catalog5:
+        for H in catalog5 + triangle_free_targets():
+            if G.n == 5 and H.n > 5:
+                continue  # 10^5+ maps each; the triangle filter test covers these
             r = find_homomorphism(G, H)
             assert r.status in (PRESENT, ABSENT)
             assert r.present == (brute_homomorphism(G, H) is not None), (G, H)
+            assert not r.present or check_homomorphism(r.map)
+
+
+def test_triangle_filter_refutes_before_branching(catalog5):
+    """A graph with a triangle has no homomorphism to a triangle-free one,
+    and the search says so before it tries a single assignment."""
+    for H in triangle_free_targets():
+        assert H.triangle_mask() == 0
+        for G in catalog5:
+            if brute_triangle_mask(G):
+                assert find_homomorphism(G, H, budget=1).status == ABSENT, (G, H)
+                assert list(enumerate_homomorphisms(G, H)) == []
+                assert forb_member(H, [G], budget=1) is True
+            else:
+                # every triangle-free graph on <= 5 vertices maps to C5
+                r = find_homomorphism(G, H)
+                assert r.present and check_homomorphism(r.map), (G, H)
+
+
+def test_triangle_mask(catalog5):
+    for G in catalog5 + triangle_free_targets():
+        assert G.triangle_mask() == brute_triangle_mask(G), G
+    paw = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert paw.triangle_mask() == 0b0111
+
+
+def test_triangle_mask_leaves_equality_and_hash():
+    a = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    b = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    a.triangle_mask()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_budget_stop_is_three_valued():
@@ -89,13 +142,12 @@ def test_budget_stop_is_three_valued():
 def test_enumerate_homomorphisms_counts(catalog4):
     assert sum(1 for _ in enumerate_homomorphisms(complete_graph(2), complete_graph(3))) == 6
     assert sum(1 for _ in enumerate_homomorphisms(path_graph(3), complete_graph(2))) == 2
-    small = [G for G in catalog4 if G.n <= 3]
-    for G in small:
-        for H in small:
-            got = list(enumerate_homomorphisms(G, H))
-            assert all(check_homomorphism(f) for f in got)
-            assert len(got) == len(set(f.image for f in got))
-            assert len(got) == brute_hom_count(G, H)
+    # the same maps as exhaustive enumeration, in the same (lexicographic)
+    # order, also where the triangle filter narrows the start domains
+    for G in catalog4:
+        for H in catalog4 + [cycle_graph(5)]:
+            got = [f.image for f in enumerate_homomorphisms(G, H)]
+            assert got == brute_homomorphisms(G, H), (G, H)
 
 
 def test_forb_member():
