@@ -16,5 +16,9 @@ class SizeLimitError(GraphError):
         self.payload = payload
 
 
+class InternalCheckError(GraphError):
+    """A result failed a self-check; this signals a bug, not bad input."""
+
+
 class BudgetExceededError(Exception):
     """A search exceeded its node budget without deciding the question."""

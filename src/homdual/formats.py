@@ -50,7 +50,10 @@ def parse_graph6(line: str) -> Graph:
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = s.encode("ascii")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     n, pos = _read_g6_size(data)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6

@@ -306,18 +306,72 @@ def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator
         banned |= 1 << v
 
 
+def _radius_at_most(rows: Sequence[int], S: int, r: int) -> bool:
+    """Whether some vertex of S reaches all of S within r steps inside S."""
+    for c in bits(S):
+        reach = 1 << c
+        for _ in range(r):
+            for v in bits(reach):
+                reach |= rows[v]
+            reach &= S
+        if reach == S:
+            return True
+    return False
+
+
 def enumerate_balls(G: Graph, r: int) -> list[int]:
-    """All vertex masks that are balls of radius at most ``r``."""
+    """All vertex masks that are balls of radius at most ``r``, in the order
+    of ``enumerate_connected_sets``."""
     if r < 0:
         return []
     if r == 0:
         return [1 << v for v in range(G.n)]
-    out = []
-    for S in enumerate_connected_sets(G):
-        rad, _ = radius_center(G, S)
-        if rad <= r:
-            out.append(S)
-    return out
+    rows = G.rows
+    return [S for S in enumerate_connected_sets(G) if _radius_at_most(rows, S, r)]
+
+
+def _disjoint_families(G: Graph, balls: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Depth-first walk over the nonempty families of pairwise disjoint balls.
+
+    A family is a bitset over indices into ``balls``; children add a larger
+    index, visited in increasing order. Yields (family, number of ball pairs
+    joined by an edge), the edge count of the family's quotient.
+    """
+    # holding[v]: the indices of the balls that contain vertex v
+    holding = [0] * G.n
+    for i, b in enumerate(balls):
+        for v in bits(b):
+            holding[v] |= 1 << i
+    # later[i]: the balls after ball i that are disjoint from it; touch[i]:
+    # the balls meeting a neighbour of ball i, which for the balls of a
+    # family (all disjoint from ball i) means an edge to it
+    full = (1 << len(balls)) - 1
+    later, touch = [], []
+    for i, b in enumerate(balls):
+        meet = near = joined = 0
+        for v in bits(b):
+            meet |= holding[v]
+            near |= G.rows[v]
+        for v in bits(near):
+            joined |= holding[v]
+        later.append((full ^ meet) >> (i + 1) << (i + 1))
+        touch.append(joined)
+    stack = [(full, 0, 0)]
+    while stack:
+        avail, picked, edges = stack.pop()
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            i = low.bit_length() - 1
+            fam = picked | low
+            gain = edges + (touch[i] & picked).bit_count()
+            yield fam, gain
+            child = avail & later[i]
+            if child:
+                # descend first; the remaining siblings wait on the stack
+                if avail:
+                    stack.append((avail, picked, edges))
+                avail, picked, edges = child, fam, gain
 
 
 def enumerate_ball_families(G: Graph, r: int, limit: int = BALL_FAMILY_LIMIT) -> Iterator[BallFamily]:
@@ -331,13 +385,6 @@ def enumerate_ball_families(G: Graph, r: int, limit: int = BALL_FAMILY_LIMIT) ->
             f"ball-family enumeration capped at {limit} vertices "
             f"(got {G.n}); use heuristic mode")
     balls = enumerate_balls(G, r)
-
-    def rec(start: int, used: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        yield chosen
-        for i in range(start, len(balls)):
-            if balls[i] & used:
-                continue
-            yield from rec(i + 1, used | balls[i], chosen + (balls[i],))
-
-    for fam in rec(0, 0, ()):
-        yield BallFamily(G, fam, r)
+    yield BallFamily(G, (), r)
+    for fam, _ in _disjoint_families(G, balls):
+        yield BallFamily(G, tuple(balls[i] for i in bits(fam)), r)

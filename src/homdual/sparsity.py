@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import GraphError, SizeLimitError
+from .errors import GraphError, InternalCheckError
 from .graphs import (
     BALL_FAMILY_LIMIT,
     BallFamily,
     Graph,
+    _disjoint_families,
     bfs_layers,
     bits,
     connected_components,
@@ -183,43 +184,27 @@ class GradResult:
 def grad_r(G: Graph, r: int, limit: int = BALL_FAMILY_LIMIT) -> GradResult:
     """Greatest reduced average density at rank r.
 
-    Exhaustive over all disjoint ball families for n <= limit; larger
-    graphs get a greedy packing lower bound flagged inexact.
+    Exhaustive over all disjoint ball families for n <= limit, keeping the
+    first densest family in the walk's order; larger graphs get a greedy
+    packing lower bound flagged inexact.
     """
+    if r < 0:
+        raise GraphError(f"rank must be nonnegative (got {r})")
     if G.n > limit:
         return _grad_greedy(G, r)
     if G.n == 0:
         return GradResult(Fraction(0), BallFamily(G, (), r))
     balls = enumerate_balls(G, r)
-    nbhd = []
-    for b in balls:
-        nb = 0
-        for v in bits(b):
-            nb |= G.rows[v]
-        nbhd.append(nb & ~b)
-    nballs = len(balls)
-    best_num, best_den = 0, 1
-    best_fam: tuple[int, ...] = (balls[0],) if balls else ()
-
-    def rec(start: int, used: int, chosen: list[int], edges: int) -> None:
-        nonlocal best_num, best_den, best_fam
-        parts = len(chosen)
-        if parts and edges * best_den > best_num * parts:
-            best_num, best_den = edges, parts
-            best_fam = tuple(chosen)
-        for i in range(start, nballs):
-            b = balls[i]
-            if b & used:
-                continue
-            inc = sum(1 for c in chosen if nbhd[i] & c)
-            chosen.append(b)
-            rec(i + 1, used | b, chosen, edges + inc)
-            chosen.pop()
-
-    rec(0, 0, [], 0)
+    best_num, best_den, best = 0, 1, 1
+    for fam, edges in _disjoint_families(G, balls):
+        parts = fam.bit_count()
+        if edges * best_den > best_num * parts:
+            best_num, best_den, best = edges, parts, fam
+    best_fam = tuple(balls[i] for i in bits(best))
     fam = BallFamily(G, best_fam, r)
     value = Fraction(best_num, best_den)
-    assert value == Fraction(quotient(G, fam).edge_count(), max(len(best_fam), 1))
+    if value != Fraction(quotient(G, fam).edge_count(), len(best_fam)):
+        raise InternalCheckError("grad witness quotient does not attain the value")
     return GradResult(value, fam)
 
 
@@ -424,7 +409,10 @@ def min_indegree_orientation(G: Graph) -> tuple[Orientation, int]:
 
 
 def degeneracy(G: Graph) -> tuple[int, list[int]]:
-    """Classic min-degree peeling; also asserts the 2*grad_0 bound."""
+    """Classic min-degree peeling: (degeneracy, peeling order).
+
+    The degeneracy is at most floor(2 * grad_0); the tests check that bound.
+    """
     remaining = G.full_mask
     order = []
     d = 0
@@ -433,13 +421,12 @@ def degeneracy(G: Graph) -> tuple[int, list[int]]:
         d = max(d, (G.rows[v] & remaining).bit_count())
         order.append(v)
         remaining &= ~(1 << v)
-    assert d <= math.floor(2 * grad_0_flow(G))
     return d, order
 
 
 def expansion_profile(G: Graph, r_max: int, limit: int = BALL_FAMILY_LIMIT) -> list[Fraction]:
     """Per-graph grad measurements for ranks 0..r_max (nondecreasing)."""
     profile = [grad_r(G, r, limit=limit).value for r in range(r_max + 1)]
-    for a, b in zip(profile, profile[1:]):
-        assert a <= b, "expansion profile must be nondecreasing"
+    if any(a > b for a, b in zip(profile, profile[1:])):
+        raise InternalCheckError("expansion profile must be nondecreasing")
     return profile

@@ -147,3 +147,41 @@ def brute_is_connected_subset(G: Graph, S: int) -> bool:
                 reach.add(v)
                 changed = True
     return len(reach) == len(verts)
+
+
+def brute_grad(G: Graph, r: int) -> Fraction:
+    """Rank-r grad: max quotient density over every family of pairwise
+    disjoint balls, with balls found by testing every vertex subset for a
+    center within distance r inside it (breadth-first search)."""
+    def ecc_at_most(S: list[int], c: int) -> bool:
+        dist = {c: 0}
+        queue = [c]
+        for u in queue:
+            for v in S:
+                if v not in dist and G.has_edge(u, v):
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return len(dist) == len(S) and max(dist.values()) <= r
+
+    balls = []
+    for S in range(1, 1 << G.n):
+        verts = [v for v in range(G.n) if S >> v & 1]
+        if any(ecc_at_most(verts, c) for c in verts):
+            balls.append(verts)
+
+    def joined(a: list[int], b: list[int]) -> bool:
+        return any(G.has_edge(u, v) for u in a for v in b)
+
+    best = Fraction(0)
+
+    def extend(start: int, family: list[list[int]]) -> None:
+        nonlocal best
+        if family:
+            edges = sum(joined(a, b) for a, b in itertools.combinations(family, 2))
+            best = max(best, Fraction(edges, len(family)))
+        for k in range(start, len(balls)):
+            if all(not set(balls[k]) & set(b) for b in family):
+                extend(k + 1, family + [balls[k]])
+
+    extend(0, [])
+    return best

@@ -63,6 +63,8 @@ def test_parse_graph6_rejects_malformed():
         parse_graph6("A\x19")  # byte below the graph6 alphabet
     with pytest.raises(ParseError):
         parse_graph6("@~")  # nonzero padding / trailing garbage
+    with pytest.raises(ParseError):
+        parse_graph6("A\u00e9")  # non-ASCII, not a UnicodeEncodeError
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 1000])
@@ -93,6 +95,8 @@ def test_graph6_roundtrip_sizes(n):
     ("~\x19??", "invalid size byte", 1),
     ("~~??", "truncated 8-byte size header", 4),
     ("~~?\x19????", "invalid size byte", 2),
+    ("A\u00e9", "non-ASCII character '\u00e9'", 1),
+    ("Bw\u00e9", "non-ASCII character '\u00e9'", 2),
 ])
 def test_parse_graph6_error_offsets(line, message, offset):
     with pytest.raises(ParseError) as exc:
@@ -187,6 +191,15 @@ def test_cli_grad(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["value"] == "3/2"
     assert doc["results"]["exact"]
+
+
+def test_cli_grad_negative_rank(tmp_path, capsys):
+    path = tmp_path / "k4.g6"
+    path.write_text(to_graph6(complete_graph(4)) + "\n")
+    assert main(["grad", "--in", str(path), "--rank", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank must be nonnegative (got -1)\n"
 
 
 def test_cli_orient(p4_file, capsys):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from homdual.errors import GraphError
+from homdual.errors import GraphError, InternalCheckError
 from homdual.graphs import (
     BallFamily,
     bits,
@@ -32,7 +33,7 @@ from homdual.sparsity import (
     verify_td,
 )
 
-from oracles import brute_densest, brute_tree_depth
+from oracles import brute_densest, brute_grad, brute_tree_depth
 
 
 def subdivided_k4():
@@ -160,6 +161,47 @@ def test_grad_matches_naive_family_enumeration(catalog4):
                 if q.n:
                     best = max(best, Fraction(q.edge_count(), q.n))
             assert grad_r(G, r).value == best
+
+
+def test_grad_matches_brute_force(catalog5):
+    for G in catalog5:
+        for r in (0, 1, 2):
+            assert grad_r(G, r).value == brute_grad(G, r), (G.rows, r)
+
+
+# sha256 over (rows, rank, value, witness balls) for the <= 6-vertex catalog at
+# ranks 0-2, recorded with the per-node overlap-rescanning search that the
+# index-bitset walk replaced: the walk keeps every value and witness.
+GRAD_WITNESS_DIGEST = "d5615bd7038dd58d6812d740528e7f2a9138cd0265ecb52a272d6a43c94ba5d2"
+
+
+def test_grad_witnesses_unchanged(catalog6):
+    h = hashlib.sha256()
+    for G in catalog6:
+        for r in (0, 1, 2):
+            res = grad_r(G, r)
+            h.update(f"{G.rows} {r} {res.value} {res.witness.balls}\n".encode())
+    assert h.hexdigest() == GRAD_WITNESS_DIGEST
+
+
+def test_grad_rejects_negative_rank():
+    with pytest.raises(GraphError):
+        grad_r(path_graph(3), -1)
+    with pytest.raises(GraphError):
+        grad_r(path_graph(20), -1)  # beyond the exhaustive limit too
+
+
+def test_grad_self_checks_raise(monkeypatch):
+    import homdual.sparsity as sp
+
+    monkeypatch.setattr(sp, "quotient", lambda G, fam: empty_graph(len(fam.balls)))
+    with pytest.raises(InternalCheckError):
+        grad_r(complete_graph(3), 0)
+    monkeypatch.undo()
+    fake = iter([Fraction(1), Fraction(1, 2)])
+    monkeypatch.setattr(sp, "grad_r", lambda G, r, limit: sp.GradResult(next(fake), None))
+    with pytest.raises(InternalCheckError):
+        expansion_profile(complete_graph(3), 1)
 
 
 def test_grad_0_flow():
