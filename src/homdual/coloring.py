@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
 from .graphs import (
     Graph,
     bits,
     connected_components,
-    enumerate_connected_sets,
     induced_subgraph,
 )
 from .sparsity import TdCertificate, tree_depth, tree_depth_value, verify_td
 
-CENTERED_LIMIT = 16
+CENTERED_LIMIT = 1 << 16  # color sets C(k, min(p - 1, k)) per verification
 LOWTD_EXHAUSTIVE_LIMIT = 10
 
 
@@ -41,36 +41,46 @@ class Coloring:
         return m
 
 
-def make_coloring(G: Graph, colors: Sequence[int]) -> Coloring:
+def make_coloring(G: Graph, colors: Sequence[Hashable]) -> Coloring:
     """Normalize arbitrary color values to dense 0..k-1 by first appearance."""
-    remap: dict[int, int] = {}
-    dense = []
-    for c in colors:
-        if c not in remap:
-            remap[c] = len(remap)
-        dense.append(remap[c])
+    remap: dict[Hashable, int] = {}
+    dense = [remap.setdefault(c, len(remap)) for c in colors]
     return Coloring(G, tuple(dense), len(remap))
+
+
+def _check_p(p: int) -> None:
+    if p < 1:
+        raise GraphError(f"p must be at least 1 (got {p})")
 
 
 def verify_p_centered(G: Graph, c: Coloring, p: int,
                       limit: int = CENTERED_LIMIT) -> tuple[bool, Optional[int]]:
-    """Check the centered condition over every connected vertex subset.
+    """Check that every connected vertex set with fewer than p colors has a
+    color used exactly once in it.
 
-    Returns (True, None) or (False, violating vertex mask). The condition
-    depends only on vertex sets, so connected induced subsets suffice.
+    Returns (True, None) or (False, violating vertex mask). For each set C of
+    min(p - 1, k) color classes, every component K of G[C] is checked: K
+    fails if no color appears once in it; otherwise its first uniquely
+    colored vertex is removed and the components left are checked in turn.
+    A violating set lies inside some such K and never holds the removed
+    vertex, so this is complete. ``limit`` caps the number of color sets.
     """
-    if G.n > limit:
-        raise SizeLimitError(f"centered verification capped at {limit} vertices")
-    cols = c.colors
-    for S in enumerate_connected_sets(G):
-        counts: dict[int, int] = {}
-        for v in bits(S):
-            counts[cols[v]] = counts.get(cols[v], 0) + 1
-        if len(counts) >= p:
-            continue
-        if any(cnt == 1 for cnt in counts.values()):
-            continue
-        return False, S
+    _check_p(p)
+    size = min(p - 1, c.k)
+    if math.comb(c.k, size) > limit:
+        raise SizeLimitError(
+            f"centered verification capped at {limit} color sets "
+            f"(C({c.k},{size}) = {math.comb(c.k, size)})")
+    masks = [c.class_mask(q) for q in range(c.k)]
+    for classes in combinations(masks, size):
+        stack = connected_components(G, sum(classes))  # disjoint: sum is union
+        while stack:
+            K = stack.pop()
+            unique = [m & K for m in classes if (m & K).bit_count() == 1]
+            if not unique:
+                return False, K
+            v = min(unique)
+            stack += connected_components(G, K ^ v)
     return True, None
 
 
@@ -102,6 +112,7 @@ class LowTdReport:
 
 def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, LowTdReport]:
     """Every i <= p color classes must induce components of tree-depth <= i."""
+    _check_p(p)
     worst: Optional[LowTdViolation] = None
     for i in range(1, min(p, c.k) + 1):
         for classes in combinations(range(c.k), i):
@@ -131,6 +142,7 @@ def find_low_td_coloring(G: Graph, p: int, k_max: Optional[int] = None) -> Optio
     Exhaustive (provably minimal) for |V| <= 10; larger graphs get a greedy
     distance-p coloring on degeneracy order, minimality not guaranteed.
     """
+    _check_p(p)
     if k_max is None:
         k_max = max(G.n, 1)
     if G.n == 0:
@@ -231,14 +243,4 @@ def product_centered(G: Graph, cbar: Coloring, p: int) -> Coloring:
         (cbar.colors[v],) + tuple(col[v] for col in per_subset)
         for v in range(G.n)
     ]
-    return make_coloring(G, _dense(tuples))
-
-
-def _dense(tuples: list[tuple]) -> list[int]:
-    remap: dict[tuple, int] = {}
-    out = []
-    for t in tuples:
-        if t not in remap:
-            remap[t] = len(remap)
-        out.append(remap[t])
-    return out
+    return make_coloring(G, tuples)

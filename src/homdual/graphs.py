@@ -155,19 +155,19 @@ def induced_subgraph(G: Graph, S: int) -> tuple[Graph, list[int]]:
 
 def connected_components(G: Graph, within: Optional[int] = None) -> list[int]:
     """Vertex masks of the connected components (optionally inside a mask)."""
+    rows = G.rows
     remaining = G.full_mask if within is None else within
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= G.rows[v]
-            nxt &= remaining & ~comp
-            comp |= nxt
-            frontier = nxt
+            while frontier:  # bits(frontier), inlined: this is a hot loop
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & remaining & ~comp
+            comp |= frontier
         comps.append(comp)
         remaining &= ~comp
     return comps

@@ -94,54 +94,95 @@ def verify_td(G: Graph, cert: TdCertificate) -> bool:
     return all(G.rows[v] & ~clos.rows[v] == 0 for v in range(G.n))
 
 
+def _td_max_edges(n: int, t: int) -> int:
+    """Most edges of a graph of tree-depth <= t on n >= t - 1 vertices: it
+    lies in a closure of height t, so it is (t - 1)-degenerate."""
+    return (t - 1) * n - t * (t - 1) // 2
+
+
 def tree_depth(G: Graph, limit: int = TD_LIMIT) -> TdCertificate:
     """Exact tree-depth via the delete-a-vertex recursion, with witness.
 
-    Memoized on connected vertex masks. Beyond ``limit`` vertices a greedy
-    certificate is returned, flagged non-optimal.
+    A memoised decision search "td(S) <= k" over connected vertex masks,
+    pruned by edge counts; each connected mask's witness root is the first
+    vertex v whose deletion leaves tree-depth td(S) - 1. Beyond ``limit``
+    vertices a greedy certificate is returned, flagged non-optimal.
     """
     if G.n > limit:
         return _greedy_td(G)
-    best_delete: dict[int, int] = {}
-    value = functools.lru_cache(maxsize=None)
+    rows = G.rows
+    bounds: dict[int, list[int]] = {}  # S -> [lo, hi, edges], lo <= td(S) <= hi
 
-    @value
-    def td(mask: int) -> int:
-        if mask.bit_count() == 1:
-            return 1
-        comps = connected_components(G, mask)
-        if len(comps) > 1:
-            return max(td(c) for c in comps)
-        best, arg = None, None
-        for v in bits(mask):
-            t = 1 + td(mask ^ (1 << v))
-            if best is None or t < best:
-                best, arg = t, v
-        best_delete[mask] = arg
-        return best
+    def bounds_of(S: int) -> list[int]:
+        b = bounds.get(S)
+        if b is None:
+            n, m, rest = S.bit_count(), 0, S
+            while rest:  # bits(S), inlined: this is a hot loop
+                low = rest & -rest
+                m += (rows[low.bit_length() - 1] & S).bit_count()
+                rest ^= low
+            m //= 2
+            lo = 1
+            while _td_max_edges(n, lo) < m:
+                lo += 1
+            b = bounds[S] = [lo, n, m]
+        return b
+
+    def at_most(S: int, k: int) -> bool:
+        """td(G[S]) <= k, for a connected nonempty mask S."""
+        n = S.bit_count()
+        if k >= n:
+            return True
+        if k < 2:  # S is connected and has an edge
+            return False
+        b = bounds_of(S)
+        if k >= b[1]:
+            return True
+        if k < b[0]:
+            return False
+        cap = _td_max_edges(n - 1, k - 1)  # S - v must fit under it
+        for v in bits(S):
+            if b[2] - (rows[v] & S).bit_count() > cap:
+                continue
+            known = bounds.get(S ^ (1 << v))  # S - v, if seen as a connected mask
+            if known is not None and known[0] >= k:
+                continue
+            if root_fits(S, v, k):
+                b[1] = k
+                return True
+        b[0] = k + 1
+        return False
+
+    def root_fits(S: int, v: int, k: int) -> bool:
+        """v can root a forest of height k over the connected mask S."""
+        return all(at_most(C, k - 1) for C in connected_components(G, S ^ (1 << v)))
+
+    def td(S: int) -> int:
+        b = bounds_of(S)
+        if b[0] < b[1]:
+            # td(S - v) <= td(S) <= td(S - v) + 1 for any v
+            t = max(td(C) for C in connected_components(G, S & (S - 1)))
+            b[0], b[1] = max(b[0], t), min(b[1], t + 1)
+            at_most(S, b[0])
+        return b[1]
 
     parent: list[Optional[int]] = [None] * G.n
 
     def build(mask: int, above: Optional[int]) -> None:
-        comps = connected_components(G, mask)
-        if len(comps) > 1:
-            for c in comps:
-                build(c, above)
-            return
-        if mask.bit_count() == 1:
-            parent[mask.bit_length() - 1] = above
-            return
-        td(mask)  # ensure best_delete is populated
-        v = best_delete[mask]
-        parent[v] = above
-        build(mask ^ (1 << v), v)
+        for S in connected_components(G, mask):
+            if S.bit_count() == 1:
+                parent[S.bit_length() - 1] = above
+                continue
+            t = td(S)
+            v = next(v for v in bits(S) if root_fits(S, v, t))
+            parent[v] = above
+            build(S ^ (1 << v), v)
 
-    if G.n == 0:
-        return TdCertificate(0, RootedForest(()))
-    val = max(td(c) for c in connected_components(G))
+    val = max((td(S) for S in connected_components(G)), default=0)
     build(G.full_mask, None)
     cert = TdCertificate(val, RootedForest(tuple(parent)))
-    assert verify_td(G, cert)
+    if not verify_td(G, cert):
+        raise InternalCheckError("tree-depth witness fails its own check")
     return cert
 
 
@@ -164,7 +205,8 @@ def _greedy_td(G: Graph) -> TdCertificate:
         return TdCertificate(0, RootedForest(()), optimal=False)
     val = rec(G.full_mask, None)
     cert = TdCertificate(val, RootedForest(tuple(parent)), optimal=False)
-    assert verify_td(G, TdCertificate(cert.value, cert.forest))
+    if not verify_td(G, cert):
+        raise InternalCheckError("greedy tree-depth witness fails its own check")
     return cert
 
 
@@ -227,10 +269,10 @@ def _grad_greedy(G: Graph, r: int) -> GradResult:
     fam = BallFamily(G, tuple(balls), r)
     q = quotient(G, fam)
     value = Fraction(q.edge_count(), max(len(balls), 1))
-    flow = grad_0_flow(G)
+    best_sub = _densest_subgraph_mask(G)
+    flow = _density(G, best_sub)
     if flow > value:
         # rank-0 density is always a valid rank-r lower bound
-        best_sub = _densest_subgraph_mask(G)
         fam = BallFamily(G, tuple(1 << v for v in bits(best_sub)), r)
         value = flow
     return GradResult(value, fam, exact=False)
@@ -344,13 +386,16 @@ def _densest_subgraph_mask(G: Graph) -> int:
         num, den, best_mask = e, k, S
 
 
+def _density(G: Graph, S: int) -> Fraction:
+    """|E(G[S])| / |S|, and 0 for the empty set."""
+    if S == 0:
+        return Fraction(0)
+    return Fraction(sum((G.rows[v] & S).bit_count() for v in bits(S)) // 2, S.bit_count())
+
+
 def grad_0_flow(G: Graph) -> Fraction:
     """Exact maximum subgraph density max |E(H)|/|V(H)| via parametric cuts."""
-    if G.n == 0:
-        return Fraction(0)
-    S = _densest_subgraph_mask(G)
-    e = sum((G.rows[v] & S).bit_count() for v in bits(S)) // 2
-    return Fraction(e, S.bit_count())
+    return _density(G, _densest_subgraph_mask(G))
 
 
 @dataclass(frozen=True)
@@ -425,8 +470,20 @@ def degeneracy(G: Graph) -> tuple[int, list[int]]:
 
 
 def expansion_profile(G: Graph, r_max: int, limit: int = BALL_FAMILY_LIMIT) -> list[Fraction]:
-    """Per-graph grad measurements for ranks 0..r_max (nondecreasing)."""
-    profile = [grad_r(G, r, limit=limit).value for r in range(r_max + 1)]
-    if any(a > b for a, b in zip(profile, profile[1:])):
-        raise InternalCheckError("expansion profile must be nondecreasing")
+    """Per-graph grad measurements for ranks 0..r_max (nondecreasing).
+
+    Exact ranks must already be nondecreasing. An inexact (greedy) rank
+    keeps the running maximum instead, since a rank-(r-1) ball family is
+    also a rank-r family.
+    """
+    profile: list[Fraction] = []
+    best: Optional[GradResult] = None
+    for r in range(r_max + 1):
+        res = grad_r(G, r, limit=limit)
+        if best is not None and best.value > res.value:
+            if res.exact:
+                raise InternalCheckError("expansion profile must be nondecreasing")
+            res = GradResult(best.value, BallFamily(G, best.witness.balls, r), exact=False)
+        best = res
+        profile.append(res.value)
     return profile

@@ -108,6 +108,54 @@ def brute_tree_depth(G: Graph) -> int:
     return best
 
 
+def plain_tree_depth(G: Graph) -> tuple[int, tuple]:
+    """(value, parent tuple) by the unpruned delete-a-vertex recursion over
+    every vertex subset: a disconnected set takes the maximum over its
+    components, a connected one 1 + min over v of td(S - v), rooted at the
+    first minimising v. Exponential; for up to about 12 vertices."""
+    def components(S: int) -> list[int]:
+        comps, rest = [], S
+        while rest:
+            comp = rest & -rest
+            grown = True
+            while grown:
+                grown = False
+                for v in range(G.n):
+                    if rest >> v & 1 and not comp >> v & 1 and G.rows[v] & comp:
+                        comp |= 1 << v
+                        grown = True
+            comps.append(comp)
+            rest &= ~comp
+        return comps
+
+    @lru_cache(maxsize=None)
+    def td(S: int) -> tuple[int, int]:
+        """(tree-depth, root) of a connected S; root -1 for one vertex."""
+        if S & (S - 1) == 0:
+            return 1, -1
+        best = None
+        for v in range(G.n):
+            if S >> v & 1:
+                t = 1 + max((td(C)[0] for C in components(S & ~(1 << v))), default=0)
+                if best is None or t < best[0]:
+                    best = (t, v)
+        return best
+
+    parent = [None] * G.n
+
+    def build(S: int, above) -> None:
+        for C in components(S):
+            root = td(C)[1]
+            if root < 0:
+                parent[C.bit_length() - 1] = above
+            else:
+                parent[root] = above
+                build(C & ~(1 << root), root)
+
+    build((1 << G.n) - 1, None)
+    return max((td(C)[0] for C in components((1 << G.n) - 1)), default=0), tuple(parent)
+
+
 def brute_densest(G: Graph) -> Fraction:
     """max |E(G[S])| / |S| over nonempty S, 0 on the empty graph."""
     best = Fraction(0)
@@ -147,6 +195,21 @@ def brute_is_connected_subset(G: Graph, S: int) -> bool:
                 reach.add(v)
                 changed = True
     return len(reach) == len(verts)
+
+
+def brute_p_centered(G: Graph, colors, p: int):
+    """(True, None), or (False, S) for the first vertex mask S, in increasing
+    order, that is connected, has fewer than p colors and no color used
+    exactly once: the centered condition checked on every vertex subset."""
+    for S in range(1, 1 << G.n):
+        counts: dict[int, int] = {}
+        for v in range(G.n):
+            if S >> v & 1:
+                counts[colors[v]] = counts.get(colors[v], 0) + 1
+        if len(counts) < p and 1 not in counts.values() \
+                and brute_is_connected_subset(G, S):
+            return False, S
+    return True, None
 
 
 def brute_grad(G: Graph, r: int) -> Fraction:

@@ -14,6 +14,7 @@ from homdual.coloring import (
 )
 from homdual.errors import GraphError, SizeLimitError
 from homdual.graphs import (
+    bits,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -24,12 +25,16 @@ from homdual.graphs import (
 )
 from homdual.sparsity import tree_depth
 
+from oracles import brute_is_connected_subset, brute_p_centered
+
 
 def test_make_coloring_densifies():
     G = path_graph(3)
     c = make_coloring(G, [7, 2, 7])
     assert c.colors == (0, 1, 0) and c.k == 2
     assert c.class_mask(0) == mask_of([0, 2])
+    c = make_coloring(G, [(1, 0), (0, 2), (1, 0)])  # any hashable colors
+    assert c.colors == (0, 1, 0) and c.k == 2
 
 
 def test_coloring_rejects_gaps():
@@ -66,8 +71,89 @@ def test_verify_p_centered_monotone_in_p():
 
 
 def test_verify_p_centered_size_cap():
+    """The cap counts color sets C(k, min(p - 1, k)), not vertices."""
+    E20 = empty_graph(20)
+    rainbow = make_coloring(E20, range(20))
     with pytest.raises(SizeLimitError):
-        verify_p_centered(empty_graph(17), make_coloring(empty_graph(17), [0] * 17), 2)
+        verify_p_centered(E20, rainbow, 11)  # C(20, 10) = 184,756 sets
+    assert verify_p_centered(E20, rainbow, 20) == (True, None)  # one set
+    # 17 vertices, above the old vertex cap of 16
+    P17 = path_graph(17)
+    assert verify_p_centered(P17, make_coloring(P17, [0] * 17), 2) == (False, P17.full_mask)
+    P4 = path_graph(4)
+    with pytest.raises(SizeLimitError):
+        verify_p_centered(P4, make_coloring(P4, [0, 1, 0, 1]), 2, limit=1)
+
+
+def test_verify_p_centered_long_path():
+    """A 40-vertex path: its tree-depth level coloring and its ruler coloring
+    (color = 2-adic valuation of the 1-based position) are centered, and
+    merging two ruler colors is not."""
+    P40 = path_graph(40)
+    level = centered_from_td(P40, tree_depth(P40))
+    assert verify_p_centered(P40, level, 40) == (True, None)
+    ruler = [(v + 1 & -(v + 1)).bit_length() - 1 for v in range(40)]
+    c = make_coloring(P40, ruler)
+    assert c.k == 6
+    for p in range(1, 8):
+        assert verify_p_centered(P40, c, p) == (True, None)
+    merged = make_coloring(P40, [min(x, 4) for x in ruler])  # 5 and 4 merge
+    ok, S = verify_p_centered(P40, merged, 6)
+    assert not ok and brute_is_connected_subset(P40, S)
+    assert len({merged.colors[v] for v in bits(S)}) < 6 and _no_unique(merged.colors, S)
+
+
+def _no_unique(colors, S: int) -> bool:
+    counts: dict[int, int] = {}
+    for v in bits(S):
+        counts[colors[v]] = counts.get(colors[v], 0) + 1
+    return 1 not in counts.values()
+
+
+def _random_case(rng: random.Random):
+    """A graph on 1-8 vertices, a coloring and a threshold p: half the
+    colorings are uniform, half are tree-depth level colorings with one
+    vertex recolored."""
+    n = rng.randint(1, 8)
+    density = rng.random()
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    G = build_graph(n, edges)
+    if rng.random() < 0.5:
+        k = rng.randint(1, n)
+        colors = [rng.randrange(k) for _ in range(n)]
+    else:
+        colors = list(centered_from_td(G, tree_depth(G)).colors)
+        colors[rng.randrange(n)] = rng.randrange(max(colors) + 1)
+    return G, make_coloring(G, colors), rng.randint(1, n + 1)
+
+
+def test_verify_p_centered_matches_oracle():
+    """Verdicts agree with the subset-by-subset oracle on 15,000 seeded
+    cases, and every counterexample is a genuine violation."""
+    rng = random.Random(4)
+    fails = 0
+    for _ in range(15000):
+        G, c, p = _random_case(rng)
+        ok, S = verify_p_centered(G, c, p)
+        assert ok == brute_p_centered(G, c.colors, p)[0], (G.rows, c.colors, p)
+        if ok:
+            assert S is None
+            continue
+        fails += 1
+        assert brute_is_connected_subset(G, S)
+        assert len({c.colors[v] for v in bits(S)}) < p
+        assert _no_unique(c.colors, S)
+    assert 3000 < fails < 12000  # both verdicts are well represented
+
+
+def test_p_must_be_positive():
+    P3 = path_graph(3)
+    c = make_coloring(P3, [0, 1, 2])
+    for call in (lambda: verify_p_centered(P3, c, 0),
+                 lambda: verify_low_td(P3, c, 0),
+                 lambda: find_low_td_coloring(P3, -1)):
+        with pytest.raises(GraphError, match="p must be at least 1"):
+            call()
 
 
 def test_centered_from_td_small():

@@ -217,6 +217,17 @@ def test_cli_centered_verify_failure_exit_code(p4_file, capsys):
     assert doc["results"]["counterexample"] is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ["centered-verify", "--p", "0", "--coloring", "0,1,0,1"],
+    ["lowtd-find", "--p", "0"],
+])
+def test_cli_rejects_nonpositive_p(p4_file, capsys, argv):
+    assert main([argv[0], "--in", p4_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p must be at least 1 (got 0)\n"
+
+
 def test_cli_lowtd_find(p4_file, capsys):
     code, doc = run_cli(["lowtd-find", "--in", p4_file, "--p", "2",
                          "--exhaustive"], capsys)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homdual.errors import GraphError, InternalCheckError
+from homdual.formats import parse_graph6
 from homdual.graphs import (
     BallFamily,
     bits,
@@ -33,7 +34,7 @@ from homdual.sparsity import (
     verify_td,
 )
 
-from oracles import brute_densest, brute_grad, brute_tree_depth
+from oracles import brute_densest, brute_grad, brute_tree_depth, plain_tree_depth
 
 
 def subdivided_k4():
@@ -109,6 +110,50 @@ def test_tree_depth_matches_forest_oracle(catalog5):
 def test_tree_depth_value_cached():
     assert tree_depth_value(cycle_graph(5)) == 4
     assert tree_depth_value(cycle_graph(5)) == 4
+
+
+# sha256 over (rows, value, parent tuple) of tree_depth for the <= 7-vertex
+# catalog, recorded with the exhaustive memo over every connected mask that
+# the bounded decision search replaced: the search keeps every certificate.
+TD_CERT_DIGEST = "0e08447e811c56f664448c663b9adbd9c4e6dabab7eb994c7e7a6b7b0566ba88"
+
+
+def test_tree_depth_certificates_unchanged(catalog7):
+    h = hashlib.sha256()
+    for G in catalog7:
+        cert = tree_depth(G)
+        h.update(f"{G.rows} {cert.value} {cert.forest.parent}\n".encode())
+    assert h.hexdigest() == TD_CERT_DIGEST
+
+
+def test_tree_depth_matches_plain_recursion():
+    """Certificates on 120 seeded random graphs of 9 and 10 vertices, with
+    25-45% of the possible edges, equal those of the unpruned recursion,
+    root choice included."""
+    rng = random.Random(6)
+    for _ in range(120):
+        n = rng.randint(9, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        G = build_graph(n, rng.sample(pairs, round(rng.uniform(0.25, 0.45) * len(pairs))))
+        cert = tree_depth(G)
+        assert (cert.value, cert.forest.parent) == plain_tree_depth(G), G.rows
+    # random 10- and 11-vertex graphs on which an off-by-one in the search's
+    # memoised lower-bound skip changes the witness root (and, for the last
+    # graph, the value); the random graphs above rarely show it
+    for g6 in ("J_O_wGNrhU_", "J[KSG?aD?W?", "JJaeG[jHHG_", "IAikeCdco"):
+        G = parse_graph6(g6)
+        cert = tree_depth(G)
+        assert (cert.value, cert.forest.parent) == plain_tree_depth(G), g6
+
+
+def test_tree_depth_self_checks_raise(monkeypatch):
+    import homdual.sparsity as sp
+
+    monkeypatch.setattr(sp, "verify_td", lambda G, cert: False)
+    with pytest.raises(InternalCheckError):
+        tree_depth(path_graph(3))  # exact search
+    with pytest.raises(InternalCheckError):
+        tree_depth(path_graph(20))  # greedy fallback
 
 
 def test_greedy_tree_depth_fallback():
@@ -216,6 +261,20 @@ def test_grad_0_flow_matches_exhaustive(catalog6):
         assert grad_0_flow(G) == grad_r(G, 0).value
 
 
+def test_grad_greedy_runs_one_densest_flow(monkeypatch):
+    import homdual.sparsity as sp
+
+    calls = []
+    densest = sp._densest_subgraph_mask
+    monkeypatch.setattr(sp, "_densest_subgraph_mask",
+                        lambda G: calls.append(G) or densest(G))
+    G, _ = disjoint_union([complete_graph(5), empty_graph(10)])
+    res = grad_r(G, 1)  # 15 vertices: greedy, and the flow bound wins
+    assert not res.exact and res.value == 2
+    assert res.witness.balls == tuple(1 << v for v in range(5))
+    assert len(calls) == 1
+
+
 # --- orientations and degeneracy ---------------------------------------------
 
 def test_min_indegree_orientation():
@@ -259,6 +318,15 @@ def test_expansion_profile_values():
     assert expansion_profile(empty_graph(1), 3) == [Fraction(0)] * 4
     prof = expansion_profile(subdivided_k4(), 1)
     assert prof[0] == Fraction(6, 5) and prof[1] == Fraction(3, 2)
+
+
+def test_expansion_profile_inexact_ranks_keep_running_maximum():
+    """Greedy ranks 0-3 of this 17-vertex graph read 11/8, 8/5, 11/8, 11/8;
+    the rank-1 family stays a rank-2 and rank-3 family."""
+    G = parse_graph6("P?Ag?cAOAAB@O?C_@WC@?P??")
+    assert [grad_r(G, r).value for r in range(4)] == \
+        [Fraction(11, 8), Fraction(8, 5), Fraction(11, 8), Fraction(11, 8)]
+    assert expansion_profile(G, 3) == [Fraction(11, 8)] + [Fraction(8, 5)] * 3
 
 
 def test_expansion_profile_monotone_random():
