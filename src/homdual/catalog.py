@@ -17,7 +17,6 @@ class GraphFilters:
     max_degree: Optional[int] = None
     connected: bool = False
     triangle_free: bool = False
-    min_vertices: int = 0
 
 
 def _invariant(G: Graph) -> tuple:
@@ -63,7 +62,7 @@ def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,
                 accepted.append(G)
         levels.append(accepted)
     out: list[Graph] = []
-    for n in range(f.min_vertices, n_max + 1):
+    for n in range(n_max + 1):
         for G in levels[n]:
             if f.connected and (G.n == 0 or len(connected_components(G)) != 1):
                 continue

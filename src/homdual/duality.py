@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import BudgetExceededError, GraphError, SizeLimitError
+from .errors import BudgetExceededError, GraphError, InternalCheckError, SizeLimitError
 from .graphs import (
     Graph,
     bits,
@@ -137,39 +135,53 @@ def truncated_power(U: Graph, H: Graph, p: int, cap: int = POWER_ORDER_CAP) -> T
     subsets = tuple(combinations(range(h), p))
     through = [tuple(I for I in subsets if v in I) for v in range(h)]
     B = math.comb(h - 1, p - 1)
-    assert all(len(t) == B for t in through)
+    if any(len(t) != B for t in through):
+        raise InternalCheckError(f"a template vertex lies on other than {B} subsets")
     block = u ** B
+    full = (1 << block) - 1
 
-    # digits[i, j] = base vertex assigned by local index i to the j-th subset
-    weights = np.array([u ** (B - 1 - j) for j in range(B)], dtype=np.int64)
-    digits = (np.arange(block, dtype=np.int64)[:, None] // weights[None, :]) % u
-    adj = np.zeros((u, u), dtype=bool)
-    for a, b_ in U.edges():
-        adj[a, b_] = adj[b_, a] = True
+    # near[j][a]: local indices whose j-th digit (most significant first) is
+    # a base neighbour of a; digit j is constant on runs of u ** (B-1-j)
+    # indices, repeating with period u ** (B-j)
+    near = []
+    for j in range(B):
+        run = u ** (B - 1 - j)
+        spread = full // ((1 << (run * u)) - 1)  # bit 0 of every period
+        digit_run = [((1 << run) - 1) << (b * run) for b in range(u)]
+        row_near = []
+        for a in range(u):
+            m = 0
+            for b in bits(U.rows[a]):
+                m |= digit_run[b]
+            row_near.append(m * spread)
+        near.append(row_near)
+    digits = [tuple(i // u ** (B - 1 - j) % u for j in range(B)) for i in range(block)]
 
     rows = [0] * order
     for v, w in H.edges():
-        shared = [I for I in through[v] if w in I]
-        cond = np.ones((block, block), dtype=bool)
-        for I in shared:
-            pv = through[v].index(I)
-            pw = through[w].index(I)
-            cond &= adj[digits[:, pv][:, None], digits[:, pw][None, :]]
-        packed = np.packbits(cond, axis=1, bitorder="little")
-        packed_t = np.packbits(cond.T.copy(), axis=1, bitorder="little")
-        for i in range(block):
-            m = int.from_bytes(packed[i].tobytes(), "little")
-            if m:
-                rows[v * block + i] |= m << (w * block)
-        for j in range(block):
-            m = int.from_bytes(packed_t[j].tobytes(), "little")
-            if m:
-                rows[w * block + j] |= m << (v * block)
+        for x, y in ((v, w), (w, v)):
+            # (digit of x, mask table of y's digit) per shared subset
+            shared = [(j, near[through[y].index(I)])
+                      for j, I in enumerate(through[x]) if y in I]
+            offset = y * block
+            for i, d in enumerate(digits):
+                m = full
+                for j, table in shared:
+                    m &= table[d[j]]
+                if m:
+                    rows[x * block + i] |= m << offset
 
     D = Graph(order, rows)
-    assert D.n == order
+    if D.n != order:
+        raise InternalCheckError(f"power has {D.n} vertices, expected {order}")
+    for v in range(h):
+        allowed = 0
+        for w in bits(H.rows[v]):
+            allowed |= full << (w * block)
+        if any(row & ~allowed for row in D.rows[v * block:(v + 1) * block]):
+            raise InternalCheckError(
+                f"power edges leave the template neighbourhood of vertex {v}")
     alpha = VertexMap(D, H, tuple(z // block for z in range(order)))
-    assert check_homomorphism(alpha)
     return TruncatedPower(U, H, p, D, alpha, subsets, block, B)
 
 
@@ -178,18 +190,36 @@ def power_local_property(TP: TruncatedPower) -> bool:
     color projection: for each p-subset of template vertices, the coordinate
     map at that subset is itself a homomorphism of the preimage into the base.
 
-    Small powers are additionally cross-checked with the generic search.
+    Each vertex is decoded once; per subset, Z[a] holds the preimage vertices
+    with coordinate a there, and a vertex of Z[a] may only have preimage
+    neighbours in the Z[b] with b adjacent to a. Small powers are
+    additionally cross-checked with the generic search.
     """
     D, U = TP.D, TP.base
+    decoded = [TP.decode(z) for z in range(D.n)]
+    position = [{I: j for j, I in enumerate(TP.subsets_through(v))}
+                for v in range(TP.template.n)]
     for I in TP.subsets:
-        pre = mask_of(z for z in range(D.n) if TP.alpha.image[z] in I)
-        sub, old = induced_subgraph(D, pre)
-        witness = VertexMap(sub, U, tuple(TP.coordinate(z, I) for z in old))
-        if not check_homomorphism(witness):
-            return False
+        Z = [0] * U.n
+        for z, (v, digits) in enumerate(decoded):
+            j = position[v].get(I)
+            if j is not None:
+                Z[digits[j]] |= 1 << z
+        pre = 0
+        for m in Z:
+            pre |= m
+        for a in range(U.n):
+            allowed = 0
+            for b in bits(U.rows[a]):
+                allowed |= Z[b]
+            outside = pre & ~allowed
+            for z in bits(Z[a]):
+                if D.rows[z] & outside:
+                    return False
     if D.n <= 200:
         ok, _ = local_hom_check(D, list(TP.alpha.image), TP.p, U)
-        assert ok
+        if not ok:
+            raise InternalCheckError("local search refutes a power the masks accepted")
     return True
 
 
@@ -232,8 +262,10 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
             digits.append(g[x])
         image.append(TP.encode(v, digits))
     f = VertexMap(G, TP.D, tuple(image))
-    assert check_homomorphism(f)
-    assert all(TP.alpha.image[f.image[x]] == gamma.image[x] for x in range(G.n))
+    if not check_homomorphism(f):
+        raise InternalCheckError("lifted map is not a homomorphism into the power")
+    if any(TP.alpha.image[f.image[x]] != gamma.image[x] for x in range(G.n)):
+        raise InternalCheckError("lifted map does not project back to gamma")
     return f
 
 
@@ -316,7 +348,8 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
     template_size = max(n_colors, p)  # the power needs p <= |V(H)|
     H = complete_graph(template_size)
     TP = truncated_power(U, H, p, cap=cap)
-    assert power_local_property(TP)
+    if not power_local_property(TP):
+        raise InternalCheckError("the truncated power fails the local property")
     provenance = {
         "p": p,
         "n_colors": n_colors,

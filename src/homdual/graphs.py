@@ -41,15 +41,30 @@ class Graph:
         if len(rows) != n:
             raise GraphError("row count does not match vertex count")
         full = (1 << n) - 1
+        # every upper bit has its mirror, and the bits split evenly between
+        # upper and lower triangle, so every lower bit is a mirror too
+        total = upper = 0
+        symmetric = True
         for v, row in enumerate(rows):
             if row & ~full:
                 raise GraphError(f"row {v} has out-of-range neighbors")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for v in range(n):
-            for u in bits(rows[v]):
+            above, u = row >> (v + 1), v
+            total += row.bit_count()
+            upper += above.bit_count()
+            while above:  # bits(above), inlined and shifting: a hot loop
+                step = (above & -above).bit_length()
+                u += step
                 if not rows[u] >> v & 1:
-                    raise GraphError(f"adjacency not symmetric at {{{u},{v}}}")
+                    symmetric = False
+                    break
+                above >>= step
+        if not symmetric or 2 * upper != total:
+            for v in range(n):
+                for u in bits(rows[v]):
+                    if not rows[u] >> v & 1:
+                        raise GraphError(f"adjacency not symmetric at {{{u},{v}}}")
         self.n = n
         self.rows = rows
         self.labels = tuple(labels) if labels is not None else None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import SizeLimitError
+from .errors import InternalCheckError, SizeLimitError
 from .graphs import Graph, bfs_layers, bits
 
 EXACT_POWER_LIMIT = 7
@@ -143,13 +143,10 @@ def chromatic_number(G: Graph, limit: int = CHROMATIC_LIMIT) -> int:
     """Exact chromatic number by iterating k between clique and DSATUR bounds."""
     if G.n == 0:
         return 0
+    lb, ub = chromatic_bounds(G)
     if G.n > limit:
-        lb = greedy_clique_bound(G)
-        ub, _ = _dsatur_upper(G)
         raise SizeLimitError(
             f"exact chromatic number capped at {limit} vertices", payload=(lb, ub))
-    lb = greedy_clique_bound(G)
-    ub, _ = _dsatur_upper(G)
     for k in range(lb, ub):
         if _k_colorable(G, k):
             return k
@@ -180,7 +177,9 @@ def odd_power_experiment(corpus: Sequence[Graph], p: int,
         chi_path = chromatic_number(exact_power(G, p))
         chi_dist = chromatic_number(exact_distance_graph(G, p))
         delta_bound = G.max_degree() ** p + 1
-        assert chi_path <= delta_bound
+        if chi_path > delta_bound:
+            raise InternalCheckError(
+                f"chromatic number {chi_path} of the exact power exceeds {delta_bound}")
         max_path = max(max_path, chi_path)
         max_dist = max(max_dist, chi_dist)
         items.append({

@@ -248,3 +248,34 @@ def brute_grad(G: Graph, r: int) -> Fraction:
 
     extend(0, [])
     return best
+
+
+def brute_truncated_power(U: Graph, H: Graph, p: int) -> list[int]:
+    """Rows of the p-truncated H-power of U, straight from the definition.
+
+    A vertex is (v, x): a template vertex v and one base vertex per p-subset
+    through v, subsets in lexicographic order. Vertices are numbered v-major,
+    the tuples x in lexicographic order. (v, x) ~ (w, y) iff v ~ w in H and,
+    at every subset holding both v and w, x and y name adjacent base
+    vertices; so y ranges over a product of neighbour lists.
+    """
+    subsets = list(itertools.combinations(range(H.n), p))
+    through = [[I for I in subsets if v in I] for v in range(H.n)]
+    vertices = [(v, x) for v in range(H.n)
+                for x in itertools.product(range(U.n), repeat=len(through[v]))]
+    index = {vx: z for z, vx in enumerate(vertices)}
+    rows = [0] * len(vertices)
+    for z, (v, x) in enumerate(vertices):
+        for w in range(H.n):
+            if not H.rows[v] >> w & 1:
+                continue
+            choices = []
+            for I in through[w]:
+                if v in I:
+                    a = x[through[v].index(I)]
+                    choices.append([b for b in range(U.n) if U.rows[a] >> b & 1])
+                else:
+                    choices.append(range(U.n))
+            for y in itertools.product(*choices):
+                rows[z] |= 1 << index[(w, y)]
+    return rows

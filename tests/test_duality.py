@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
+
 import pytest
 
+from homdual import duality
+from homdual.catalog import generate_all_graphs
 from homdual.duality import (
     DualBuild,
     TruncatedPower,
@@ -15,8 +20,9 @@ from homdual.duality import (
     truncated_power,
     verify_duality,
 )
-from homdual.errors import BudgetExceededError, GraphError, SizeLimitError
+from homdual.errors import BudgetExceededError, GraphError, InternalCheckError, SizeLimitError
 from homdual.graphs import (
+    Graph,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -25,6 +31,8 @@ from homdual.graphs import (
     path_graph,
 )
 from homdual.homs import VertexMap, check_homomorphism, find_homomorphism, is_isomorphic
+
+from oracles import brute_truncated_power
 
 
 # --- local homomorphism checks ----------------------------------------------
@@ -96,6 +104,101 @@ def test_power_local_property():
             assert power_local_property(truncated_power(U, H, p))
 
 
+def test_truncated_power_matches_oracle():
+    # every nonempty base on at most 3 vertices, every p with order <= 5,000
+    templates = [complete_graph(k) for k in range(1, 6)] + [path_graph(4), cycle_graph(5)]
+    cases = 0
+    for U in generate_all_graphs(3):
+        if U.n == 0:
+            continue
+        for H in templates:
+            for p in range(1, H.n + 1):
+                if power_order(U.n, H.n, p) > 5000:
+                    continue
+                TP = truncated_power(U, H, p)
+                assert list(TP.D.rows) == brute_truncated_power(U, H, p), (U, H, p)
+                cases += 1
+    assert cases == 168
+
+
+def test_criterion_nine_power_rows_unchanged():
+    # the triangle-free subcubic dual: K1 + K2 raised to the 3-truncated
+    # K5-power; the row digest was recorded before the power was rebuilt
+    # on integer masks
+    U, _ = disjoint_union([complete_graph(1), complete_graph(2)])
+    D = truncated_power(U, complete_graph(5), 3).D
+    assert (D.n, D.edge_count()) == (3645, 58320)
+    h = hashlib.sha256()
+    for row in D.rows:
+        h.update(row.to_bytes((D.n + 7) // 8, "little"))
+    assert h.hexdigest() == \
+        "4de8bb5c5a8d215962da7c741afccc0d8090252b565b0069975248b46bc36d55"
+
+
+def _with_edge(TP, z, y):
+    rows = list(TP.D.rows)
+    rows[z] |= 1 << y
+    rows[y] |= 1 << z
+    D = Graph(TP.D.n, rows)
+    return dataclasses.replace(TP, D=D, alpha=VertexMap(D, TP.template, TP.alpha.image))
+
+
+def test_power_local_property_rejects_extra_edge():
+    # every non-edge over adjacent template vertices breaks some shared
+    # coordinate, so adding any one of them must fail the check
+    TP = truncated_power(path_graph(3), complete_graph(3), 2)
+    alpha, added = TP.alpha.image, 0
+    for z in range(TP.D.n):
+        for y in range(z + 1, TP.D.n):
+            if TP.template.has_edge(alpha[z], alpha[y]) and not TP.D.has_edge(z, y):
+                assert not power_local_property(_with_edge(TP, z, y)), (z, y)
+                added += 1
+    assert added == 3 * 81 - TP.D.edge_count()
+    # above the 200-vertex cross-check: one vertex pair whose shared
+    # coordinates (both 0) are not adjacent in the path
+    TP = truncated_power(path_graph(3), complete_graph(5), 2)
+    assert TP.D.n == 405
+    z, y = TP.encode(0, [0, 0, 0, 0]), TP.encode(1, [0, 0, 0, 0])
+    assert not TP.D.has_edge(z, y)
+    assert power_local_property(TP)
+    assert not power_local_property(_with_edge(TP, z, y))
+
+
+def test_truncated_power_self_checks_raise(monkeypatch):
+    K2, P3 = complete_graph(2), path_graph(3)
+    real_graph, real_comb = duality.Graph, duality.math.comb
+
+    def crossing(n, rows):  # joins the blocks of the non-adjacent ends of P3
+        rows = list(rows)
+        rows[0] |= 1 << (n - 1)
+        rows[n - 1] |= 1
+        return real_graph(n, rows)
+
+    monkeypatch.setattr(duality, "Graph", crossing)
+    with pytest.raises(InternalCheckError, match="template neighbourhood"):
+        truncated_power(K2, P3, 1)
+    monkeypatch.setattr(duality, "Graph", lambda n, rows: real_graph(n + 1, list(rows) + [0]))
+    with pytest.raises(InternalCheckError, match="vertices"):
+        truncated_power(K2, P3, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(duality.math, "comb", lambda n, k: real_comb(n, k) + 1)
+    with pytest.raises(InternalCheckError, match="subsets"):
+        truncated_power(K2, complete_graph(3), 2)
+
+
+def test_power_local_property_cross_check_raises(monkeypatch):
+    TP = truncated_power(complete_graph(2), complete_graph(3), 2)
+    monkeypatch.setattr(duality, "local_hom_check", lambda *a: (False, frozenset()))
+    with pytest.raises(InternalCheckError):
+        power_local_property(TP)
+
+
+def test_build_dual_local_property_raises(monkeypatch):
+    monkeypatch.setattr(duality, "power_local_property", lambda TP: False)
+    with pytest.raises(InternalCheckError):
+        build_dual([complete_graph(1)], [complete_graph(2)])
+
+
 def test_projection_of_single_vertex_base():
     # with a one-vertex base the power collapses onto the template
     for H in (complete_graph(3), cycle_graph(5), path_graph(4)):
@@ -121,6 +224,21 @@ def test_lift_rejects_non_homomorphism():
         lift_homomorphism(C5, VertexMap(C5, K3, (0, 0, 1, 1, 2)), TP)
     with pytest.raises(GraphError):
         lift_homomorphism(C5, VertexMap(C5, complete_graph(4), (0, 1, 0, 1, 2)), TP)
+
+
+def test_lift_homomorphism_self_checks_raise(monkeypatch):
+    C5, K3 = cycle_graph(5), complete_graph(3)
+    TP = truncated_power(complete_graph(2), K3, 2)
+    gamma = VertexMap(C5, K3, (0, 1, 0, 1, 2))
+    # a projection shifted by one template vertex no longer composes to gamma
+    shifted = VertexMap(TP.D, K3, tuple((a + 1) % 3 for a in TP.alpha.image))
+    with pytest.raises(InternalCheckError, match="project"):
+        lift_homomorphism(C5, gamma, dataclasses.replace(TP, alpha=shifted))
+    real_check = duality.check_homomorphism
+    monkeypatch.setattr(duality, "check_homomorphism",
+                        lambda f: f.target != TP.D and real_check(f))
+    with pytest.raises(InternalCheckError, match="not a homomorphism"):
+        lift_homomorphism(C5, gamma, TP)
 
 
 def test_local_hom_witnesses():

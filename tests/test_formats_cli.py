@@ -330,6 +330,14 @@ def test_cli_entrypoint_subprocess(p4_file):
     assert json.loads(proc.stdout)["results"]["value"] == 3
 
 
+def test_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, homdual; sys.exit(3 if 'numpy' in sys.modules else 0)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_timing_flag(p4_file, capsys):
     code, doc = run_cli(["td", "--in", p4_file, "--timing"], capsys)
     assert code == 0

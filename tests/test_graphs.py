@@ -42,6 +42,14 @@ def test_build_graph_rejects_bad_input():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(2, [2, 0])  # asymmetric adjacency
+    with pytest.raises(GraphError, match=r"\{2,0\}"):
+        Graph(3, [0b110, 0b101, 0b010])  # lower mirror of {0,2} missing
+    with pytest.raises(GraphError, match=r"\{0,2\}"):
+        Graph(3, [0b010, 0b101, 0b011])  # upper mirror of {0,2} missing
+    with pytest.raises(GraphError, match=r"\{0,1\}"):
+        Graph(2, [0, 1])  # a lone lower bit
+    with pytest.raises(GraphError, match=r"\{1,0\}"):
+        Graph(3, [0b010, 0b100, 0b011])  # unmirrored bits, even in number
     with pytest.raises(GraphError):
         Graph(1, [1])  # loop bit
     with pytest.raises(GraphError):

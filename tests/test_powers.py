@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from homdual.errors import SizeLimitError
+from homdual import powers
+from homdual.errors import InternalCheckError, SizeLimitError
 from homdual.graphs import (
     build_graph,
     complete_graph,
@@ -114,3 +115,10 @@ def test_odd_power_experiment():
     assert rep["max_chi_exact_power"] >= 3
     with pytest.raises(ValueError):
         odd_power_experiment(corpus, 2)
+
+
+def test_odd_power_experiment_bound_check_raises(monkeypatch):
+    # chi of the exact p-power of C5 may not exceed 2^3 + 1
+    monkeypatch.setattr(powers, "chromatic_number", lambda G: 10)
+    with pytest.raises(InternalCheckError):
+        odd_power_experiment([cycle_graph(5)], 3)
