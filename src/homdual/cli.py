@@ -14,7 +14,12 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .catalog import GraphFilters, generate_all_graphs
-from .coloring import find_low_td_coloring, make_coloring, verify_p_centered
+from .coloring import (
+    LOWTD_EXHAUSTIVE_LIMIT,
+    find_low_td_coloring,
+    make_coloring,
+    verify_p_centered,
+)
 from .duality import (
     build_dual,
     regular_partition_report,
@@ -93,7 +98,6 @@ def _report(command: str, parameters: dict, results, verdict: bool,
         "verdict": "pass" if verdict else "fail",
         "provenance": {
             "version": __version__,
-            "seed": getattr(args, "seed", 0),
             "limit_nodes": getattr(args, "limit_nodes", None),
         },
         "wall_time_ms": None,
@@ -155,7 +159,7 @@ def _cmd_lowtd_find(args):
     G = _load_graph(args.infile, args.format)
     res = find_low_td_coloring(G, args.p, k_max=args.k_max)
     if res is None:
-        results = {"found": False, "exhaustive": G.n <= 10}
+        results = {"found": False, "exhaustive": G.n <= LOWTD_EXHAUSTIVE_LIMIT}
         return _report("lowtd-find", {"n": G.n, "p": args.p}, results, False, args)
     results = {
         "found": True,
@@ -249,7 +253,6 @@ def _add_common(sp, infile=True):
         sp.add_argument("--in", dest="infile", help="input graph file")
     sp.add_argument("--format", choices=("g6", "edges"), default="g6")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--limit-nodes", dest="limit_nodes", type=int, default=None)
     sp.add_argument("--timing", action="store_true",
                     help="include wall time (breaks byte-determinism)")

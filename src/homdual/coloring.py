@@ -29,9 +29,10 @@ class Coloring:
     k: int
 
     def __post_init__(self):
-        assert len(self.colors) == self.graph.n
-        used = set(self.colors)
-        assert used == set(range(self.k)) or self.graph.n == 0
+        if len(self.colors) != self.graph.n:
+            raise GraphError(f"{len(self.colors)} colors for {self.graph.n} vertices")
+        if self.graph.n and set(self.colors) != set(range(self.k)):
+            raise GraphError(f"colors are not exactly 0..{self.k - 1}")
 
     def class_mask(self, c: int) -> int:
         m = 0
@@ -157,11 +158,14 @@ def find_low_td_coloring(G: Graph, p: int, k_max: Optional[int] = None) -> Optio
 
 
 def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
-    """Backtracking over canonical proper colorings with exactly <= k colors."""
+    """Backtracking over canonical proper colorings with exactly k colors;
+    the rounds for smaller k have refuted those with fewer."""
     n = G.n
     colors = [0] * n
 
     def rec(v: int, used: int) -> Optional[Coloring]:
+        if used + (n - v) < k:  # too few vertices left to open every color
+            return None
         if v == n:
             cand = make_coloring(G, colors)
             ok, _ = verify_low_td(G, cand, p)

@@ -242,12 +242,6 @@ class BallFamily:
     def __post_init__(self):
         validate_ball_family(self.graph, self.balls, self.radius_bound)
 
-    def union_mask(self) -> int:
-        m = 0
-        for b in self.balls:
-            m |= b
-        return m
-
 
 def validate_ball_family(G: Graph, balls: Sequence[int], r: int) -> None:
     seen = 0

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import SizeLimitError
+from .errors import GraphError, SizeLimitError
 from .graphs import Graph, bits, induced_subgraph
 
 CORE_LIMIT = 10
-ISO_LIMIT = 10
 
 PRESENT = "present"
 ABSENT = "absent"
@@ -26,8 +25,10 @@ class VertexMap:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.image) == self.source.n
-        assert all(0 <= a < self.target.n for a in self.image)
+        if len(self.image) != self.source.n:
+            raise GraphError(f"{len(self.image)} images for {self.source.n} vertices")
+        if not all(0 <= a < self.target.n for a in self.image):
+            raise GraphError(f"an image lies outside 0..{self.target.n - 1}")
 
     def __call__(self, v: int) -> int:
         return self.image[v]
@@ -44,7 +45,8 @@ def check_homomorphism(f: VertexMap) -> bool:
 
 def compose(f: VertexMap, g: VertexMap) -> VertexMap:
     """g after f: source of f into target of g."""
-    assert f.target == g.source
+    if f.target != g.source:
+        raise GraphError("the maps do not compose: f's target is not g's source")
     return VertexMap(f.source, g.target, tuple(g.image[a] for a in f.image))
 
 
@@ -74,47 +76,44 @@ def _max_clique_mask(G: Graph) -> int:
                 return clique
             clique |= 1 << max(bits(cand), key=lambda v: (degs[v], -v))
     best = 0
-
-    def rec(clique: int, cand: int) -> None:
-        nonlocal best
+    stack = [(0, G.full_mask)]  # branch and bound: take the top vertex, then skip it
+    while stack:
+        clique, cand = stack.pop()
         if clique.bit_count() + cand.bit_count() <= best.bit_count():
-            return
+            continue
         if not cand:
-            if clique.bit_count() > best.bit_count():
-                best = clique
-            return
+            best = clique
+            continue
         v = cand.bit_length() - 1
-        rec(clique | (1 << v), cand & G.rows[v])
-        rec(clique, cand & ~(1 << v))
-
-    rec(0, G.full_mask)
+        stack.append((clique, cand & ~(1 << v)))
+        stack.append((clique | (1 << v), cand & G.rows[v]))
     return best
 
 
-def _search_order(G: Graph) -> list[int]:
-    """Deterministic assignment order: a maximum clique first, then BFS by
-    descending degree.
+def _search_order(G: Graph, table: Sequence[int], clique: int) -> tuple[list[int], list[list]]:
+    """Deterministic assignment order for ``_search``: the vertices of
+    ``clique`` first, then BFS by descending degree; and with it, per depth,
+    the forward check that the neighbours placed later map into ``table[a]``.
 
     Putting a dense seed first lets forward checking refute impossible
     instances (e.g. a K4 into a K4-free target) early.
     """
-    if G.n == 0:
-        return []
     degs = [G.degree(v) for v in range(G.n)]
-    cmask = _max_clique_mask(G)
-    order = sorted(bits(cmask), key=lambda v: (-degs[v], v))
-    placed = cmask
+    seed = sorted(bits(clique), key=lambda v: (-degs[v], v))
+    order, checks = [], []
+    placed = reach = 0
     while placed != G.full_mask:
-        frontier = 0
-        for v in bits(placed):
-            frontier |= G.rows[v]
-        frontier &= ~placed
-        if not frontier:  # next component
-            frontier = ~placed & G.full_mask
-        u = max(bits(frontier), key=lambda v: (degs[v], -v))
+        if len(order) < len(seed):
+            u = seed[len(order)]
+        else:  # a neighbour of the placed vertices, or the next component
+            frontier = reach & ~placed or G.full_mask & ~placed
+            u = max(bits(frontier), key=lambda v: (degs[v], -v))
         order.append(u)
         placed |= 1 << u
-    return order
+        reach |= G.rows[u]
+        later = G.rows[u] & ~placed
+        checks.append([(table, list(bits(later)))] if later else [])
+    return order, checks
 
 
 def _start_domains(G: Graph, H: Graph) -> Optional[list[int]]:
@@ -132,6 +131,63 @@ def _start_domains(G: Graph, H: Graph) -> Optional[list[int]]:
     return [targets if in_triangle >> v & 1 else H.full_mask for v in range(G.n)]
 
 
+def _search(order: Sequence[int], domains: list[int],
+            checks: Sequence[list[tuple[Sequence[int], list[int]]]],
+            budget: Optional[int] = None) -> Iterator[Optional[list[int]]]:
+    """The one backtracking loop, on an explicit stack.
+
+    Depth i assigns ``order[i]`` each image left in its domain (a bitmask),
+    in increasing index. For each (table, later) in ``checks[i]``, image a
+    leaves each vertex in ``later`` only the images in ``table[a]``; a
+    domain emptied refutes a. Yields the image list (indexed by vertex and
+    reused between yields) at each solution. Every assignment tried counts
+    one node; past ``budget`` nodes it yields None and stops.
+    """
+    n = len(order)
+    image = [0] * len(domains)
+    if n == 0:
+        yield image
+        return
+    doms = [domains] * n  # doms[i]: the domains at depth i
+    todo = [0] * n  # todo[i]: the images depth i has still to try
+    todo[0] = domains[order[0]]
+    nodes = i = 0
+    while i >= 0:
+        rest = todo[i]
+        if not rest:
+            i -= 1
+            continue
+        low = rest & -rest
+        todo[i] = rest ^ low
+        nodes += 1
+        if budget is not None and nodes > budget:
+            yield None
+            return
+        a = low.bit_length() - 1
+        image[order[i]] = a
+        new, ok = doms[i], True
+        if checks[i]:
+            new = list(new)
+            for table, later in checks[i]:
+                row = table[a]
+                for w in later:
+                    d = new[w] & row
+                    if not d:
+                        ok = False
+                        break
+                    new[w] = d
+                if not ok:
+                    break
+        if not ok:
+            continue
+        if i + 1 == n:
+            yield image
+        else:
+            i += 1
+            doms[i] = new
+            todo[i] = new[order[i]]
+
+
 def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomResult:
     """Decide G -> H by backtracking with forward checking.
 
@@ -143,78 +199,28 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
         return HomResult(PRESENT, VertexMap(G, H, ()))
     if H.n == 0:
         return HomResult(ABSENT)
-    cand = _start_domains(G, H)
-    if cand is None:
+    domains = _start_domains(G, H)
+    if domains is None:
         return HomResult(ABSENT)
-    order = _search_order(G)
-    pos = [0] * G.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    image = [0] * G.n
-    nodes = 0
-
-    def rec(i: int, cands: list[int]) -> Optional[str]:
-        nonlocal nodes
-        if i == G.n:
-            return PRESENT
-        v = order[i]
-        later = [w for w in bits(G.rows[v]) if pos[w] > i]
-        for a in bits(cands[v]):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                return BUDGET
-            image[v] = a
-            new = list(cands)
-            ok = True
-            row = H.rows[a]
-            for w in later:
-                new[w] &= row
-                if not new[w]:
-                    ok = False
-                    break
-            if ok:
-                r = rec(i + 1, new)
-                if r is not None:
-                    return r
-        return None
-
-    r = rec(0, cand)
-    if r == PRESENT:
+    order, checks = _search_order(G, H.rows, _max_clique_mask(G))
+    for image in _search(order, domains, checks, budget):
+        if image is None:
+            return HomResult(BUDGET)
         return HomResult(PRESENT, VertexMap(G, H, tuple(image)))
-    if r == BUDGET:
-        return HomResult(BUDGET)
     return HomResult(ABSENT)
 
 
 def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
     """All homomorphisms G -> H, in lexicographic image order."""
-    if H.n == 0:
-        if G.n == 0:
-            yield VertexMap(G, H, ())
+    domains = _start_domains(G, H)
+    if domains is None:
         return
-    cand = _start_domains(G, H)
-    if cand is None:
-        return
-    image = [0] * G.n
-
-    def rec(v: int, cands: list[int]) -> Iterator[VertexMap]:
-        if v == G.n:
-            yield VertexMap(G, H, tuple(image))
-            return
-        for a in bits(cands[v]):
-            image[v] = a
-            new = list(cands)
-            ok = True
-            for w in bits(G.rows[v]):
-                if w > v:
-                    new[w] &= H.rows[a]
-                    if not new[w]:
-                        ok = False
-                        break
-            if ok:
-                yield from rec(v + 1, new)
-
-    yield from rec(0, cand)
+    checks = []
+    for v in range(G.n):
+        later = G.rows[v] >> (v + 1) << (v + 1)
+        checks.append([(H.rows, list(bits(later)))] if later else [])
+    for image in _search(range(G.n), domains, checks):
+        yield VertexMap(G, H, tuple(image))
 
 
 def forb_member(G: Graph, f_set: Sequence[Graph], budget: Optional[int] = None) -> Optional[bool]:
@@ -260,44 +266,25 @@ def core(G: Graph, limit: int = CORE_LIMIT) -> Graph:
     raise AssertionError("unreachable: G maps onto itself")
 
 
-def is_isomorphic(G: Graph, H: Graph, limit: int = ISO_LIMIT) -> bool:
-    """Exact isomorphism by backtracking with degree-sequence pruning."""
-    if max(G.n, H.n) > limit:
-        raise SizeLimitError(f"isomorphism test capped at {limit} vertices")
+def is_isomorphic(G: Graph, H: Graph) -> bool:
+    """Exact isomorphism: a map that keeps degrees, sends edges to edges
+    and non-edges to non-edges is injective, so between graphs of one
+    order it is an isomorphism."""
     if G.n != H.n or G.edge_count() != H.edge_count():
         return False
-    n = G.n
+    n, full = G.n, G.full_mask
     degG = [G.degree(v) for v in range(n)]
-    degH = [H.degree(v) for v in range(n)]
+    degH = [H.degree(a) for a in range(n)]
     if sorted(degG) != sorted(degH):
         return False
-    image = [-1] * n
-    used = 0
-
-    def rec(v: int) -> bool:
-        nonlocal used
-        if v == n:
-            return True
-        for a in range(n):
-            if used >> a & 1 or degG[v] != degH[a]:
-                continue
-            ok = True
-            for u in bits(G.rows[v]):
-                if u < v and not H.has_edge(image[u], a):
-                    ok = False
-                    break
-            if ok:
-                # non-edges must be preserved too (bijection)
-                for u in range(v):
-                    if not G.has_edge(u, v) and H.has_edge(image[u], a):
-                        ok = False
-                        break
-            if ok:
-                image[v] = a
-                used |= 1 << a
-                if rec(v + 1):
-                    return True
-                used &= ~(1 << a)
-        return False
-
-    return rec(0)
+    by_degree: dict[int, int] = {}
+    for a, d in enumerate(degH):
+        by_degree[d] = by_degree.get(d, 0) | 1 << a
+    non_edges = [full ^ row ^ (1 << a) for a, row in enumerate(H.rows)]
+    checks = []
+    for v in range(n):
+        above = full >> (v + 1) << (v + 1)
+        checks.append([(H.rows, list(bits(G.rows[v] & above))),
+                       (non_edges, list(bits(above & ~G.rows[v])))])
+    domains = [by_degree[d] for d in degG]
+    return next(_search(range(n), domains, checks), None) is not None

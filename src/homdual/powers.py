@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError, SizeLimitError
 from .graphs import Graph, bfs_layers, bits
+from .homs import _max_clique_mask, _search, _search_order
 
 EXACT_POWER_LIMIT = 7
 CHROMATIC_LIMIT = 20
@@ -107,48 +108,30 @@ def _dsatur_upper(G: Graph) -> tuple[int, list[int]]:
     return max(colors, default=-1) + 1, colors
 
 
-def _k_colorable(G: Graph, k: int) -> bool:
-    """Backtracking k-colorability with saturation ordering."""
-    n = G.n
-    colors = [-1] * n
-
-    def rec(done: int) -> bool:
-        if done == n:
-            return True
-        # most saturated uncolored vertex, then max degree
-        best_v, best_key = -1, None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            sat = len({colors[u] for u in bits(G.rows[v]) if colors[u] >= 0})
-            key = (sat, G.degree(v), -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        v = best_v
-        used = {colors[u] for u in bits(G.rows[v]) if colors[u] >= 0}
-        limit = min(k, max(colors, default=-1) + 2)  # symmetry break
-        for q in range(limit):
-            if q in used:
-                continue
-            colors[v] = q
-            if rec(done + 1):
-                return True
-            colors[v] = -1
-        return False
-
-    return rec(0)
-
-
 def chromatic_number(G: Graph, limit: int = CHROMATIC_LIMIT) -> int:
-    """Exact chromatic number by iterating k between clique and DSATUR bounds."""
+    """Exact chromatic number: the least k between the clique and DSATUR
+    bounds with a homomorphism G -> K_k.
+
+    The search pins the vertices of one clique to colours 0..omega-1, which
+    every k-colouring can be renamed to meet.
+    """
     if G.n == 0:
         return 0
     lb, ub = chromatic_bounds(G)
     if G.n > limit:
         raise SizeLimitError(
             f"exact chromatic number capped at {limit} vertices", payload=(lb, ub))
-    for k in range(lb, ub):
-        if _k_colorable(G, k):
+    if lb == ub:
+        return ub
+    clique = _max_clique_mask(G)
+    other_colors = [((1 << ub) - 1) ^ (1 << a) for a in range(ub)]
+    order, checks = _search_order(G, other_colors, clique)
+    omega = clique.bit_count()
+    for k in range(max(lb, omega), ub):
+        domains = [(1 << k) - 1] * G.n
+        for color, v in enumerate(order[:omega]):
+            domains[v] = 1 << color
+        if next(_search(order, domains, checks), None) is not None:
             return k
     return ub
 

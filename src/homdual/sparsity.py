@@ -187,23 +187,21 @@ def tree_depth(G: Graph, limit: int = TD_LIMIT) -> TdCertificate:
 
 
 def _greedy_td(G: Graph) -> TdCertificate:
-    """Upper-bound witness: recursively delete a max-degree vertex."""
-    parent: list[Optional[int]] = [None] * G.n
-
-    def rec(mask: int, above: Optional[int]) -> int:
-        comps = connected_components(G, mask)
-        if len(comps) > 1:
-            return max(rec(c, above) for c in comps)
-        if mask.bit_count() == 1:
-            parent[mask.bit_length() - 1] = above
-            return 1
-        v = max(bits(mask), key=lambda x: ((G.rows[x] & mask).bit_count(), -x))
-        parent[v] = above
-        return 1 + rec(mask ^ (1 << v), v)
-
+    """Upper-bound witness: in each component, delete a max-degree vertex
+    and root the components left below it."""
     if G.n == 0:
         return TdCertificate(0, RootedForest(()), optimal=False)
-    val = rec(G.full_mask, None)
+    parent: list[Optional[int]] = [None] * G.n
+    val = 0
+    stack: list[tuple[int, Optional[int], int]] = [(G.full_mask, None, 1)]
+    while stack:
+        mask, above, depth = stack.pop()
+        val = max(val, depth)
+        for comp in connected_components(G, mask):
+            v = max(bits(comp), key=lambda x: ((G.rows[x] & comp).bit_count(), -x))
+            parent[v] = above
+            if comp != 1 << v:
+                stack.append((comp ^ (1 << v), v, depth + 1))
     cert = TdCertificate(val, RootedForest(tuple(parent)), optimal=False)
     if not verify_td(G, cert):
         raise InternalCheckError("greedy tree-depth witness fails its own check")

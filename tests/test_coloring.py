@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from homdual import coloring
 from homdual.coloring import (
     Coloring,
     centered_from_td,
@@ -38,8 +39,12 @@ def test_make_coloring_densifies():
 
 
 def test_coloring_rejects_gaps():
-    with pytest.raises(AssertionError):
+    with pytest.raises(GraphError):
         Coloring(path_graph(2), (0, 2), 3)
+    with pytest.raises(GraphError):
+        Coloring(path_graph(3), (0, 5), 1)  # too few colors, and 5 >= k
+    with pytest.raises(GraphError):
+        Coloring(path_graph(3), (0, 1, 1, 0), 2)
 
 
 def test_verify_p_centered():
@@ -228,6 +233,28 @@ def test_find_low_td_coloring_is_minimal():
                 if best is not None:
                     break
             assert res.coloring.k == best, (G, p)
+
+
+def test_exhaustive_rounds_try_exactly_k_colors(monkeypatch, subcubic7):
+    """Round k of the exhaustive search skips the colorings with fewer than
+    k colors, which round k - 1 refuted; the results stay minimal."""
+    rounds, tried = [], []
+    exhaustive, verify = coloring._exhaustive_low_td, coloring.verify_low_td
+
+    def spy_round(G, p, k):
+        rounds.append(k)
+        return exhaustive(G, p, k)
+
+    def spy_verify(G, c, p):
+        tried.append((rounds[-1], c.k))
+        return verify(G, c, p)
+
+    monkeypatch.setattr(coloring, "_exhaustive_low_td", spy_round)
+    monkeypatch.setattr(coloring, "verify_low_td", spy_verify)
+    for G in subcubic7[:40]:
+        res = find_low_td_coloring(G, 3)
+        assert res.exhaustive and verify(G, res.coloring, 3)[0]
+    assert tried and all(k == used for k, used in tried)
 
 
 def test_find_low_td_coloring_greedy_fallback():

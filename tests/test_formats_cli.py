@@ -182,6 +182,20 @@ def test_cli_td(p4_file, capsys):
     assert doc["results"]["value"] == 3 and doc["results"]["optimal"]
     assert doc["verdict"] == "pass"
     assert doc["wall_time_ms"] is None
+    assert doc["provenance"] == {"version": doc["provenance"]["version"],
+                                 "limit_nodes": None}
+
+
+def test_cli_td_deep_path(tmp_path, capsys):
+    """The greedy witness for graphs above the exact limit keeps no call
+    stack, so a long path gets a report, not a RecursionError."""
+    path = tmp_path / "p1200.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1199)))
+    code, doc = run_cli(["td", "--in", str(path), "--format", "edges"], capsys)
+    assert code == 0
+    assert doc["results"]["optimal"] is False
+    assert doc["results"]["value"] == 601
+    assert doc["verdict"] == "pass"
 
 
 def test_cli_grad(tmp_path, capsys):
@@ -233,6 +247,10 @@ def test_cli_lowtd_find(p4_file, capsys):
                          "--exhaustive"], capsys)
     assert code == 0
     assert doc["results"]["k"] == 3 and doc["results"]["exhaustive"]
+    code, doc = run_cli(["lowtd-find", "--in", p4_file, "--p", "2",
+                         "--k-max", "2"], capsys)
+    assert code == 1
+    assert doc["results"] == {"found": False, "exhaustive": True}
 
 
 def test_cli_power(tmp_path, capsys):
@@ -320,6 +338,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("A_extra\n")
     assert main(["td", "--in", str(bad)]) == 2
+    capsys.readouterr()
+    good = tmp_path / "p4.g6"
+    good.write_text(to_graph6(path_graph(4)) + "\n")
+    assert main(["td", "--in", str(good), "--seed", "1"]) == 2  # no such option
 
 
 def test_cli_entrypoint_subprocess(p4_file):

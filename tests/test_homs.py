@@ -1,8 +1,14 @@
+import hashlib
 import random
+import subprocess
+import sys
 
+import networkx as nx
 import pytest
 
+from homdual.errors import GraphError
 from homdual.graphs import (
+    Graph,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -55,6 +61,37 @@ def test_vertex_map_and_check():
     assert not check_homomorphism(VertexMap(P3, K2, (0, 0, 1)))
 
 
+def test_vertex_map_rejects_bad_input():
+    P3, K2 = path_graph(3), complete_graph(2)
+    with pytest.raises(GraphError):
+        VertexMap(P3, K2, (0, 7))  # too short, and 7 is no vertex of K2
+    with pytest.raises(GraphError):
+        VertexMap(P3, K2, (0, 1, 2))
+    with pytest.raises(GraphError):
+        VertexMap(P3, K2, (0, -1, 0))
+    with pytest.raises(GraphError):
+        compose(VertexMap(P3, K2, (0, 1, 0)), VertexMap(P3, K2, (0, 1, 0)))
+
+
+def test_input_checks_survive_optimize_flag():
+    """The checks are explicit, so ``python -O`` keeps them."""
+    code = (
+        "from homdual.coloring import Coloring\n"
+        "from homdual.errors import GraphError\n"
+        "from homdual.graphs import complete_graph, path_graph\n"
+        "from homdual.homs import VertexMap\n"
+        "P3 = path_graph(3)\n"
+        "for make in (lambda: VertexMap(P3, complete_graph(2), (0, 7)),\n"
+        "             lambda: Coloring(P3, (0, 5), 1)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except GraphError:\n"
+        "        continue\n"
+        "    raise SystemExit(3)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_compose():
     C6, K2 = cycle_graph(6), complete_graph(2)
     f = VertexMap(C6, K2, (0, 1, 0, 1, 0, 1))
@@ -100,6 +137,28 @@ def test_find_homomorphism_matches_oracle(catalog5):
             assert r.status in (PRESENT, ABSENT)
             assert r.present == (brute_homomorphism(G, H) is not None), (G, H)
             assert not r.present or check_homomorphism(r.map)
+
+
+def test_find_homomorphism_witnesses_pinned(catalog5):
+    """Status and image of every search over the <= 5-vertex catalog into
+    the catalog and three triangle-free targets, as one digest: a change to
+    the assignment order or the image order shows here."""
+    lines = []
+    for G in catalog5:
+        for H in catalog5 + triangle_free_targets():
+            r = find_homomorphism(G, H)
+            lines.append(f"{r.status} {r.map.image if r.present else ''}")
+    assert len(lines) == 2968
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f1ee84b445b6679bc2395ee237ebf4d2bb714b91ac2d17f4d501e46a00b7c7d1"
+
+
+def test_deep_sources_do_not_recurse():
+    P, K2 = path_graph(1200), complete_graph(2)
+    r = find_homomorphism(P, K2)
+    assert r.present and check_homomorphism(r.map)
+    maps = list(enumerate_homomorphisms(P, K2))
+    assert [f.image[:3] for f in maps] == [(0, 1, 0), (1, 0, 1)]
 
 
 def test_triangle_filter_refutes_before_branching(catalog5):
@@ -208,3 +267,64 @@ def test_is_isomorphic():
     G1, _ = disjoint_union([cycle_graph(6)])
     G2, _ = disjoint_union([cycle_graph(3), cycle_graph(3)])
     assert not is_isomorphic(G1, G2)
+
+
+def relabel(G, perm):
+    """G with vertex v renamed perm[v]."""
+    rows = [0] * G.n
+    for v in range(G.n):
+        for u in range(G.n):
+            if G.rows[v] >> u & 1:
+                rows[perm[v]] |= 1 << perm[u]
+    return Graph(G.n, rows)
+
+
+def two_switch(G, rng):
+    """G with edges ab, cd replaced by ac, bd: the same degrees, and mostly
+    another graph."""
+    edges = G.edges()
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not G.has_edge(a, c) and not G.has_edge(b, d):
+            rows = list(G.rows)
+            for x, y in ((a, b), (c, d), (a, c), (b, d)):
+                rows[x] ^= 1 << y
+                rows[y] ^= 1 << x
+            return Graph(G.n, rows)
+
+
+def to_nx(G):
+    N = nx.Graph()
+    N.add_nodes_from(range(G.n))
+    N.add_edges_from(G.edges())
+    return N
+
+
+def test_is_isomorphic_matches_networkx(catalog6):
+    rng = random.Random(13)
+    pairs = []
+    for G in catalog6:
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        pairs.append((G, relabel(G, perm)))
+        other = catalog6[rng.randrange(len(catalog6))]
+        if other.n == G.n:
+            pairs.append((G, relabel(other, perm)))
+    # 10 to 12 vertices, where the degree sequences agree
+    cubic10 = build_graph(10, [(i, (i + 1) % 10) for i in range(10)]
+                          + [(i, i + 5) for i in range(5)])  # Moebius ladder
+    P = petersen()
+    pairs += [(P, cubic10), (P, relabel(P, [3, 7, 1, 9, 0, 5, 2, 8, 6, 4]))]
+    for n in (11, 12):
+        for _ in range(4):
+            G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < 0.4])
+            perm = list(range(n))
+            rng.shuffle(perm)
+            H = relabel(G, perm)
+            pairs += [(G, H), (G, two_switch(H, rng))]
+    verdicts = [is_isomorphic(G, H) for G, H in pairs]
+    assert verdicts == [nx.is_isomorphic(to_nx(G), to_nx(H)) for G, H in pairs]
+    assert any(verdicts) and not all(verdicts)
+    assert is_isomorphic(P, relabel(P, [3, 7, 1, 9, 0, 5, 2, 8, 6, 4]))
+    assert not is_isomorphic(P, cubic10)

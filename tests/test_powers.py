@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -100,6 +101,20 @@ def test_chromatic_number_matches_oracle(catalog5):
             assert chi == brute_chromatic(G)
         lb, ub = chromatic_bounds(G)
         assert lb <= chi <= ub
+
+
+def test_chromatic_number_below_clique_bound(monkeypatch):
+    """With the lower bound forced to 1, the search starts below the clique
+    size, where only the pinned clique keeps it sound and quick."""
+    bounds = powers.chromatic_bounds
+    monkeypatch.setattr(powers, "chromatic_bounds", lambda G: (1, bounds(G)[1]))
+    rng = random.Random(21)
+    for n in (6, 7):
+        for density in (0.3, 0.5, 0.7, 0.9):
+            for _ in range(2):
+                G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < density])
+                assert chromatic_number(G) == brute_chromatic(G), G
 
 
 def test_odd_power_experiment():
