@@ -253,7 +253,6 @@ def _add_common(sp, infile=True):
         sp.add_argument("--in", dest="infile", help="input graph file")
     sp.add_argument("--format", choices=("g6", "edges"), default="g6")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
-    sp.add_argument("--limit-nodes", dest="limit_nodes", type=int, default=None)
     sp.add_argument("--timing", action="store_true",
                     help="include wall time (breaks byte-determinism)")
 
@@ -318,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen(sp)
     sp.add_argument("--forbid", required=True)
     sp.add_argument("--dual", help="graph6 file with the dual (default: rebuild)")
+    sp.add_argument("--limit-nodes", dest="limit_nodes", type=int, default=None,
+                    help="search-node budget per homomorphism question")
     sp.add_argument("--p-override", dest="p_override", type=int, default=None)
     sp.set_defaults(func=_cmd_dual_verify)
 

@@ -30,7 +30,6 @@ from .homs import (
     find_homomorphism,
     forb_member,
     hom_equivalent,
-    is_isomorphic,
 )
 from .sparsity import tree_depth_value
 from .coloring import Coloring, find_low_td_coloring
@@ -287,22 +286,16 @@ def locbound_equivalence(G: Graph, U: Graph, H: Graph, p: int,
 
 
 def representatives(p: int, n_max: int = DEFAULT_REP_ORDER) -> list[Graph]:
-    """Cores of all graphs up to n_max vertices with tree-depth <= p,
-    deduplicated by isomorphism. Desk-scale stand-in for the finite
-    representative set of bounded tree-depth classes.
+    """Cores of all graphs up to n_max vertices with tree-depth <= p: the
+    catalog graphs that are their own cores. A core is a subgraph, so it
+    lies in the same range, and the catalog holds one graph per
+    isomorphism class. Desk-scale stand-in for the finite representative
+    set of bounded tree-depth classes.
     """
     from .catalog import generate_all_graphs
 
-    reps: list[Graph] = []
-    for G in generate_all_graphs(n_max):
-        if G.n == 0:
-            continue
-        if tree_depth_value(G) > p:
-            continue
-        C = core(G)
-        C = Graph(C.n, C.rows)  # drop provenance labels for dedup
-        if not any(is_isomorphic(C, R) for R in reps):
-            reps.append(C)
+    reps = [G for G in generate_all_graphs(n_max)
+            if G.n and tree_depth_value(G) <= p and core(G).n == G.n]
     reps.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
     return reps
 

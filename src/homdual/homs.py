@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
 from .graphs import Graph, bits, induced_subgraph
-
-CORE_LIMIT = 10
 
 PRESENT = "present"
 ABSENT = "absent"
@@ -243,27 +240,23 @@ def hom_equivalent(G: Graph, H: Graph, budget: Optional[int] = None) -> bool:
     return a.present and b.present
 
 
-def core(G: Graph, limit: int = CORE_LIMIT) -> Graph:
+def core(G: Graph) -> Graph:
     """The core of G: smallest induced subgraph hom-equivalent to G.
 
-    Canonical choice: the lexicographically smallest vertex set among
-    minimum-size retracts. Labels carry the original vertex indices.
+    One retraction pass: for v from n-1 down to 0, drop v when the kept
+    graph maps into itself minus v. What is left is a core, since a map
+    K -> K - v would have let v go when it was tried. Canonical choice:
+    the vertex set this pass keeps. Labels carry the original vertex
+    indices.
     """
-    if G.n > limit:
-        raise SizeLimitError(f"core computation capped at {limit} vertices")
-    if G.n == 0:
-        return G
-    verts = list(range(G.n))
-    for size in range(1, G.n + 1):
-        for subset in combinations(verts, size):
-            S = 0
-            for v in subset:
-                S |= 1 << v
-            sub, old = induced_subgraph(G, S)
-            # G[S] -> G always holds via inclusion; G -> G[S] decides.
-            if find_homomorphism(G, sub).present:
-                return Graph(sub.n, sub.rows, [str(v) for v in old])
-    raise AssertionError("unreachable: G maps onto itself")
+    S = G.full_mask
+    K = G
+    for v in range(G.n - 1, -1, -1):
+        sub, _ = induced_subgraph(G, S & ~(1 << v))
+        if find_homomorphism(K, sub).present:
+            S &= ~(1 << v)
+            K = sub
+    return Graph(K.n, K.rows, [str(v) for v in bits(S)])
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:

@@ -24,24 +24,17 @@ def exact_power(G: Graph, p: int, limit: int = EXACT_POWER_LIMIT) -> Graph:
     if p == 1:
         return Graph(G.n, G.rows)
     rows = [0] * G.n
-
-    def has_path(x: int, y: int) -> bool:
-        # DFS over simple paths of length exactly p from x to y
-        def rec(v: int, visited: int, left: int) -> bool:
-            if left == 0:
-                return v == y
-            for u in bits(G.rows[v] & ~visited):
-                if rec(u, visited | (1 << u), left - 1):
-                    return True
-            return False
-
-        return rec(x, 1 << x, p)
-
     for x in range(G.n):
-        for y in range(x + 1, G.n):
-            if has_path(x, y):
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
+        # walk the simple paths of length p - 1 from x; the unvisited
+        # neighbours of each end are joined to x by a path of length p
+        stack = [(x, 1 << x, p)]
+        while stack:
+            v, visited, left = stack.pop()
+            if left == 1:
+                rows[x] |= G.rows[v] & ~visited
+                continue
+            for u in bits(G.rows[v] & ~visited):
+                stack.append((u, visited | 1 << u, left - 1))
     return Graph(G.n, rows)
 
 

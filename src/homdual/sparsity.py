@@ -380,7 +380,9 @@ def _densest_subgraph_mask(G: Graph) -> int:
             return best_mask
         e = sum((G.rows[v] & S).bit_count() for v in bits(S)) // 2
         k = S.bit_count()
-        assert e * den > num * k
+        if e * den <= num * k:
+            raise InternalCheckError(
+                f"subgraph of density {e}/{k} does not improve on {num}/{den}")
         num, den, best_mask = e, k, S
 
 
@@ -433,7 +435,8 @@ def min_indegree_orientation(G: Graph) -> tuple[Orientation, int]:
     for v in range(G.n):
         net.add_edge(m + v, t, k)
     flow = net.max_flow(s, t)
-    assert flow == m, "orientation with indegree <= ceil(grad_0) must exist"
+    if flow != m:
+        raise InternalCheckError(f"no orientation with indegree <= {k}: flow {flow} of {m} edges")
     arcs = []
     for i, (u, v) in enumerate(edges):
         # the saturated edge->vertex arc marks the head
@@ -443,12 +446,15 @@ def min_indegree_orientation(G: Graph) -> tuple[Orientation, int]:
             if w != s and net.cap[e] == 0 and e % 2 == 0:
                 head = w - m
                 break
-        assert head is not None
+        if head is None:
+            raise InternalCheckError(f"edge {u}-{v} left without a head by the flow")
         tail = v if head == u else u
         arcs.append((tail, head))
     orient = Orientation(G, tuple(arcs))
-    assert orient.max_indegree() == k or G.edge_count() == 0
-    return orient, orient.max_indegree()
+    indegree = orient.max_indegree()
+    if indegree != k:
+        raise InternalCheckError(f"orientation has max indegree {indegree}, not {k}")
+    return orient, indegree
 
 
 def degeneracy(G: Graph) -> tuple[int, list[int]]:

@@ -279,3 +279,34 @@ def brute_truncated_power(U: Graph, H: Graph, p: int) -> list[int]:
             for y in itertools.product(*choices):
                 rows[z] |= 1 << index[(w, y)]
     return rows
+
+
+def brute_core(G: Graph) -> Graph:
+    """A smallest induced subgraph that G maps into, trying vertex subsets
+    by size, then lexicographically, with ``brute_homomorphism``. Its
+    labels are the chosen vertices of G; G itself when it has none."""
+    for size in range(1, G.n + 1):
+        for subset in itertools.combinations(range(G.n), size):
+            rows = [sum(1 << i for i, u in enumerate(subset) if G.has_edge(v, u))
+                    for v in subset]
+            sub = Graph(size, rows, [str(v) for v in subset])
+            if brute_homomorphism(G, sub) is not None:
+                return sub
+    return G
+
+
+def brute_exact_power(G: Graph, p: int) -> list[int]:
+    """Rows of the exact p-power: x ~ y iff some sequence of p - 1 distinct
+    vertices, other than x and y, walks from x to y along edges."""
+    rows = [0] * G.n
+    for x in range(G.n):
+        for y in range(G.n):
+            if x == y:
+                continue
+            others = [v for v in range(G.n) if v not in (x, y)]
+            for middle in itertools.permutations(others, p - 1):
+                walk = (x, *middle, y)
+                if all(G.has_edge(a, b) for a, b in zip(walk, walk[1:])):
+                    rows[x] |= 1 << y
+                    break
+    return rows

@@ -6,6 +6,7 @@ is the per-criterion verdict. Corpus reinterpretations for criteria 7 and 8
 are noted inline.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -194,6 +195,20 @@ def test_criterion_09_end_to_end_duality(dual_pipeline):
     members = sum(1 for item in report.items if item["forb_member"])
     print(f"criterion 9 PASS: duality holds over {len(corpus)} subcubic "
           f"graphs ({members} triangle-free members), dual order {build.D.n}")
+
+
+def test_criterion_09_dual_pinned(dual_pipeline):
+    """The criterion-9 dual's provenance and row digest, as recorded before
+    representatives were read off the catalog by retraction."""
+    _, build = dual_pipeline
+    assert build.provenance == {
+        "base_order": 3, "base_parts": 2, "dual_edges": 58320, "dual_order": 3645,
+        "n_colors": 5, "n_rep": 6, "p": 3, "template_size": 5}
+    h = hashlib.sha256()
+    for row in build.D.rows:
+        h.update(row.to_bytes((build.D.n + 7) // 8, "little"))
+    assert h.hexdigest() == \
+        "4de8bb5c5a8d215962da7c741afccc0d8090252b565b0069975248b46bc36d55"
 
 
 def test_criterion_10_exact_power_chromatic_bounds(dual_pipeline):

@@ -293,6 +293,18 @@ def test_representatives_known_sets():
         assert is_isomorphic(r, complete_graph(expect))
 
 
+def test_representatives_unchanged():
+    """Rows of every representative set for p 1-5 and n 1-6, as recorded when
+    cores came from a subset-by-size search deduplicated by isomorphism."""
+    h = hashlib.sha256()
+    for p in range(1, 6):
+        for n in range(1, 7):
+            for R in representatives(p, n):
+                h.update(f"{p} {n} {R.n} {list(R.rows)}\n".encode())
+    assert h.hexdigest() == \
+        "3532bfbdaddfbb01ba82757a21563e1c633892bc07921f755c5cfaa3d2ba997b"
+
+
 def test_build_dual_degenerate():
     build = build_dual([complete_graph(1)], [complete_graph(2)])
     assert build.p == 2

@@ -306,6 +306,18 @@ def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
     assert doc["results"]["verdict"] == "pass"
 
 
+def test_cli_limit_nodes_only_on_dual_verify(tmp_path, p4_file, capsys):
+    """Only dual-verify reads a search budget, so only it takes one."""
+    assert main(["td", "--in", p4_file, "--limit-nodes", "5"]) == 2
+    capsys.readouterr()
+    forbid = tmp_path / "k3.g6"
+    forbid.write_text(to_graph6(complete_graph(3)) + "\n")
+    code, doc = run_cli(["dual-verify", "--gen", "--n-max", "4", "--connected",
+                         "--forbid", str(forbid), "--limit-nodes", "100000"], capsys)
+    assert code == 0
+    assert doc["provenance"]["limit_nodes"] == 100000
+
+
 def test_cli_regular_partition(p4_file, capsys):
     code, doc = run_cli(["regular-partition", "--in", p4_file, "--p", "2",
                          "--coloring", "0,1,2,0", "--n-rep", "3"], capsys)

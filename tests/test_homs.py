@@ -14,6 +14,8 @@ from homdual.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    induced_subgraph,
+    mask_of,
     path_graph,
 )
 from homdual.homs import (
@@ -31,7 +33,7 @@ from homdual.homs import (
     is_isomorphic,
 )
 
-from oracles import brute_homomorphism, brute_homomorphisms, brute_triangle_mask
+from oracles import brute_core, brute_homomorphism, brute_homomorphisms, brute_triangle_mask
 
 
 def petersen():
@@ -254,6 +256,46 @@ def test_core_properties(catalog5):
         assert hom_equivalent(G, C)
         assert is_isomorphic(core(C), C)  # idempotent
         assert C.n <= G.n
+
+
+def test_core_matches_oracle(catalog6):
+    """The retraction pass finds a core of the subset-by-size oracle's order,
+    hom-equivalent to it."""
+    rng = random.Random(17)
+    extra = []
+    for _ in range(6):
+        edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.4]
+        extra.append(build_graph(7, edges))
+    for G in catalog6 + extra:
+        if G.n == 0:
+            continue
+        C, B = core(G), brute_core(G)
+        assert C.n == B.n, G
+        assert brute_homomorphism(C, B) is not None and brute_homomorphism(B, C) is not None
+
+
+def test_core_has_no_retraction_left(catalog7):
+    """The result is the induced subgraph on its labels, G maps into it, and
+    it maps into none of its one-vertex-deleted subgraphs."""
+    for G in catalog7:
+        if G.n == 0:
+            continue
+        C = core(G)
+        sub, _ = induced_subgraph(G, mask_of(int(label) for label in C.labels))
+        assert sub.rows == C.rows
+        assert find_homomorphism(G, C).present
+        for v in range(C.n):
+            smaller, _ = induced_subgraph(C, C.full_mask & ~(1 << v))
+            assert find_homomorphism(C, smaller).status == ABSENT, (G, v)
+
+
+def test_core_above_ten_vertices():
+    pendant = [(0, 11), (11, 12), (12, 13), (13, 14)]
+    G = build_graph(15, grotzsch().edges() + pendant)
+    assert is_isomorphic(core(G), grotzsch())
+    G, _ = disjoint_union([cycle_graph(8), cycle_graph(5), cycle_graph(8)])
+    assert is_isomorphic(core(G), cycle_graph(5))
+    assert is_isomorphic(core(path_graph(200)), complete_graph(2))
 
 
 def test_is_isomorphic():

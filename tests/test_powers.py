@@ -25,7 +25,7 @@ from homdual.powers import (
     odd_power_experiment,
 )
 
-from oracles import brute_chromatic
+from oracles import brute_chromatic, brute_exact_power
 
 
 def petersen():
@@ -63,6 +63,18 @@ def test_exact_distance_within_exact_power(catalog6):
             P, E = exact_power(G, p), exact_distance_graph(G, p)
             for v in range(G.n):
                 assert E.rows[v] & ~P.rows[v] == 0
+
+
+def test_exact_power_matches_oracle(catalog6):
+    rng = random.Random(31)
+    extra = []
+    for n in (8, 9, 10):
+        for _ in range(2):
+            extra.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                         if rng.random() < 0.35]))
+    for p in (2, 3, 4, 5):
+        for G in catalog6 + extra:
+            assert list(exact_power(G, p).rows) == brute_exact_power(G, p), (G, p)
 
 
 def test_exact_power_size_cap():

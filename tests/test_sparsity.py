@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -287,6 +289,48 @@ def test_min_indegree_orientation():
     assert k == 1
     orient, k = min_indegree_orientation(empty_graph(3))
     assert k == 0 and orient.arcs == ()
+
+
+def test_densest_subgraph_improvement_check_raises(monkeypatch):
+    import homdual.sparsity as sp
+
+    # a single vertex has density 0, which improves on nothing
+    monkeypatch.setattr(sp, "_improving_subgraph", lambda G, num, den: 1)
+    with pytest.raises(InternalCheckError):
+        grad_0_flow(complete_graph(3))
+
+
+def test_orientation_self_checks_raise(monkeypatch):
+    import homdual.sparsity as sp
+
+    K3 = complete_graph(3)
+    monkeypatch.setattr(sp, "grad_0_flow", lambda G: Fraction(0))
+    with pytest.raises(InternalCheckError, match="no orientation"):
+        min_indegree_orientation(K3)  # no indegree slots, so the flow falls short
+    monkeypatch.setattr(sp, "grad_0_flow", lambda G: Fraction(3))
+    with pytest.raises(InternalCheckError, match="max indegree"):
+        min_indegree_orientation(K3)  # K3 has no orientation of max indegree 3
+    monkeypatch.setattr(sp, "grad_0_flow", lambda G: Fraction(1))
+    monkeypatch.setattr(sp._Dinic, "max_flow", lambda self, s, t: 3)
+    with pytest.raises(InternalCheckError, match="without a head"):
+        min_indegree_orientation(K3)  # a flow that saturates no arc
+
+
+def test_sparsity_checks_survive_optimize_flag():
+    """Under ``python -O`` a non-improving step raises instead of looping."""
+    code = (
+        "import homdual.sparsity as sp\n"
+        "from homdual.errors import InternalCheckError\n"
+        "from homdual.graphs import complete_graph\n"
+        "sp._improving_subgraph = lambda G, num, den: 1\n"
+        "try:\n"
+        "    sp.grad_0_flow(complete_graph(3))\n"
+        "except InternalCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_orientation_indegree_is_ceil_grad(catalog5):
