@@ -104,17 +104,10 @@ class LowTdViolation:
     td: int
 
 
-@dataclass(frozen=True)
-class LowTdReport:
-    ok: bool
-    worst: Optional[LowTdViolation]  # deepest (subset, component) seen
-    violation: Optional[LowTdViolation]
-
-
-def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, LowTdReport]:
-    """Every i <= p color classes must induce components of tree-depth <= i."""
+def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdViolation]]:
+    """Every i <= p color classes must induce components of tree-depth <= i;
+    returns the first (classes, component) found deeper than that, if any."""
     _check_p(p)
-    worst: Optional[LowTdViolation] = None
     for i in range(1, min(p, c.k) + 1):
         for classes in combinations(range(c.k), i):
             S = 0
@@ -123,12 +116,9 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, LowTdReport]:
             for comp in connected_components(G, S):
                 sub, _ = induced_subgraph(G, comp)
                 td = tree_depth_value(sub)
-                if worst is None or td - len(classes) > worst.td - len(worst.classes):
-                    worst = LowTdViolation(classes, comp, td)
                 if td > i:
-                    viol = LowTdViolation(classes, comp, td)
-                    return False, LowTdReport(False, worst, viol)
-    return True, LowTdReport(True, worst, None)
+                    return False, LowTdViolation(classes, comp, td)
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,9 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
         raise GraphError("no representative avoids the forbidden family")
     U, _ = disjoint_union(reps)
     template_size = max(n_colors, p)  # the power needs p <= |V(H)|
+    order = power_order(U.n, template_size, p)
+    if order > cap:  # before K_{template_size}, which a huge p would make huge
+        raise SizeLimitError(f"power order {order} exceeds cap {cap}")
     H = complete_graph(template_size)
     TP = truncated_power(U, H, p, cap=cap)
     if not power_local_property(TP):

@@ -296,30 +296,40 @@ def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
 
 
 def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator[int]:
-    """All nonempty vertex masks inducing connected subgraphs, each once."""
-    allowed = G.full_mask if within is None else within
+    """All nonempty vertex masks inducing connected subgraphs, each once.
 
-    def grow(S: int, banned: int) -> Iterator[int]:
-        yield S
-        boundary = 0
-        for v in bits(S):
-            boundary |= G.rows[v]
-        boundary &= allowed & ~S & ~banned
-        b = banned
-        for u in bits(boundary):
-            yield from grow(S | (1 << u), b)
-            b |= 1 << u
+    Depth first from each start vertex v, with the vertices before v banned:
+    a set S is followed by the sets grown from S + u for each boundary vertex
+    u in increasing order, and the u already tried are banned for the later
+    ones.
+    """
+    allowed = G.full_mask if within is None else within
+    rows = G.rows
     banned = 0
     for v in bits(allowed):
-        yield from grow(1 << v, banned)
+        S = 1 << v
+        yield S
+        # frames: (set, its neighbourhood, boundary vertices left to try, banned)
+        stack = [(S, rows[v], rows[v] & allowed & ~S & ~banned, banned)]
+        while stack:
+            S, near, todo, b = stack.pop()
+            if not todo:
+                continue
+            low = todo & -todo
+            stack.append((S, near, todo ^ low, b | low))
+            S |= low
+            near |= rows[low.bit_length() - 1]
+            yield S
+            stack.append((S, near, near & allowed & ~S & ~b, b))
         banned |= 1 << v
 
 
 def _radius_at_most(rows: Sequence[int], S: int, r: int) -> bool:
     """Whether some vertex of S reaches all of S within r steps inside S."""
+    steps = min(r, S.bit_count())  # what c reaches inside S, it reaches in |S| - 1 steps
     for c in bits(S):
         reach = 1 << c
-        for _ in range(r):
+        for _ in range(steps):
             for v in bits(reach):
                 reach |= rows[v]
             reach &= S

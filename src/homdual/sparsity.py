@@ -268,115 +268,80 @@ def _grad_greedy(G: Graph, r: int) -> GradResult:
     q = quotient(G, fam)
     value = Fraction(q.edge_count(), max(len(balls), 1))
     best_sub = _densest_subgraph_mask(G)
-    flow = _density(G, best_sub)
-    if flow > value:
+    dense = _density(G, best_sub)
+    if dense > value:
         # rank-0 density is always a valid rank-r lower bound
         fam = BallFamily(G, tuple(1 << v for v in bits(best_sub)), r)
-        value = flow
+        value = dense
     return GradResult(value, fam, exact=False)
 
 
-# --- integer max-flow (Dinic), used by the density and orientation routines ---
+# --- edge shares, used by the density and orientation routines ---
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+def _spread(G: Graph, num: int, den: int) -> tuple[list[int], int]:
+    """Split each edge's ``den`` units between its two ends so that no vertex
+    takes more than ``num``.
 
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = [s]
-            for u in q:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, f: int) -> int:
-                if u == t:
-                    return f
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        d = dfs(v, min(f, self.cap[e]))
-                        if d > 0:
-                            self.cap[e] -= d
-                            self.cap[e ^ 1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                f = dfs(s, 1 << 62)
-                if f == 0:
-                    break
-                flow += f
-
-    def min_cut_side(self, s: int) -> int:
-        """Mask of vertices reachable from s in the residual network."""
-        seen = 1 << s
-        q = [s]
-        for u in q:
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and not seen >> v & 1:
-                    seen |= 1 << v
-                    q.append(v)
-        return seen
-
-
-def _improving_subgraph(G: Graph, num: int, den: int) -> Optional[int]:
-    """A vertex mask S with |E(S)|/|S| > num/den, or None.
-
-    Goldberg-style min-cut test with integer capacities.
+    Returns (lower, over): lower[i] is what edge i of ``G.edges()`` sends to
+    its lower end. over is 0 when the split succeeds; otherwise it is the
+    vertex mask R reached by the last search. R holds every vertex above
+    ``num`` and none below, and no edge from outside R sends units into R, so
+    den * |E(R)| - num * |R| is the total excess, which no vertex set beats.
     """
     n = G.n
-    if n == 0:
-        return None
-    s, t = n, n + 1
-    net = _Dinic(n + 2)
-    total_pos = 0
-    for v in range(n):
-        w = den * G.degree(v) - 2 * num
-        if w > 0:
-            net.add_edge(s, v, w)
-            total_pos += w
-        elif w < 0:
-            net.add_edge(v, t, -w)
-    for u, v in G.edges():
-        net.add_edge(u, v, den)
-        net.add_edge(v, u, den)
-    cut = net.max_flow(s, t)
-    if total_pos - cut <= 0:
-        return None
-    side = net.min_cut_side(s) & ((1 << n) - 1)
-    return side if side else None
+    half = den // 2
+    lower: list[int] = []
+    load = [0] * n
+    inc: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(G.edges()):
+        lower.append(half)
+        load[u] += half
+        load[v] += den - half
+        inc[u].append((i, v, True))  # (edge, other end, this end is the lower one)
+        inc[v].append((i, u, False))
+    while True:
+        # one sweep: a BFS from every vertex above num, stepping from x to y
+        # along an edge that still sends units into x
+        back: list[Optional[tuple[int, int, bool]]] = [None] * n
+        seen = [False] * n
+        queue = [v for v in range(n) if load[v] > num]
+        for v in queue:
+            seen[v] = True
+        moved = False
+        for x in queue:
+            for i, y, low in inc[x]:
+                if seen[y] or not (lower[i] if low else den - lower[i]):
+                    continue
+                seen[y] = True
+                back[y] = (x, i, low)
+                queue.append(y)
+                if load[y] >= num:
+                    continue
+                # move as much as the back path from y to its source allows
+                amount, z = num - load[y], y
+                while back[z] is not None:
+                    z, j, zlow = back[z]
+                    amount = min(amount, lower[j] if zlow else den - lower[j])
+                amount = min(amount, load[z] - num)
+                if amount <= 0:
+                    continue
+                load[z] -= amount
+                load[y] += amount
+                z = y
+                while back[z] is not None:
+                    z, j, zlow = back[z]
+                    lower[j] += -amount if zlow else amount
+                moved = True
+        if not moved:
+            return lower, sum(1 << v for v in queue)
 
 
 def _densest_subgraph_mask(G: Graph) -> int:
     best_mask = 1 if G.n else 0
     num, den = 0, 1
     while True:
-        S = _improving_subgraph(G, num, den)
-        if S is None:
+        _, S = _spread(G, num, den)
+        if not S:
             return best_mask
         e = sum((G.rows[v] & S).bit_count() for v in bits(S)) // 2
         k = S.bit_count()
@@ -394,7 +359,8 @@ def _density(G: Graph, S: int) -> Fraction:
 
 
 def grad_0_flow(G: Graph) -> Fraction:
-    """Exact maximum subgraph density max |E(H)|/|V(H)| via parametric cuts."""
+    """Exact maximum subgraph density max |E(H)|/|V(H)|, by Dinkelbach steps
+    over edge-share splits."""
     return _density(G, _densest_subgraph_mask(G))
 
 
@@ -419,37 +385,14 @@ class Orientation:
 
 
 def min_indegree_orientation(G: Graph) -> tuple[Orientation, int]:
-    """Orientation with maximum indegree ceil(grad_0), by bipartite flow."""
+    """Orientation with maximum indegree ceil(grad_0): each edge is one unit
+    spread onto its head, with at most that many units per vertex."""
     k = math.ceil(grad_0_flow(G))
-    edges = G.edges()
-    m = len(edges)
-    if m == 0:
-        return Orientation(G, ()), 0
-    s = m + G.n
-    t = s + 1
-    net = _Dinic(m + G.n + 2)
-    for i, (u, v) in enumerate(edges):
-        net.add_edge(s, i, 1)
-        net.add_edge(i, m + u, 1)
-        net.add_edge(i, m + v, 1)
-    for v in range(G.n):
-        net.add_edge(m + v, t, k)
-    flow = net.max_flow(s, t)
-    if flow != m:
-        raise InternalCheckError(f"no orientation with indegree <= {k}: flow {flow} of {m} edges")
-    arcs = []
-    for i, (u, v) in enumerate(edges):
-        # the saturated edge->vertex arc marks the head
-        head = None
-        for e in net.head[i]:
-            w = net.to[e]
-            if w != s and net.cap[e] == 0 and e % 2 == 0:
-                head = w - m
-                break
-        if head is None:
-            raise InternalCheckError(f"edge {u}-{v} left without a head by the flow")
-        tail = v if head == u else u
-        arcs.append((tail, head))
+    heads, over = _spread(G, k, 1)
+    if over:
+        raise InternalCheckError(
+            f"no orientation with indegree <= {k}: {over.bit_count()} vertices hold too many edges")
+    arcs = [(v, u) if share else (u, v) for (u, v), share in zip(G.edges(), heads)]
     orient = Orientation(G, tuple(arcs))
     indegree = orient.max_indegree()
     if indegree != k:

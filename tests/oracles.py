@@ -168,6 +168,22 @@ def brute_densest(G: Graph) -> Fraction:
     return best
 
 
+def brute_max_excess(G: Graph, num: int, den: int) -> tuple[int, int]:
+    """max of den * |E(G[S])| - num * |S| over all vertex sets S (the empty
+    set gives 0), and the intersection of the sets attaining it."""
+    best, common = 0, 0
+    for S in range(1 << G.n):
+        edges = 0
+        for v in bits(S):
+            edges += (G.rows[v] & S).bit_count()
+        excess = den * (edges // 2) - num * S.bit_count()
+        if excess > best:
+            best, common = excess, S
+        elif excess == best:
+            common &= S
+    return best, common
+
+
 def brute_chromatic(G: Graph) -> int:
     """Smallest k admitting a proper coloring, by trying every assignment."""
     if G.n == 0:

@@ -191,14 +191,14 @@ def test_centered_from_td_all_small_graphs(catalog5):
 
 def test_verify_low_td():
     P4 = path_graph(4)
-    ok, report = verify_low_td(P4, make_coloring(P4, [0, 1, 2, 0]), 2)
-    assert ok and report.violation is None
-    ok, report = verify_low_td(P4, make_coloring(P4, [0, 1, 0, 1]), 2)
+    ok, violation = verify_low_td(P4, make_coloring(P4, [0, 1, 2, 0]), 2)
+    assert ok and violation is None
+    ok, violation = verify_low_td(P4, make_coloring(P4, [0, 1, 0, 1]), 2)
     assert not ok
-    assert report.violation.td == 3 and report.violation.classes == (0, 1)
+    assert violation.td == 3 and violation.classes == (0, 1)
     # a single class holding an edge already fails at i = 1
-    ok, report = verify_low_td(P4, make_coloring(P4, [0, 0, 1, 2]), 2)
-    assert not ok and len(report.violation.classes) == 1
+    ok, violation = verify_low_td(P4, make_coloring(P4, [0, 0, 1, 2]), 2)
+    assert not ok and len(violation.classes) == 1
 
 
 def test_find_low_td_coloring_known_sizes():

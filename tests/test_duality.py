@@ -313,6 +313,19 @@ def test_build_dual_degenerate():
     assert build.D.n == 2 and build.D.edge_count() == 0
 
 
+def test_build_dual_checks_power_cap_before_template(monkeypatch):
+    real = duality.complete_graph
+
+    def small_only(n):
+        if n > 1000:
+            raise AssertionError(f"K_{n} built before the power cap was checked")
+        return real(n)
+
+    monkeypatch.setattr(duality, "complete_graph", small_only)
+    with pytest.raises(SizeLimitError, match="exceeds cap"):
+        build_dual([complete_graph(1)], [complete_graph(2)], p_override=10**6)
+
+
 def test_build_dual_rejects_bad_forbidden_sets():
     with pytest.raises(GraphError):
         build_dual([complete_graph(1)], [])

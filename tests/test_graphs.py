@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import pytest
 
 from homdual.errors import GraphError, SizeLimitError
@@ -167,6 +170,29 @@ def test_enumerate_connected_sets_matches_oracle(catalog5):
         assert len(got) == len(set(got)), "a set was produced twice"
         want = [S for S in range(1, 1 << G.n) if brute_is_connected_subset(G, S)]
         assert got == want
+
+
+# sha256 over (rows, sets in output order) of enumerate_connected_sets on the
+# <= 7-vertex catalog, recorded with the recursive generator that the
+# explicit-stack walk replaced: the walk keeps the order.
+CONNECTED_SETS_DIGEST = "9c8d84a818ec788b1cb68a40bc0378501cae29c30e14a86d556fc2422df9948c"
+
+
+def test_enumerate_connected_sets_order_unchanged(catalog7):
+    h = hashlib.sha256()
+    for G in catalog7:
+        h.update(f"{G.rows} {list(enumerate_connected_sets(G))}\n".encode())
+    assert h.hexdigest() == CONNECTED_SETS_DIGEST
+
+
+def test_enumerate_connected_sets_keeps_no_call_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        sets = list(enumerate_connected_sets(path_graph(300)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sets) == 300 * 301 // 2  # one per subpath
 
 
 def test_enumerate_balls():

@@ -36,7 +36,13 @@ from homdual.sparsity import (
     verify_td,
 )
 
-from oracles import brute_densest, brute_grad, brute_tree_depth, plain_tree_depth
+from oracles import (
+    brute_densest,
+    brute_grad,
+    brute_max_excess,
+    brute_tree_depth,
+    plain_tree_depth,
+)
 
 
 def subdivided_k4():
@@ -238,6 +244,15 @@ def test_grad_rejects_negative_rank():
         grad_r(path_graph(20), -1)  # beyond the exhaustive limit too
 
 
+def test_grad_huge_rank_stops_at_the_radius_bound():
+    """Beyond |V| - 1 a larger rank adds no ball, so rank 10**9 returns at
+    once with the rank-6 value and witness balls."""
+    C6 = cycle_graph(6)
+    huge, six = grad_r(C6, 10**9), grad_r(C6, 6)
+    assert huge.value == six.value
+    assert huge.witness.balls == six.witness.balls
+
+
 def test_grad_self_checks_raise(monkeypatch):
     import homdual.sparsity as sp
 
@@ -261,6 +276,43 @@ def test_grad_0_flow():
 def test_grad_0_flow_matches_exhaustive(catalog6):
     for G in catalog6:
         assert grad_0_flow(G) == grad_r(G, 0).value
+
+
+def test_spread_splits_or_returns_the_densest_excess_set(catalog6):
+    """Either every vertex holds at most num units, or the returned set
+    attains max den * |E(S)| - num * |S| > 0, and is the least such set."""
+    import homdual.sparsity as sp
+
+    for G in catalog6:
+        edges = G.edges()
+        for num, den in ((0, 1), (1, 1), (1, 2), (2, 1), (3, 2), (2, 3), (5, 3)):
+            lower, over = sp._spread(G, num, den)
+            assert len(lower) == len(edges)
+            load = [0] * G.n
+            for (u, v), share in zip(edges, lower):
+                assert 0 <= share <= den
+                load[u] += share
+                load[v] += den - share
+            best, least = brute_max_excess(G, num, den)
+            if over == 0:
+                assert max(load, default=0) <= num and best == 0, (G.rows, num, den)
+            else:
+                inside = sum((G.rows[v] & over).bit_count() for v in bits(over)) // 2
+                assert den * inside - num * over.bit_count() == best > 0, (G.rows, num, den)
+                assert over == least, (G.rows, num, den)
+
+
+def test_density_and_orientation_keep_no_call_stack():
+    P = path_graph(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        density = grad_0_flow(P)
+        orient, k = min_indegree_orientation(P)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert density == Fraction(599, 600)
+    assert k == 1 and orient.max_indegree() == 1
 
 
 def test_grad_greedy_runs_one_densest_flow(monkeypatch):
@@ -295,7 +347,7 @@ def test_densest_subgraph_improvement_check_raises(monkeypatch):
     import homdual.sparsity as sp
 
     # a single vertex has density 0, which improves on nothing
-    monkeypatch.setattr(sp, "_improving_subgraph", lambda G, num, den: 1)
+    monkeypatch.setattr(sp, "_spread", lambda G, num, den: ([], 1))
     with pytest.raises(InternalCheckError):
         grad_0_flow(complete_graph(3))
 
@@ -306,14 +358,10 @@ def test_orientation_self_checks_raise(monkeypatch):
     K3 = complete_graph(3)
     monkeypatch.setattr(sp, "grad_0_flow", lambda G: Fraction(0))
     with pytest.raises(InternalCheckError, match="no orientation"):
-        min_indegree_orientation(K3)  # no indegree slots, so the flow falls short
+        min_indegree_orientation(K3)  # no indegree slots, so the split fails
     monkeypatch.setattr(sp, "grad_0_flow", lambda G: Fraction(3))
     with pytest.raises(InternalCheckError, match="max indegree"):
         min_indegree_orientation(K3)  # K3 has no orientation of max indegree 3
-    monkeypatch.setattr(sp, "grad_0_flow", lambda G: Fraction(1))
-    monkeypatch.setattr(sp._Dinic, "max_flow", lambda self, s, t: 3)
-    with pytest.raises(InternalCheckError, match="without a head"):
-        min_indegree_orientation(K3)  # a flow that saturates no arc
 
 
 def test_sparsity_checks_survive_optimize_flag():
@@ -322,7 +370,7 @@ def test_sparsity_checks_survive_optimize_flag():
         "import homdual.sparsity as sp\n"
         "from homdual.errors import InternalCheckError\n"
         "from homdual.graphs import complete_graph\n"
-        "sp._improving_subgraph = lambda G, num, den: 1\n"
+        "sp._spread = lambda G, num, den: ([], 1)\n"
         "try:\n"
         "    sp.grad_0_flow(complete_graph(3))\n"
         "except InternalCheckError:\n"
