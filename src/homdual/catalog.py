@@ -30,16 +30,15 @@ def _invariant(G: Graph) -> tuple:
     return (G.n, G.edge_count(), tuple(degs), tuple(nbr_degs), tri)
 
 
-def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,
-                        limit: int = GENERATE_LIMIT) -> list[Graph]:
+def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None) -> list[Graph]:
     """All graphs with at most n_max vertices, one per isomorphism class.
 
     Incremental vertex extension with invariant bucketing plus exact
     isomorphism checks. Monotone filters (degree, triangle-free) prune
     during generation; the rest apply at the end.
     """
-    if n_max > limit:
-        raise SizeLimitError(f"graph generation capped at {limit} vertices")
+    if n_max > GENERATE_LIMIT:
+        raise SizeLimitError(f"graph generation capped at {GENERATE_LIMIT} vertices")
     f = filters or GraphFilters()
     levels: list[list[Graph]] = [[empty_graph(0)]]
     for n in range(1, n_max + 1):

@@ -27,7 +27,7 @@ from .duality import (
     truncated_power,
     verify_duality,
 )
-from .errors import GraphError, SizeLimitError
+from .errors import GraphError
 from .formats import parse_edge_list, parse_graph6, parse_graph_lines, to_graph6
 from .graphs import Graph, bits
 from .powers import (
@@ -355,8 +355,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args._start = time.time()
     try:
         text, code = args.func(args)
-    except (GraphError, SizeLimitError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="ascii") as fh:

@@ -14,6 +14,7 @@ from .graphs import (
     connected_components,
     induced_subgraph,
 )
+from .homs import _index_order_checks, _search
 from .sparsity import TdCertificate, tree_depth, tree_depth_value, verify_td
 
 CENTERED_LIMIT = 1 << 16  # color sets C(k, min(p - 1, k)) per verification
@@ -54,8 +55,7 @@ def _check_p(p: int) -> None:
         raise GraphError(f"p must be at least 1 (got {p})")
 
 
-def verify_p_centered(G: Graph, c: Coloring, p: int,
-                      limit: int = CENTERED_LIMIT) -> tuple[bool, Optional[int]]:
+def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int]]:
     """Check that every connected vertex set with fewer than p colors has a
     color used exactly once in it.
 
@@ -64,13 +64,14 @@ def verify_p_centered(G: Graph, c: Coloring, p: int,
     fails if no color appears once in it; otherwise its first uniquely
     colored vertex is removed and the components left are checked in turn.
     A violating set lies inside some such K and never holds the removed
-    vertex, so this is complete. ``limit`` caps the number of color sets.
+    vertex, so this is complete. ``CENTERED_LIMIT`` caps the number of
+    color sets.
     """
     _check_p(p)
     size = min(p - 1, c.k)
-    if math.comb(c.k, size) > limit:
+    if math.comb(c.k, size) > CENTERED_LIMIT:
         raise SizeLimitError(
-            f"centered verification capped at {limit} color sets "
+            f"centered verification capped at {CENTERED_LIMIT} color sets "
             f"(C({c.k},{size}) = {math.comb(c.k, size)})")
     masks = [c.class_mask(q) for q in range(c.k)]
     for classes in combinations(masks, size):
@@ -148,32 +149,29 @@ def find_low_td_coloring(G: Graph, p: int, k_max: Optional[int] = None) -> Optio
 
 
 def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
-    """Backtracking over canonical proper colorings with exactly k colors;
-    the rounds for smaller k have refuted those with fewer."""
-    n = G.n
-    colors = [0] * n
-
-    def rec(v: int, used: int) -> Optional[Coloring]:
-        if used + (n - v) < k:  # too few vertices left to open every color
-            return None
-        if v == n:
-            cand = make_coloring(G, colors)
-            ok, _ = verify_low_td(G, cand, p)
-            return cand if ok else None
-        for q in range(min(used + 1, k)):
-            ok = True
-            for u in bits(G.rows[v]):
-                if u < v and colors[u] == q:
-                    ok = False
-                    break
-            if ok:
-                colors[v] = q
-                r = rec(v + 1, max(used, q + 1))
-                if r is not None:
-                    return r
-        return None
-
-    return rec(0, 0)
+    """The first proper coloring with exactly k colors, in lexicographic
+    order over the canonical ones (each color at most one above every color
+    before it), that passes the low tree-depth check; the rounds for smaller
+    k have refuted those with fewer. Relabelling by first appearance makes
+    any coloring canonical, no larger, and passing the same checks, so no
+    other coloring needs a check.
+    """
+    others = [((1 << k) - 1) ^ (1 << a) for a in range(k)]
+    checks = _index_order_checks(G, others)
+    domains = [(1 << min(v + 1, k)) - 1 for v in range(G.n)]
+    for colors in _search(range(G.n), domains, checks):
+        top = -1
+        for q in colors:
+            if q > top + 1:
+                break
+            top = max(top, q)
+        else:
+            if top == k - 1:
+                cand = Coloring(G, tuple(colors), k)
+                ok, _ = verify_low_td(G, cand, p)
+                if ok:
+                    return cand
+    return None
 
 
 def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:

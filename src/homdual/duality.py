@@ -117,7 +117,7 @@ def power_order(u_count: int, h_count: int, p: int) -> int:
     return h_count * (u_count ** b)
 
 
-def truncated_power(U: Graph, H: Graph, p: int, cap: int = POWER_ORDER_CAP) -> TruncatedPower:
+def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
     """Build the p-truncated H-power of U, with checked color projection.
 
     Edges join vertices over adjacent template vertices whose assignments
@@ -129,8 +129,8 @@ def truncated_power(U: Graph, H: Graph, p: int, cap: int = POWER_ORDER_CAP) -> T
     if u == 0:
         raise GraphError("base graph must be nonempty")
     order = power_order(u, h, p)
-    if order > cap:
-        raise SizeLimitError(f"power order {order} exceeds cap {cap}")
+    if order > POWER_ORDER_CAP:
+        raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
     subsets = tuple(combinations(range(h), p))
     through = [tuple(I for I in subsets if v in I) for v in range(h)]
     B = math.comb(h - 1, p - 1)
@@ -268,13 +268,12 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
     return f
 
 
-def locbound_equivalence(G: Graph, U: Graph, H: Graph, p: int,
-                         cap: int = POWER_ORDER_CAP) -> tuple[bool, bool]:
+def locbound_equivalence(G: Graph, U: Graph, H: Graph, p: int) -> tuple[bool, bool]:
     """Both sides of the power-vs-local-homomorphism equivalence:
     lhs = G maps into the power, rhs = some gamma: G -> H is locally
     homomorphic to U at threshold p. The two must agree.
     """
-    TP = truncated_power(U, H, p, cap=cap)
+    TP = truncated_power(U, H, p)
     lhs = find_homomorphism(G, TP.D).present
     rhs = False
     for gamma in enumerate_homomorphisms(G, H):
@@ -312,8 +311,7 @@ class DualBuild:
 
 
 def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
-               p_override: Optional[int] = None, n_rep: int = DEFAULT_REP_ORDER,
-               cap: int = POWER_ORDER_CAP) -> DualBuild:
+               p_override: Optional[int] = None) -> DualBuild:
     """Construct a dual graph for the forbidden family over a finite corpus.
 
     Pipeline: threshold from the largest forbidden graph, low tree-depth
@@ -334,23 +332,24 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
             raise GraphError(f"no low tree-depth coloring found for {G!r}")
         colorings.append(res.coloring)
         n_colors = max(n_colors, res.coloring.k)
-    reps = [R for R in representatives(p, n_rep) if forb_member(R, f_set)]
+    reps = [R for R in representatives(p, DEFAULT_REP_ORDER) if forb_member(R, f_set)]
     if not reps:
         raise GraphError("no representative avoids the forbidden family")
     U, _ = disjoint_union(reps)
     template_size = max(n_colors, p)  # the power needs p <= |V(H)|
     order = power_order(U.n, template_size, p)
-    if order > cap:  # before K_{template_size}, which a huge p would make huge
-        raise SizeLimitError(f"power order {order} exceeds cap {cap}")
+    # checked before K_{template_size}, which a huge p would make huge
+    if order > POWER_ORDER_CAP:
+        raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
     H = complete_graph(template_size)
-    TP = truncated_power(U, H, p, cap=cap)
+    TP = truncated_power(U, H, p)
     if not power_local_property(TP):
         raise InternalCheckError("the truncated power fails the local property")
     provenance = {
         "p": p,
         "n_colors": n_colors,
         "template_size": template_size,
-        "n_rep": n_rep,
+        "n_rep": DEFAULT_REP_ORDER,
         "base_order": U.n,
         "base_parts": len(reps),
         "dual_order": TP.D.n,

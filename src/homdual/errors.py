@@ -6,14 +6,7 @@ class GraphError(Exception):
 
 
 class SizeLimitError(GraphError):
-    """An exhaustive operation was asked to run beyond its configured limit.
-
-    Carries optional fallback data (e.g. inexact bounds) in ``payload``.
-    """
-
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload
+    """An exhaustive operation was asked to run beyond its configured limit."""
 
 
 class InternalCheckError(GraphError):

@@ -393,15 +393,15 @@ def _disjoint_families(G: Graph, balls: Sequence[int]) -> Iterator[tuple[int, in
                 avail, picked, edges = child, fam, gain
 
 
-def enumerate_ball_families(G: Graph, r: int, limit: int = BALL_FAMILY_LIMIT) -> Iterator[BallFamily]:
+def enumerate_ball_families(G: Graph, r: int) -> Iterator[BallFamily]:
     """Every family of pairwise disjoint balls of radius <= r, once each.
 
     The empty family is included. Exhaustive only at desk scale; callers
     needing larger graphs should use the heuristic grad bounds instead.
     """
-    if G.n > limit:
+    if G.n > BALL_FAMILY_LIMIT:
         raise SizeLimitError(
-            f"ball-family enumeration capped at {limit} vertices "
+            f"ball-family enumeration capped at {BALL_FAMILY_LIMIT} vertices "
             f"(got {G.n}); use heuristic mode")
     balls = enumerate_balls(G, r)
     yield BallFamily(G, (), r)

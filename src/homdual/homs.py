@@ -113,6 +113,16 @@ def _search_order(G: Graph, table: Sequence[int], clique: int) -> tuple[list[int
     return order, checks
 
 
+def _index_order_checks(G: Graph, table: Sequence[int]) -> list[list]:
+    """Forward checks for ``_search`` over the order 0..n-1: image a leaves
+    each higher-index neighbour only ``table[a]``."""
+    checks = []
+    for v in range(G.n):
+        later = G.rows[v] >> (v + 1) << (v + 1)
+        checks.append([(table, list(bits(later)))] if later else [])
+    return checks
+
+
 def _start_domains(G: Graph, H: Graph) -> Optional[list[int]]:
     """Images each vertex of G may take before branching, or None if some
     vertex has none. A homomorphism is injective on cliques, so a vertex on
@@ -212,11 +222,7 @@ def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
     domains = _start_domains(G, H)
     if domains is None:
         return
-    checks = []
-    for v in range(G.n):
-        later = G.rows[v] >> (v + 1) << (v + 1)
-        checks.append([(H.rows, list(bits(later)))] if later else [])
-    for image in _search(range(G.n), domains, checks):
+    for image in _search(range(G.n), domains, _index_order_checks(G, H.rows)):
         yield VertexMap(G, H, tuple(image))
 
 

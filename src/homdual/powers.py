@@ -15,12 +15,12 @@ CHROMATIC_LIMIT = 20
 INFINITY = math.inf  # sentinel for "no odd cycle"
 
 
-def exact_power(G: Graph, p: int, limit: int = EXACT_POWER_LIMIT) -> Graph:
+def exact_power(G: Graph, p: int) -> Graph:
     """Edge {x,y} iff some simple path of length exactly p joins x and y."""
     if p < 1:
         raise ValueError("power must be >= 1")
-    if p > limit:
-        raise SizeLimitError(f"exact power capped at length {limit}")
+    if p > EXACT_POWER_LIMIT:
+        raise SizeLimitError(f"exact power capped at length {EXACT_POWER_LIMIT}")
     if p == 1:
         return Graph(G.n, G.rows)
     rows = [0] * G.n
@@ -66,73 +66,28 @@ def is_bipartite(G: Graph) -> bool:
     return odd_girth(G) == INFINITY
 
 
-def greedy_clique_bound(G: Graph) -> int:
-    """Greedy clique size, over each vertex as seed (lower bound for chi)."""
-    best = 1 if G.n else 0
-    for seed in range(G.n):
-        cand = G.rows[seed]
-        clique = 1
-        cur = 1 << seed
-        while cand:
-            v = max(bits(cand), key=lambda x: (G.rows[x] & cand).bit_count())
-            cur |= 1 << v
-            clique += 1
-            cand &= G.rows[v]
-        best = max(best, clique)
-    return best
-
-
-def _dsatur_upper(G: Graph) -> tuple[int, list[int]]:
-    """Greedy DSATUR coloring; returns (colors used, coloring)."""
-    n = G.n
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), G.degree(u), -u),
-        )
-        q = 0
-        while q in neighbor_colors[v]:
-            q += 1
-        colors[v] = q
-        for u in bits(G.rows[v]):
-            neighbor_colors[u].add(q)
-    return max(colors, default=-1) + 1, colors
-
-
-def chromatic_number(G: Graph, limit: int = CHROMATIC_LIMIT) -> int:
-    """Exact chromatic number: the least k between the clique and DSATUR
-    bounds with a homomorphism G -> K_k.
+def chromatic_number(G: Graph) -> int:
+    """Exact chromatic number: the least k, from the clique size upward,
+    with a homomorphism G -> K_k.
 
     The search pins the vertices of one clique to colours 0..omega-1, which
     every k-colouring can be renamed to meet.
     """
     if G.n == 0:
         return 0
-    lb, ub = chromatic_bounds(G)
-    if G.n > limit:
-        raise SizeLimitError(
-            f"exact chromatic number capped at {limit} vertices", payload=(lb, ub))
-    if lb == ub:
-        return ub
+    if G.n > CHROMATIC_LIMIT:
+        raise SizeLimitError(f"exact chromatic number capped at {CHROMATIC_LIMIT} vertices")
     clique = _max_clique_mask(G)
-    other_colors = [((1 << ub) - 1) ^ (1 << a) for a in range(ub)]
+    other_colors = [G.full_mask ^ (1 << a) for a in range(G.n)]
     order, checks = _search_order(G, other_colors, clique)
     omega = clique.bit_count()
-    for k in range(max(lb, omega), ub):
+    for k in range(omega, G.n + 1):
         domains = [(1 << k) - 1] * G.n
         for color, v in enumerate(order[:omega]):
             domains[v] = 1 << color
         if next(_search(order, domains, checks), None) is not None:
             return k
-    return ub
-
-
-def chromatic_bounds(G: Graph) -> tuple[int, int]:
-    lb = greedy_clique_bound(G)
-    ub, _ = _dsatur_upper(G)
-    return lb, ub
+    raise InternalCheckError(f"no colouring of {G.n} vertices with {G.n} colours")
 
 
 def odd_power_experiment(corpus: Sequence[Graph], p: int,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,6 @@ from .graphs import (
     BallFamily,
     Graph,
     _disjoint_families,
-    bfs_layers,
     bits,
     connected_components,
     enumerate_balls,
@@ -100,15 +100,15 @@ def _td_max_edges(n: int, t: int) -> int:
     return (t - 1) * n - t * (t - 1) // 2
 
 
-def tree_depth(G: Graph, limit: int = TD_LIMIT) -> TdCertificate:
+def tree_depth(G: Graph) -> TdCertificate:
     """Exact tree-depth via the delete-a-vertex recursion, with witness.
 
     A memoised decision search "td(S) <= k" over connected vertex masks,
     pruned by edge counts; each connected mask's witness root is the first
-    vertex v whose deletion leaves tree-depth td(S) - 1. Beyond ``limit``
+    vertex v whose deletion leaves tree-depth td(S) - 1. Beyond ``TD_LIMIT``
     vertices a greedy certificate is returned, flagged non-optimal.
     """
-    if G.n > limit:
+    if G.n > TD_LIMIT:
         return _greedy_td(G)
     rows = G.rows
     bounds: dict[int, list[int]] = {}  # S -> [lo, hi, edges], lo <= td(S) <= hi
@@ -221,16 +221,16 @@ class GradResult:
     exact: bool = True
 
 
-def grad_r(G: Graph, r: int, limit: int = BALL_FAMILY_LIMIT) -> GradResult:
+def grad_r(G: Graph, r: int) -> GradResult:
     """Greatest reduced average density at rank r.
 
-    Exhaustive over all disjoint ball families for n <= limit, keeping the
-    first densest family in the walk's order; larger graphs get a greedy
-    packing lower bound flagged inexact.
+    Exhaustive over all disjoint ball families for n <= BALL_FAMILY_LIMIT,
+    keeping the first densest family in the walk's order; larger graphs get
+    a greedy packing lower bound flagged inexact.
     """
     if r < 0:
         raise GraphError(f"rank must be nonnegative (got {r})")
-    if G.n > limit:
+    if G.n > BALL_FAMILY_LIMIT:
         return _grad_greedy(G, r)
     if G.n == 0:
         return GradResult(Fraction(0), BallFamily(G, (), r))
@@ -257,11 +257,15 @@ def _grad_greedy(G: Graph, r: int) -> GradResult:
         if covered >> c & 1:
             continue
         avail = G.full_mask & ~covered
-        dist = bfs_layers(G, c, avail)
-        ball = 0
-        for v in bits(avail):
-            if 0 <= dist[v] <= r:
-                ball |= 1 << v
+        ball = frontier = 1 << c
+        for _ in range(r):  # grow the ball one step at a time inside avail
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= G.rows[v]
+            frontier = nxt & avail & ~ball
+            if not frontier:
+                break
+            ball |= frontier
         balls.append(ball)
         covered |= ball
     fam = BallFamily(G, tuple(balls), r)
@@ -403,20 +407,32 @@ def min_indegree_orientation(G: Graph) -> tuple[Orientation, int]:
 def degeneracy(G: Graph) -> tuple[int, list[int]]:
     """Classic min-degree peeling: (degeneracy, peeling order).
 
-    The degeneracy is at most floor(2 * grad_0); the tests check that bound.
+    Each step removes the remaining vertex of least (degree, index), popped
+    from a heap of (degree, vertex) entries pushed whenever a degree drops;
+    a vertex's older entries hold larger degrees, so they come out only
+    after it is gone, and are skipped. The degeneracy is at most
+    floor(2 * grad_0); the tests check that bound.
     """
+    deg = [G.degree(v) for v in range(G.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     remaining = G.full_mask
     order = []
     d = 0
-    while remaining:
-        v = min(bits(remaining), key=lambda x: ((G.rows[x] & remaining).bit_count(), x))
-        d = max(d, (G.rows[v] & remaining).bit_count())
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if not remaining >> v & 1:
+            continue
+        d = max(d, dv)
         order.append(v)
-        remaining &= ~(1 << v)
+        remaining ^= 1 << v
+        for u in bits(G.rows[v] & remaining):
+            deg[u] -= 1
+            heapq.heappush(heap, (deg[u], u))
     return d, order
 
 
-def expansion_profile(G: Graph, r_max: int, limit: int = BALL_FAMILY_LIMIT) -> list[Fraction]:
+def expansion_profile(G: Graph, r_max: int) -> list[Fraction]:
     """Per-graph grad measurements for ranks 0..r_max (nondecreasing).
 
     Exact ranks must already be nondecreasing. An inexact (greedy) rank
@@ -426,7 +442,7 @@ def expansion_profile(G: Graph, r_max: int, limit: int = BALL_FAMILY_LIMIT) -> l
     profile: list[Fraction] = []
     best: Optional[GradResult] = None
     for r in range(r_max + 1):
-        res = grad_r(G, r, limit=limit)
+        res = grad_r(G, r)
         if best is not None and best.value > res.value:
             if res.exact:
                 raise InternalCheckError("expansion profile must be nondecreasing")

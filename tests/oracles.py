@@ -184,6 +184,42 @@ def brute_max_excess(G: Graph, num: int, den: int) -> tuple[int, int]:
     return best, common
 
 
+def brute_degeneracy(G: Graph) -> tuple[int, list[int]]:
+    """Min-degree peeling by rescanning every remaining vertex at each step;
+    ties go to the lower index."""
+    remaining = set(range(G.n))
+    order, d = [], 0
+    while remaining:
+        v = min(remaining, key=lambda x: (sum(1 for u in remaining if G.has_edge(x, u)), x))
+        d = max(d, sum(1 for u in remaining if G.has_edge(v, u)))
+        order.append(v)
+        remaining.remove(v)
+    return d, order
+
+
+def brute_greedy_balls(G: Graph, r: int) -> list[int]:
+    """Greedy packing of radius-r balls: centres by descending degree, then
+    index; each ball is grown by plain BFS among the vertices not yet
+    covered."""
+    covered: set[int] = set()
+    balls = []
+    for c in sorted(range(G.n), key=lambda v: (-G.degree(v), v)):
+        if c in covered:
+            continue
+        dist = {c: 0}
+        queue = [c]
+        for x in queue:
+            if dist[x] == r:
+                continue
+            for y in range(G.n):
+                if G.has_edge(x, y) and y not in covered and y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        balls.append(sum(1 << v for v in dist))
+        covered |= set(dist)
+    return balls
+
+
 def brute_chromatic(G: Graph) -> int:
     """Smallest k admitting a proper coloring, by trying every assignment."""
     if G.n == 0:

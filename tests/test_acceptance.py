@@ -71,7 +71,7 @@ def test_criterion_01_power_order_formula():
                 assert power_order(U.n, H.n, p) == expect
                 if expect > 5000:
                     continue  # formula checked; skip the big adjacency build
-                TP = truncated_power(U, H, p, cap=100_000)
+                TP = truncated_power(U, H, p)
                 assert TP.D.n == expect, (U.n, H.n, p)
                 checked += 1
     print(f"criterion 1 PASS: order formula exact on {checked} built powers")

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -75,7 +77,7 @@ def test_verify_p_centered_monotone_in_p():
         assert all(a or not b for a, b in zip(results, results[1:]))
 
 
-def test_verify_p_centered_size_cap():
+def test_verify_p_centered_size_cap(monkeypatch):
     """The cap counts color sets C(k, min(p - 1, k)), not vertices."""
     E20 = empty_graph(20)
     rainbow = make_coloring(E20, range(20))
@@ -86,8 +88,9 @@ def test_verify_p_centered_size_cap():
     P17 = path_graph(17)
     assert verify_p_centered(P17, make_coloring(P17, [0] * 17), 2) == (False, P17.full_mask)
     P4 = path_graph(4)
+    monkeypatch.setattr(coloring, "CENTERED_LIMIT", 1)
     with pytest.raises(SizeLimitError):
-        verify_p_centered(P4, make_coloring(P4, [0, 1, 0, 1]), 2, limit=1)
+        verify_p_centered(P4, make_coloring(P4, [0, 1, 0, 1]), 2)
 
 
 def test_verify_p_centered_long_path():
@@ -255,6 +258,18 @@ def test_exhaustive_rounds_try_exactly_k_colors(monkeypatch, subcubic7):
         res = find_low_td_coloring(G, 3)
         assert res.exhaustive and verify(G, res.coloring, 3)[0]
     assert tried and all(k == used for k, used in tried)
+
+
+def test_exhaustive_low_td_colorings_pinned(subcubic7, catalog6):
+    """The colorings found on the connected subcubic graphs (p = 3) and on
+    every nonempty graph on at most 6 vertices (p = 1, 2, 3), as recorded
+    from the recursive search the engine replaced."""
+    dump = [[list(find_low_td_coloring(G, 3).coloring.colors) for G in subcubic7]]
+    for p in (1, 2, 3):
+        dump.append([list(find_low_td_coloring(G, p).coloring.colors)
+                     for G in catalog6 if G.n])
+    assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == \
+        "5d7376ef45aaa076f933c18d9a0d3e2014d55af8a39308ec962af41966dd9a06"
 
 
 def test_find_low_td_coloring_greedy_fallback():

@@ -77,15 +77,16 @@ def test_truncated_power_shape():
     assert TP.subsets_through(1) == [(0, 1), (1, 2)]
 
 
-def test_truncated_power_rejects_bad_parameters():
+def test_truncated_power_rejects_bad_parameters(monkeypatch):
     with pytest.raises(GraphError):
         truncated_power(complete_graph(2), complete_graph(3), 0)
     with pytest.raises(GraphError):
         truncated_power(complete_graph(2), complete_graph(3), 4)
     with pytest.raises(GraphError):
         truncated_power(empty_graph(0), complete_graph(3), 2)
+    monkeypatch.setattr(duality, "POWER_ORDER_CAP", 100)
     with pytest.raises(SizeLimitError):
-        truncated_power(complete_graph(3), complete_graph(6), 2, cap=100)
+        truncated_power(complete_graph(3), complete_graph(6), 2)
 
 
 def test_encode_decode_roundtrip():

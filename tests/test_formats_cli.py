@@ -1,5 +1,6 @@
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -354,6 +355,25 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     good = tmp_path / "p4.g6"
     good.write_text(to_graph6(path_graph(4)) + "\n")
     assert main(["td", "--in", str(good), "--seed", "1"]) == 2  # no such option
+
+
+def test_cli_huge_edge_list_exits_2(tmp_path):
+    """An endpoint of 10^12 asks for more memory than there is: a one-line
+    error and exit 2, not a traceback and the verdict-fail exit 1. The
+    child's address space is capped at 2 GiB so the attempt fails fast."""
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1000000000000\n")
+    cap = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "homdual.cli", "td", "--format", "edges", "--in", str(path)],
+        capture_output=True, text=True, preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_cli_entrypoint_subprocess(p4_file):

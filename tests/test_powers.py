@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -16,7 +18,6 @@ from homdual.graphs import (
 from homdual.homs import is_isomorphic
 from homdual.powers import (
     INFINITY,
-    chromatic_bounds,
     chromatic_number,
     exact_distance_graph,
     exact_power,
@@ -111,15 +112,11 @@ def test_chromatic_number_matches_oracle(catalog5):
         chi = chromatic_number(G)
         if G.n:
             assert chi == brute_chromatic(G)
-        lb, ub = chromatic_bounds(G)
-        assert lb <= chi <= ub
 
 
-def test_chromatic_number_below_clique_bound(monkeypatch):
-    """With the lower bound forced to 1, the search starts below the clique
-    size, where only the pinned clique keeps it sound and quick."""
-    bounds = powers.chromatic_bounds
-    monkeypatch.setattr(powers, "chromatic_bounds", lambda G: (1, bounds(G)[1]))
+def test_chromatic_number_below_clique_bound():
+    """Random graphs from sparse to nearly complete: the search from the
+    clique size upward, with one maximum clique pinned, matches the oracle."""
     rng = random.Random(21)
     for n in (6, 7):
         for density in (0.3, 0.5, 0.7, 0.9):
@@ -127,6 +124,23 @@ def test_chromatic_number_below_clique_bound(monkeypatch):
                 G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                     if rng.random() < density])
                 assert chromatic_number(G) == brute_chromatic(G), G
+
+
+def test_chromatic_numbers_pinned(catalog7):
+    """chi of every graph on at most 7 vertices and of its exact cube, as
+    recorded when the search still started from the greedy clique and
+    DSATUR bounds."""
+    dump = [[chromatic_number(G) for G in catalog7],
+            [chromatic_number(exact_power(G, 3)) for G in catalog7]]
+    assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == \
+        "4aba3d4e6e414472753781963bc2d7fd887a777e22f947945074b706a0be3eea"
+
+
+def test_chromatic_number_size_cap(monkeypatch):
+    monkeypatch.setattr(powers, "CHROMATIC_LIMIT", 4)
+    assert chromatic_number(complete_graph(4)) == 4
+    with pytest.raises(SizeLimitError):
+        chromatic_number(cycle_graph(5))
 
 
 def test_odd_power_experiment():

@@ -37,8 +37,10 @@ from homdual.sparsity import (
 )
 
 from oracles import (
+    brute_degeneracy,
     brute_densest,
     brute_grad,
+    brute_greedy_balls,
     brute_max_excess,
     brute_tree_depth,
     plain_tree_depth,
@@ -261,7 +263,7 @@ def test_grad_self_checks_raise(monkeypatch):
         grad_r(complete_graph(3), 0)
     monkeypatch.undo()
     fake = iter([Fraction(1), Fraction(1, 2)])
-    monkeypatch.setattr(sp, "grad_r", lambda G, r, limit: sp.GradResult(next(fake), None))
+    monkeypatch.setattr(sp, "grad_r", lambda G, r: sp.GradResult(next(fake), None))
     with pytest.raises(InternalCheckError):
         expansion_profile(complete_graph(3), 1)
 
@@ -327,6 +329,26 @@ def test_grad_greedy_runs_one_densest_flow(monkeypatch):
     assert not res.exact and res.value == 2
     assert res.witness.balls == tuple(1 << v for v in range(5))
     assert len(calls) == 1
+
+
+def test_grad_greedy_balls_match_oracle(monkeypatch):
+    """Above the exhaustive limit, and with the rank-0 fallback switched
+    off, the witness is the greedy ball packing: each ball grown r steps
+    from its centre inside the vertices not yet covered."""
+    import homdual.sparsity as sp
+
+    monkeypatch.setattr(sp, "_densest_subgraph_mask", lambda G: 0)
+    rng = random.Random(23)
+    graphs = [path_graph(30), cycle_graph(25)]
+    for n in (13, 20, 30):
+        for density in (0.1, 0.25):
+            graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                          if rng.random() < density]))
+    for G in graphs:
+        for r in range(4):
+            res = grad_r(G, r)
+            assert not res.exact
+            assert list(res.witness.balls) == brute_greedy_balls(G, r), (G, r)
 
 
 # --- orientations and degeneracy ---------------------------------------------
@@ -395,6 +417,23 @@ def test_degeneracy():
     assert degeneracy(empty_graph(2))[0] == 0
     d, order = degeneracy(complete_graph(3))
     assert sorted(order) == [0, 1, 2]
+
+
+def test_degeneracy_matches_oracle(catalog6):
+    """The heap peel removes the same vertex at each step as a rescan of
+    every remaining degree would."""
+    rng = random.Random(17)
+    graphs = list(catalog6)
+    for n in (12, 20, 40):
+        for density in (0.1, 0.3, 0.6):
+            graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                          if rng.random() < density]))
+    for G in graphs:
+        assert degeneracy(G) == brute_degeneracy(G), G
+
+
+def test_degeneracy_long_path():
+    assert degeneracy(path_graph(3000)) == (1, list(range(3000)))
 
 
 def test_degeneracy_bounded_by_grad(catalog6):
