@@ -27,7 +27,7 @@ from .duality import (
     truncated_power,
     verify_duality,
 )
-from .errors import GraphError
+from .errors import BudgetExceededError, GraphError
 from .formats import parse_edge_list, parse_graph6, parse_graph_lines, to_graph6
 from .graphs import Graph, bits
 from .powers import (
@@ -103,7 +103,7 @@ def _report(command: str, parameters: dict, results, verdict: bool,
         "wall_time_ms": None,
     }
     if getattr(args, "timing", False):
-        doc["wall_time_ms"] = int((time.time() - args._start) * 1000)
+        doc["wall_time_ms"] = int((time.perf_counter() - args._start) * 1000)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0 if verdict else 1
 
 
@@ -352,10 +352,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args._start = time.time()
+    args._start = time.perf_counter()
     try:
         text, code = args.func(args)
-    except (GraphError, OSError, ValueError, MemoryError) as exc:
+    except (GraphError, BudgetExceededError, OSError, ValueError, MemoryError,
+            RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import base64
 
 from .errors import GraphError
-from .graphs import Graph, bits, build_graph
+from .graphs import Graph, bits
 
 
 class ParseError(GraphError):
@@ -99,17 +99,20 @@ def to_graph6(G: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Lines "u v"; an optional first line "n <count>" fixes the order."""
+    """Lines "u v"; an optional first line "n <count>" fixes the order.
+
+    Rows grow as vertices appear and are padded to n only at the end, so a
+    malformed line is reported before an edge outside 0..n-1 or a huge n.
+    """
     n = None
-    edges = []
-    max_v = -1
+    rows: list[int] = []
+    outside = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "n":
-            if n is not None or edges:
+            if n is not None or rows:
                 raise ParseError(f"line {lineno}: stray size header", lineno)
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(f"line {lineno}: malformed size header", lineno)
@@ -125,11 +128,20 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative endpoint", lineno)
         if u == v:
             raise ParseError(f"line {lineno}: loop edge {u} {v}", lineno)
-        edges.append((u, v))
-        max_v = max(max_v, u, v)
-    if n is None:
-        n = max_v + 1
-    return build_graph(n, edges)
+        top = u if u > v else v
+        if n is not None and top >= n:
+            outside = outside or (u, v)
+            continue
+        if top >= len(rows):
+            rows.extend([0] * (top + 1 - len(rows)))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if outside:
+        u, v = outside
+        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    if n is not None:
+        rows.extend([0] * (n - len(rows)))
+    return Graph(len(rows), rows)
 
 
 def parse_graph_lines(text: str) -> list[Graph]:

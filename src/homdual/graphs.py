@@ -32,7 +32,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple graph: ``rows[v]`` is the neighbor bitmask of v."""
 
-    __slots__ = ("n", "rows", "labels", "_hash", "_triangles")
+    __slots__ = ("n", "rows", "labels", "_hash", "_triangles", "_twins")
 
     def __init__(self, n: int, rows: Sequence[int], labels: Optional[Sequence[str]] = None):
         if n < 0:
@@ -70,6 +70,7 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         self._hash = hash((n, rows))
         self._triangles = None
+        self._twins = None
 
     @property
     def full_mask(self) -> int:
@@ -107,6 +108,16 @@ class Graph:
                         mask |= common | (1 << u) | (1 << v)
             self._triangles = mask
         return self._triangles
+
+    def twin_representatives(self) -> int:
+        """Bitmask of the vertices whose row no lower-index vertex shares: the
+        lowest vertex of each twin class. Cached like ``triangle_mask``."""
+        if self._twins is None:
+            first: dict[int, int] = {}
+            for v, row in enumerate(self.rows):
+                first.setdefault(row, v)
+            self._twins = mask_of(first.values())
+        return self._twins
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -201,6 +201,12 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
     Deterministic: fixed assignment order, images tried in increasing index.
     ``budget`` bounds the number of assignments tried; exceeding it yields
     the explicit BUDGET status.
+
+    Twins of H (vertices with equal rows, never adjacent) are
+    interchangeable, and every start domain and forward-check row is a union
+    of twin classes. So the first map found uses only the lowest vertex of
+    each class, and the search tries only those: it reaches the same first
+    map along a subset of the nodes, in the same order.
     """
     if G.n == 0:
         return HomResult(PRESENT, VertexMap(G, H, ()))
@@ -209,6 +215,9 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
     domains = _start_domains(G, H)
     if domains is None:
         return HomResult(ABSENT)
+    twins = H.twin_representatives()
+    if twins != H.full_mask:
+        domains = [d & twins for d in domains]
     order, checks = _search_order(G, H.rows, _max_clique_mask(G))
     for image in _search(order, domains, checks, budget):
         if image is None:

@@ -44,6 +44,19 @@ def brute_triangle_mask(G: Graph) -> int:
     return mask
 
 
+def brute_twin_representatives(G: Graph) -> int:
+    """Vertices whose neighbourhood no lower-index vertex shares, comparing
+    neighbourhoods vertex by vertex."""
+    def nbhd(v: int) -> list[int]:
+        return [w for w in range(G.n) if G.has_edge(v, w)]
+
+    mask = 0
+    for v in range(G.n):
+        if all(nbhd(u) != nbhd(v) for u in range(v)):
+            mask |= 1 << v
+    return mask
+
+
 def naive_graph6(G: Graph) -> str:
     """graph6 written one adjacency bit at a time, straight from the format's
     definition (sizes up to 258,047 vertices)."""

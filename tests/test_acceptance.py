@@ -32,7 +32,7 @@ from homdual.graphs import (
     cycle_graph,
     path_graph,
 )
-from homdual.homs import find_homomorphism, is_isomorphic
+from homdual.homs import check_homomorphism, find_homomorphism, is_isomorphic
 from homdual.powers import odd_girth, odd_power_experiment
 from homdual.sparsity import (
     degeneracy,
@@ -209,6 +209,22 @@ def test_criterion_09_dual_pinned(dual_pipeline):
         h.update(row.to_bytes((build.D.n + 7) // 8, "little"))
     assert h.hexdigest() == \
         "4de8bb5c5a8d215962da7c741afccc0d8090252b565b0069975248b46bc36d55"
+
+
+def test_criterion_09_witnesses_pinned(dual_pipeline):
+    """The whole verify report (verdicts and witness maps) as one digest,
+    and the two members that need the most search nodes, decided within a
+    20,000-node budget: trying one image per twin class of the dual keeps
+    the first map and cuts their searches from about 100,000 nodes."""
+    corpus, build = dual_pipeline
+    report = verify_duality(corpus, [complete_graph(3)], build.D)
+    digest = hashlib.sha256(
+        json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "c2be37ad50dbc3d3154c5cc3e7e71c328a0619a5ca5ad8c2cf5372bf6990f282"
+    by_graph6 = {to_graph6(G): G for G in corpus}
+    for code in ("FCpr_", "FCQb_"):
+        r = find_homomorphism(by_graph6[code], build.D, budget=20_000)
+        assert r.present and check_homomorphism(r.map), code
 
 
 def test_criterion_10_exact_power_chromatic_bounds(dual_pipeline):

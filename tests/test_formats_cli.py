@@ -3,12 +3,14 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 from homdual.catalog import GraphFilters, generate_all_graphs
+from homdual import cli
 from homdual.cli import main
-from homdual.errors import SizeLimitError
+from homdual.errors import BudgetExceededError, GraphError, SizeLimitError
 from homdual.formats import (
     ParseError,
     parse_edge_list,
@@ -122,6 +124,42 @@ def test_parse_edge_list_errors():
     assert "2" in str(exc.value)
     with pytest.raises(ParseError):
         parse_edge_list("0 one\n")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("n 3\n0 5\n", GraphError, "edge (0,5) out of range for n=3"),
+    ("n 3\n0 5\n1 7\n", GraphError, "edge (0,5) out of range for n=3"),
+    ("n 5\n0 5\n0 1\n", GraphError, "edge (0,5) out of range for n=5"),
+    # a malformed line after an out-of-range edge is reported first
+    ("n 3\n0 5\nbad line here\n", ParseError, "line 3: expected 'u v' (at 3)"),
+    ("n 2\n5 7\nx y\n", ParseError, "line 3: non-integer endpoint (at 3)"),
+    ("n 3\n0 9\n0 0\n", ParseError, "line 3: loop edge 0 0 (at 3)"),
+    # a huge order is not allocated before the lines are read
+    ("n 1000000000000\nbad\n", ParseError, "line 2: expected 'u v' (at 2)"),
+    ("n 3\n0 1\nn 4\n", ParseError, "line 3: stray size header (at 3)"),
+])
+def test_parse_edge_list_error_precedence(text, error, message):
+    with pytest.raises(GraphError) as exc:
+        parse_edge_list(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_parse_edge_list_matches_build_graph():
+    assert parse_edge_list("n 5\n0 1  # c\n\t3 4\n") == build_graph(5, [(0, 1), (3, 4)])
+    assert parse_edge_list("+1 2\n1_0 2\n") == build_graph(11, [(1, 2), (10, 2)])
+    assert parse_edge_list("n \u0663\n0 \u0662\n") == build_graph(3, [(0, 2)])
+    assert parse_edge_list("0 1\n0 1\n1 0\n") == complete_graph(2)
+    assert parse_edge_list("n 3\n") == build_graph(3, [])
+    assert parse_edge_list("# nothing\n") == build_graph(0, [])
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randrange(1, 30)
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.2]
+        header = f"n {n}\n" if rng.random() < 0.5 else ""
+        text = header + "".join(f"{u} {v}\n" for u, v in edges)
+        size = n if header else max((max(e) for e in edges), default=-1) + 1
+        assert parse_edge_list(text) == build_graph(size, edges)
 
 
 def test_parse_graph_lines():
@@ -357,6 +395,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["td", "--in", str(good), "--seed", "1"]) == 2  # no such option
 
 
+@pytest.mark.parametrize("error", [
+    BudgetExceededError("local check ran out of budget"),
+    RecursionError("maximum recursion depth exceeded"),
+])
+def test_cli_search_errors_exit_2(p4_file, capsys, monkeypatch, error):
+    """A budget stop or an exhausted call stack is an error, exit 2 with a
+    one-line message, not a traceback and the verdict-fail exit 1."""
+    def fail(G):
+        raise error
+
+    monkeypatch.setattr(cli, "tree_depth", fail)
+    assert main(["td", "--in", p4_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_cli_huge_edge_list_exits_2(tmp_path):
     """An endpoint of 10^12 asks for more memory than there is: a one-line
     error and exit 2, not a traceback and the verdict-fail exit 1. The
@@ -392,7 +447,11 @@ def test_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_timing_flag(p4_file, capsys):
+def test_cli_timing_flag(p4_file, capsys, monkeypatch):
+    def no_wall_clock():
+        raise AssertionError("--timing read the wall clock")
+
+    monkeypatch.setattr(time, "time", no_wall_clock)  # the monotonic clock only
     code, doc = run_cli(["td", "--in", p4_file, "--timing"], capsys)
     assert code == 0
     assert isinstance(doc["wall_time_ms"], int)

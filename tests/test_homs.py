@@ -6,6 +6,7 @@ import sys
 import networkx as nx
 import pytest
 
+from homdual import homs
 from homdual.errors import GraphError
 from homdual.graphs import (
     Graph,
@@ -33,7 +34,13 @@ from homdual.homs import (
     is_isomorphic,
 )
 
-from oracles import brute_core, brute_homomorphism, brute_homomorphisms, brute_triangle_mask
+from oracles import (
+    brute_core,
+    brute_homomorphism,
+    brute_homomorphisms,
+    brute_triangle_mask,
+    brute_twin_representatives,
+)
 
 
 def petersen():
@@ -53,6 +60,38 @@ def grotzsch():
 
 def triangle_free_targets():
     return [cycle_graph(5), petersen(), grotzsch()]
+
+
+def doubled_c5():
+    """C5 with vertex i doubled into the non-adjacent twins i and i + 5."""
+    return build_graph(10, [(i + a, (i + 1) % 5 + b)
+                            for i in range(5) for a in (0, 5) for b in (0, 5)])
+
+
+def twin_rich_targets():
+    """K_{2,3}, K_{3,3}, C4, the star K_{1,4} and the doubled C5."""
+    k23 = build_graph(5, [(u, v) for u in range(2) for v in range(2, 5)])
+    k33 = build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    star = build_graph(5, [(0, v) for v in range(1, 5)])
+    return [k23, k33, cycle_graph(4), star, doubled_c5()]
+
+
+def plain_find(G, H, budget=None):
+    """``find_homomorphism`` without the twin restriction: the same order,
+    forward checks and start domains, every image tried. (status, image)."""
+    if G.n == 0:
+        return PRESENT, ()
+    if H.n == 0:
+        return ABSENT, None
+    domains = homs._start_domains(G, H)
+    if domains is None:
+        return ABSENT, None
+    order, checks = homs._search_order(G, H.rows, homs._max_clique_mask(G))
+    for image in homs._search(order, domains, checks, budget):
+        if image is None:
+            return BUDGET, None
+        return PRESENT, tuple(image)
+    return ABSENT, None
 
 
 def test_vertex_map_and_check():
@@ -192,6 +231,51 @@ def test_triangle_mask_leaves_equality_and_hash():
     a.triangle_mask()
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_twin_representatives(catalog5):
+    for G in catalog5 + triangle_free_targets() + twin_rich_targets():
+        assert G.twin_representatives() == brute_twin_representatives(G), G
+    assert [H.twin_representatives() for H in twin_rich_targets()] == \
+        [0b00101, 0b001001, 0b0011, 0b00011, 0b0000011111]
+    assert cycle_graph(5).twin_representatives() == cycle_graph(5).full_mask
+
+
+def test_twin_representatives_leave_equality_and_hash():
+    a, b = doubled_c5(), doubled_c5()
+    a.twin_representatives()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_twin_restriction_keeps_first_map_and_decisions(catalog5):
+    """Against the search over every image: the same first map, and at
+    every budget each pair the plain search decides gets the same answer.
+    Some pairs are decided only with the restriction."""
+    decided_only_restricted = 0
+    for G in catalog5:
+        for H in catalog5 + triangle_free_targets() + twin_rich_targets():
+            r = find_homomorphism(G, H)
+            full = (r.status, r.map.image if r.present else None)
+            assert full == plain_find(G, H), (G, H)
+            for budget in (1, 2, 5, 20):
+                r = find_homomorphism(G, H, budget=budget)
+                got = (r.status, r.map.image if r.present else None)
+                plain = plain_find(G, H, budget)
+                if plain[0] != BUDGET:
+                    assert got == plain, (G, H, budget)
+                elif got[0] != BUDGET:
+                    assert got == full, (G, H, budget)
+                    decided_only_restricted += 1
+    assert decided_only_restricted > 0
+
+
+def test_enumerate_homomorphisms_keeps_twins(catalog4):
+    """Enumeration lists every map, so it tries every twin."""
+    H = doubled_c5()
+    for G in catalog4:
+        got = [f.image for f in enumerate_homomorphisms(G, H)]
+        assert got == brute_homomorphisms(G, H), G
 
 
 def test_budget_stop_is_three_valued():
