@@ -18,7 +18,7 @@ from .homs import _index_order_checks, _search
 from .sparsity import TdCertificate, tree_depth, tree_depth_value, verify_td
 
 CENTERED_LIMIT = 1 << 16  # color sets C(k, min(p - 1, k)) per verification
-LOWTD_EXHAUSTIVE_LIMIT = 10
+LOWTD_EXHAUSTIVE_LIMIT = 11
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,15 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdVi
     """Every i <= p color classes must induce components of tree-depth <= i;
     returns the first (classes, component) found deeper than that, if any."""
     _check_p(p)
+    masks = [c.class_mask(q) for q in range(c.k)]
     for i in range(1, min(p, c.k) + 1):
         for classes in combinations(range(c.k), i):
             S = 0
             for q in classes:
-                S |= c.class_mask(q)
+                S |= masks[q]
             for comp in connected_components(G, S):
+                if comp.bit_count() <= i:
+                    continue  # tree-depth is at most the order
                 sub, _ = induced_subgraph(G, comp)
                 td = tree_depth_value(sub)
                 if td > i:
@@ -131,8 +134,9 @@ class LowTdColoring:
 def find_low_td_coloring(G: Graph, p: int, k_max: Optional[int] = None) -> Optional[LowTdColoring]:
     """Smallest coloring passing the low tree-depth check at threshold p.
 
-    Exhaustive (provably minimal) for |V| <= 10; larger graphs get a greedy
-    distance-p coloring on degeneracy order, minimality not guaranteed.
+    Exhaustive (provably minimal) for |V| <= ``LOWTD_EXHAUSTIVE_LIMIT``;
+    larger graphs get a greedy distance-p coloring on degeneracy order,
+    minimality not guaranteed.
     """
     _check_p(p)
     if k_max is None:
@@ -155,22 +159,51 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
     k have refuted those with fewer. Relabelling by first appearance makes
     any coloring canonical, no larger, and passing the same checks, so no
     other coloring needs a check.
+
+    The search colors vertices in index order and cuts a partial coloring
+    that no such candidate extends: one that is not canonical, one with too
+    few vertices left to reach k colors, and, at p >= 2, one holding a path
+    on 4 vertices in only two colors. That path has tree-depth 3, while any
+    two classes of a passing coloring induce tree-depth at most 2 (a star
+    forest), so a passing coloring is a star coloring. When vertex v takes
+    color a, the new paths run through v: for a neighbour x of v colored b
+    that has a neighbour y colored a, the path is cut if v has another
+    neighbour colored b (v inside it) or y does (v at its end). The cuts
+    remove only colorings that are no candidates or that fail the check, so
+    the first passing coloring is unchanged.
     """
+    n, rows = G.n, G.rows
     others = [((1 << k) - 1) ^ (1 << a) for a in range(k)]
     checks = _index_order_checks(G, others)
-    domains = [(1 << min(v + 1, k)) - 1 for v in range(G.n)]
-    for colors in _search(range(G.n), domains, checks):
-        top = -1
-        for q in colors:
-            if q > top + 1:
-                break
-            top = max(top, q)
-        else:
-            if top == k - 1:
-                cand = Coloring(G, tuple(colors), k)
-                ok, _ = verify_low_td(G, cand, p)
-                if ok:
-                    return cand
+    domains = [(1 << min(v + 1, k)) - 1 for v in range(n)]
+    classes = [[0] * k for _ in range(n)]  # classes[v][q]: vertices below v colored q
+    used = [0] * n  # used[v]: colors on the vertices below v, 0..used[v] - 1
+    star = p >= 2
+
+    def reject(v: int, colors: list[int]) -> bool:
+        cls, a, top = classes[v], colors[v], used[v]
+        top_after = top + (a == top)
+        if a > top or top_after + n - 1 - v < k:
+            return True
+        if star:
+            A = cls[a]
+            below = rows[v] & ((1 << v) - 1)
+            for x in bits(below):
+                ys = rows[x] & A
+                if ys:
+                    B = cls[colors[x]] ^ (1 << x)
+                    if below & B or any(rows[y] & B for y in bits(ys)):
+                        return True
+        if v + 1 < n:
+            classes[v + 1][:] = cls
+            classes[v + 1][a] |= 1 << v
+            used[v + 1] = top_after
+        return False
+
+    for colors in _search(range(n), domains, checks, reject=reject):
+        cand = Coloring(G, tuple(colors), k)
+        if verify_low_td(G, cand, p)[0]:
+            return cand
     return None
 
 

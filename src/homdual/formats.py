@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import base64
 
-from .errors import GraphError
+from .errors import GraphError, SizeLimitError
 from .graphs import Graph, bits
+
+EDGE_LIST_ORDER_CAP = 100_000  # no less than duality.POWER_ORDER_CAP
 
 
 class ParseError(GraphError):
@@ -102,17 +104,20 @@ def parse_edge_list(text: str) -> Graph:
     """Lines "u v"; an optional first line "n <count>" fixes the order.
 
     Rows grow as vertices appear and are padded to n only at the end, so a
-    malformed line is reported before an edge outside 0..n-1 or a huge n.
+    malformed line is reported before an edge outside 0..n-1, and an order
+    above ``EDGE_LIST_ORDER_CAP`` (from the header or an endpoint) raises
+    ``SizeLimitError`` before any row is allocated for it.
     """
     n = None
     rows: list[int] = []
     outside = None
+    beyond = 0  # order asked for by endpoints at or above the cap
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         if parts[0] == "n":
-            if n is not None or rows:
+            if n is not None or rows or beyond:
                 raise ParseError(f"line {lineno}: stray size header", lineno)
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(f"line {lineno}: malformed size header", lineno)
@@ -133,9 +138,15 @@ def parse_edge_list(text: str) -> Graph:
             outside = outside or (u, v)
             continue
         if top >= len(rows):
+            if top >= EDGE_LIST_ORDER_CAP:
+                beyond = max(beyond, top + 1)
+                continue
             rows.extend([0] * (top + 1 - len(rows)))
         rows[u] |= 1 << v
         rows[v] |= 1 << u
+    order = n if n is not None else max(len(rows), beyond)
+    if order > EDGE_LIST_ORDER_CAP:
+        raise SizeLimitError(f"edge list order {order} exceeds cap {EDGE_LIST_ORDER_CAP}")
     if outside:
         u, v = outside
         raise GraphError(f"edge ({u},{v}) out of range for n={n}")

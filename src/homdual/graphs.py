@@ -100,12 +100,17 @@ class Graph:
         """Bitmask of the vertices on a triangle; computed once, kept on the
         instance, and no part of equality or hashing."""
         if self._triangles is None:
+            # a vertex is on a triangle iff it is a common neighbour of the
+            # ends of the opposite edge, so the edges' common neighbourhoods
+            # cover the mask
             rows, mask = self.rows, 0
-            for v in range(self.n):
-                for u in bits(rows[v] >> (v + 1) << (v + 1)):
-                    common = rows[u] & rows[v]
-                    if common:
-                        mask |= common | (1 << u) | (1 << v)
+            for v, row in enumerate(rows):
+                above, u = row >> (v + 1), v
+                while above:  # bits(above), inlined and shifting as in __init__
+                    step = (above & -above).bit_length()
+                    u += step
+                    mask |= rows[u] & row
+                    above >>= step
             self._triangles = mask
         return self._triangles
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
 from .graphs import Graph, bits, induced_subgraph
@@ -140,15 +140,20 @@ def _start_domains(G: Graph, H: Graph) -> Optional[list[int]]:
 
 def _search(order: Sequence[int], domains: list[int],
             checks: Sequence[list[tuple[Sequence[int], list[int]]]],
-            budget: Optional[int] = None) -> Iterator[Optional[list[int]]]:
+            budget: Optional[int] = None,
+            reject: Optional[Callable[[int, list[int]], bool]] = None,
+            ) -> Iterator[Optional[list[int]]]:
     """The one backtracking loop, on an explicit stack.
 
     Depth i assigns ``order[i]`` each image left in its domain (a bitmask),
     in increasing index. For each (table, later) in ``checks[i]``, image a
     leaves each vertex in ``later`` only the images in ``table[a]``; a
-    domain emptied refutes a. Yields the image list (indexed by vertex and
-    reused between yields) at each solution. Every assignment tried counts
-    one node; past ``budget`` nodes it yields None and stops.
+    domain emptied refutes a. If the checks pass, ``reject(i, image)``, when
+    given, may still refute a on the images placed so far; once it returns
+    False the search descends from a (or yields). Yields the image list
+    (indexed by vertex and reused between yields) at each solution. Every
+    assignment tried counts one node; past ``budget`` nodes it yields None
+    and stops.
     """
     n = len(order)
     image = [0] * len(domains)
@@ -185,7 +190,7 @@ def _search(order: Sequence[int], domains: list[int],
                     new[w] = d
                 if not ok:
                     break
-        if not ok:
+        if not ok or reject is not None and reject(i, image):
             continue
         if i + 1 == n:
             yield image

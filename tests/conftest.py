@@ -38,3 +38,9 @@ def connected6():
 def subcubic7():
     """Connected graphs of maximum degree 3 on at most 7 vertices."""
     return generate_all_graphs(7, GraphFilters(max_degree=3, connected=True))
+
+
+@pytest.fixture(scope="session")
+def subcubic8():
+    """Connected graphs of maximum degree 3 on at most 8 vertices."""
+    return generate_all_graphs(8, GraphFilters(max_degree=3, connected=True))

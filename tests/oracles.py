@@ -375,3 +375,43 @@ def brute_exact_power(G: Graph, p: int) -> list[int]:
                     rows[x] |= 1 << y
                     break
     return rows
+
+
+@lru_cache(maxsize=None)
+def _forest_tree_depth(n: int, rows: tuple[int, ...]) -> int:
+    return brute_tree_depth(Graph(n, rows))
+
+
+def brute_low_td_violation(G: Graph, colors, p: int):
+    """The first (classes, component mask, tree-depth) where i <= p color
+    classes induce a component of tree-depth above i, or None: class sets
+    by size and then lexicographically, components by lowest vertex, each
+    component's tree-depth by the rooted-forest scan."""
+    k = max(colors, default=-1) + 1
+    for i in range(1, min(p, k) + 1):
+        for classes in itertools.combinations(range(k), i):
+            rest = [v for v in range(G.n) if colors[v] in classes]
+            while rest:
+                comp = [rest[0]]
+                for v in comp:  # grows while it is read: a breadth-first closure
+                    comp += [u for u in rest if u not in comp and G.has_edge(u, v)]
+                comp.sort()
+                rest = [v for v in rest if v not in comp]
+                rows = tuple(sum(1 << j for j, u in enumerate(comp) if G.has_edge(u, v))
+                             for v in comp)
+                td = _forest_tree_depth(len(comp), rows)
+                if td > i:
+                    return classes, sum(1 << v for v in comp), td
+    return None
+
+
+def brute_low_td_coloring(G: Graph, p: int):
+    """The first color tuple with no low tree-depth violation, over k = 1,
+    2, ... and, for each k, lexicographically over all k^n tuples that use
+    exactly the colors 0..k-1 in order of first appearance."""
+    for k in range(1, G.n + 1):
+        for colors in itertools.product(range(k), repeat=G.n):
+            if list(dict.fromkeys(colors)) == list(range(k)) \
+                    and brute_low_td_violation(G, colors, p) is None:
+                return colors
+    return ()

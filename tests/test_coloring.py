@@ -8,6 +8,7 @@ import pytest
 from homdual import coloring
 from homdual.coloring import (
     Coloring,
+    LowTdViolation,
     centered_from_td,
     find_low_td_coloring,
     make_coloring,
@@ -28,7 +29,12 @@ from homdual.graphs import (
 )
 from homdual.sparsity import tree_depth
 
-from oracles import brute_is_connected_subset, brute_p_centered
+from oracles import (
+    brute_is_connected_subset,
+    brute_low_td_coloring,
+    brute_low_td_violation,
+    brute_p_centered,
+)
 
 
 def test_make_coloring_densifies():
@@ -204,6 +210,35 @@ def test_verify_low_td():
     assert not ok and len(violation.classes) == 1
 
 
+def test_verify_low_td_matches_oracle():
+    """Verdicts and violations (classes, component, tree-depth) agree with
+    the subset-by-subset oracle on 3,000 seeded cases."""
+    rng = random.Random(6)
+    fails = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        density = rng.random()
+        G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < density])
+        c = make_coloring(G, [rng.randrange(rng.randint(1, n)) for _ in range(n)])
+        p = rng.randint(1, n)
+        ok, violation = verify_low_td(G, c, p)
+        expected = brute_low_td_violation(G, c.colors, p)
+        assert ok == (expected is None), (G.rows, c.colors, p)
+        assert violation == (expected and LowTdViolation(*expected)), (G.rows, c.colors, p)
+        fails += not ok
+    assert 1000 < fails < 2000  # both verdicts are well represented
+
+
+def test_find_low_td_coloring_matches_oracle(catalog5):
+    """The exhaustive search returns the oracle's coloring, the first
+    canonical one with the fewest colors, on every graph up to 5 vertices."""
+    for G in catalog5:
+        for p in (1, 2, 3):
+            res = find_low_td_coloring(G, p)
+            assert res.exhaustive and res.coloring.colors == brute_low_td_coloring(G, p), (G, p)
+
+
 def test_find_low_td_coloring_known_sizes():
     res = find_low_td_coloring(path_graph(4), 2)
     assert res.exhaustive and res.coloring.k == 3
@@ -270,6 +305,34 @@ def test_exhaustive_low_td_colorings_pinned(subcubic7, catalog6):
                      for G in catalog6 if G.n])
     assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == \
         "5d7376ef45aaa076f933c18d9a0d3e2014d55af8a39308ec962af41966dd9a06"
+
+
+def test_exhaustive_low_td_subcubic8_pinned(subcubic8):
+    """The colorings (p = 3) of the 307 connected subcubic graphs on at most
+    8 vertices, as the search found them before it cut two-colored paths."""
+    dump = [list(find_low_td_coloring(G, 3).coloring.colors) for G in subcubic8]
+    assert len(dump) == 307
+    assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == \
+        "03dc2de98fcebb3c0f87f4b054b7aa823c749fa59d4824ace89b59b40fb71ddb"
+
+
+def test_star_cut_leaves_only_passing_candidates(monkeypatch, catalog6):
+    """At p = 2 a coloring passes exactly when it is a star coloring, so
+    once the search cuts two-colored paths on 4 vertices every candidate
+    that reaches the check passes it."""
+    verdicts = []
+    verify = coloring.verify_low_td
+
+    def spy(G, c, p):
+        ok, violation = verify(G, c, p)
+        verdicts.append(ok)
+        return ok, violation
+
+    monkeypatch.setattr(coloring, "verify_low_td", spy)
+    nonempty = [G for G in catalog6 if G.n]
+    for G in nonempty:
+        find_low_td_coloring(G, 2)
+    assert len(verdicts) == len(nonempty) and all(verdicts)
 
 
 def test_find_low_td_coloring_greedy_fallback():

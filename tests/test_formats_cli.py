@@ -8,8 +8,9 @@ import time
 import pytest
 
 from homdual.catalog import GraphFilters, generate_all_graphs
-from homdual import cli
+from homdual import cli, formats
 from homdual.cli import main
+from homdual.duality import POWER_ORDER_CAP
 from homdual.errors import BudgetExceededError, GraphError, SizeLimitError
 from homdual.formats import (
     ParseError,
@@ -143,6 +144,22 @@ def test_parse_edge_list_error_precedence(text, error, message):
         parse_edge_list(text)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_parse_edge_list_order_cap(monkeypatch):
+    """The order, from the header or the largest endpoint, may not pass the
+    cap; a malformed line is still reported first."""
+    assert formats.EDGE_LIST_ORDER_CAP >= POWER_ORDER_CAP  # built duals read back
+    monkeypatch.setattr(formats, "EDGE_LIST_ORDER_CAP", 5)
+    assert parse_edge_list("n 5\n0 4\n") == build_graph(5, [(0, 4)])
+    assert parse_edge_list("3 4\n") == build_graph(5, [(3, 4)])
+    for text, order in (("n 6\n", 6), ("0 5\n", 6), ("0 9\n1 2\n7 0\n", 10)):
+        with pytest.raises(SizeLimitError, match=f"edge list order {order} exceeds cap 5"):
+            parse_edge_list(text)
+    with pytest.raises(ParseError, match="line 2: expected 'u v'"):
+        parse_edge_list("0 9\nbad\n")
+    with pytest.raises(ParseError, match="line 2: stray size header"):
+        parse_edge_list("0 9\nn 3\n")  # an edge beyond the cap comes first
 
 
 def test_parse_edge_list_matches_build_graph():
@@ -429,6 +446,29 @@ def test_cli_huge_edge_list_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1000000000\n", "edge list order 1000000001 exceeds cap 100000"),
+    ("n 1000000000\n", "edge list order 1000000000 exceeds cap 100000"),
+    ("0 1000000000\nbad\n", "line 2: expected 'u v' (at 2)"),
+])
+def test_cli_edge_list_order_cap(tmp_path, text, message):
+    """An order of 10^9 is refused before any row is allocated: exit 2 with
+    the cap's message. The child's address space is capped at 1 GiB, so an
+    attempt to allocate the rows would fail with a different message."""
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "homdual.cli", "td", "--format", "edges", "--in", str(path)],
+        capture_output=True, text=True, preexec_fn=limit_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_cli_entrypoint_subprocess(p4_file):

@@ -219,7 +219,11 @@ def test_triangle_filter_refutes_before_branching(catalog5):
 
 
 def test_triangle_mask(catalog5):
-    for G in catalog5 + triangle_free_targets():
+    rng = random.Random(11)
+    sparse = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < 3 / n])
+              for n in (12, 20, 40) for _ in range(5)]
+    for G in catalog5 + triangle_free_targets() + sparse:
         assert G.triangle_mask() == brute_triangle_mask(G), G
     paw = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert paw.triangle_mask() == 0b0111
