@@ -15,9 +15,17 @@ from .graphs import (
     induced_subgraph,
 )
 from .homs import _index_order_checks, _search
-from .sparsity import TdCertificate, tree_depth, tree_depth_value, verify_td
+from .sparsity import (
+    TD_LIMIT,
+    TdCertificate,
+    _td_max_edges,
+    tree_depth,
+    tree_depth_value,
+    verify_td,
+)
 
 CENTERED_LIMIT = 1 << 16  # color sets C(k, min(p - 1, k)) per verification
+LOWTD_LIMIT = 1 << 16  # color sets C(k, i), summed over i <= min(p, k), per verification
 LOWTD_EXHAUSTIVE_LIMIT = 11
 
 
@@ -102,13 +110,32 @@ def centered_from_td(G: Graph, cert: TdCertificate) -> Coloring:
 class LowTdViolation:
     classes: tuple[int, ...]
     component: int  # vertex mask in G
-    td: int
+    td: int  # above TD_LIMIT vertices, a greedy upper bound
 
 
 def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdViolation]]:
     """Every i <= p color classes must induce components of tree-depth <= i;
-    returns the first (classes, component) found deeper than that, if any."""
+    returns the first (classes, component) found deeper than that, if any.
+
+    Above ``TD_LIMIT`` vertices a component's tree-depth is a greedy upper
+    bound, which proves a pass when it is at most i but no violation; a
+    violation there needs more edges than tree-depth i allows, and without
+    them the check raises ``SizeLimitError``. It also raises when the class
+    sets number more than ``LOWTD_LIMIT``.
+    """
     _check_p(p)
+    sets = 0
+    for i in range(1, min(p, c.k) + 1):
+        sets += math.comb(c.k, i)
+        if sets > LOWTD_LIMIT:
+            raise SizeLimitError(
+                f"low tree-depth verification capped at {LOWTD_LIMIT} color sets "
+                f"(k = {c.k} colors at p = {p} give more)")
+    return _low_td_violation(G, c, p)
+
+
+def _low_td_violation(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdViolation]]:
+    """``verify_low_td`` with no cap on the class sets."""
     masks = [c.class_mask(q) for q in range(c.k)]
     for i in range(1, min(p, c.k) + 1):
         for classes in combinations(range(c.k), i):
@@ -120,8 +147,13 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdVi
                     continue  # tree-depth is at most the order
                 sub, _ = induced_subgraph(G, comp)
                 td = tree_depth_value(sub)
-                if td > i:
-                    return False, LowTdViolation(classes, comp, td)
+                if td <= i:
+                    continue
+                if sub.n > TD_LIMIT and _td_max_edges(sub.n, i) >= sub.edge_count():
+                    raise SizeLimitError(
+                        f"classes {classes} induce a component on {sub.n} > {TD_LIMIT} "
+                        f"vertices whose greedy tree-depth bound {td} exceeds {i}")
+                return False, LowTdViolation(classes, comp, td)
     return True, None
 
 
@@ -236,7 +268,11 @@ def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:
         cand = make_coloring(G, colors)
         if cand.k > k_max:
             return None
-        ok, _ = verify_low_td(G, cand, p)
+        try:
+            # uncapped: a failing candidate mostly stops at its first sets
+            ok, _ = _low_td_violation(G, cand, p)
+        except SizeLimitError:  # a greedy tree-depth bound, not a violation
+            continue
         if ok:
             return LowTdColoring(cand, False)
     return None

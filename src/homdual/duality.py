@@ -24,6 +24,7 @@ from .homs import (
     PRESENT,
     HomResult,
     VertexMap,
+    _find_within,
     check_homomorphism,
     core,
     enumerate_homomorphisms,
@@ -43,23 +44,30 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int, U: Graph,
     """Is every vertex set with at most p distinct phi-values mappable to U?
 
     It suffices to check the preimage of each p-subset of the range, since
-    any qualifying set sits inside one of those.
+    any qualifying set sits inside one of those. Each preimage is a union
+    of phi's class masks, searched in place on G's rows: the search
+    ``find_homomorphism`` runs on the induced subgraph, with the same nodes
+    and so the same budget stops, and no graph built per subset.
     Returns (True, None) or (False, failing value set).
     """
     if len(phi) != G.n:
         raise GraphError("phi must be total on the vertices")
-    values = sorted(set(phi))
+    classes: dict = {}
+    for v, a in enumerate(phi):
+        classes[a] = classes.get(a, 0) | 1 << v
+    values = sorted(classes)
     if len(values) <= p:
         subsets = [tuple(values)] if values else []
     else:
-        subsets = list(combinations(values, p))
+        subsets = combinations(values, p)
     for I in subsets:
-        pre = mask_of(v for v in range(G.n) if phi[v] in I)
-        sub, _ = induced_subgraph(G, pre)
-        r = find_homomorphism(sub, U, budget=budget)
-        if r.status == BUDGET:
+        pre = 0
+        for a in I:
+            pre |= classes[a]
+        status, _ = _find_within(G, pre, U, budget)
+        if status == BUDGET:
             raise BudgetExceededError(f"local check ran out of budget on {I}")
-        if r.status == ABSENT:
+        if status == ABSENT:
             return False, frozenset(I)
     return True, None
 
@@ -224,7 +232,8 @@ def power_local_property(TP: TruncatedPower) -> bool:
 
 def local_hom_witnesses(G: Graph, gamma: VertexMap, p: int, U: Graph,
                         subsets: Sequence[tuple[int, ...]]) -> dict:
-    """Per-subset homomorphisms of the gamma-preimages into the base.
+    """Per-subset homomorphisms of the gamma-preimages into the base, each
+    searched in place as in ``local_hom_check``.
 
     Keys are subsets (tuples); values map original G-vertices to U-vertices.
     """
@@ -233,11 +242,10 @@ def local_hom_witnesses(G: Graph, gamma: VertexMap, p: int, U: Graph,
         pre = mask_of(v for v in range(G.n) if gamma.image[v] in I)
         if pre == 0:
             continue
-        sub, old = induced_subgraph(G, pre)
-        r = find_homomorphism(sub, U)
-        if not r.present:
+        status, image = _find_within(G, pre, U)
+        if status != PRESENT:
             raise GraphError(f"missing local witness for subset {I}")
-        out[tuple(I)] = {old[i]: r.map.image[i] for i in range(sub.n)}
+        out[tuple(I)] = {v: image[v] for v in bits(pre)}
     return out
 
 

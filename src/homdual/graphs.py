@@ -100,18 +100,7 @@ class Graph:
         """Bitmask of the vertices on a triangle; computed once, kept on the
         instance, and no part of equality or hashing."""
         if self._triangles is None:
-            # a vertex is on a triangle iff it is a common neighbour of the
-            # ends of the opposite edge, so the edges' common neighbourhoods
-            # cover the mask
-            rows, mask = self.rows, 0
-            for v, row in enumerate(rows):
-                above, u = row >> (v + 1), v
-                while above:  # bits(above), inlined and shifting as in __init__
-                    step = (above & -above).bit_length()
-                    u += step
-                    mask |= rows[u] & row
-                    above >>= step
-            self._triangles = mask
+            self._triangles = _triangle_mask(self.rows, enumerate(self.rows))
         return self._triangles
 
     def twin_representatives(self) -> int:
@@ -134,6 +123,23 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def _triangle_mask(rows: Sequence[int], vertex_rows: Iterable[tuple[int, int]]) -> int:
+    """Bitmask of the vertices on a triangle of the subgraph induced by some
+    vertices: ``vertex_rows`` gives each of them with its row restricted to
+    them."""
+    # a vertex is on a triangle iff it is a common neighbour of the ends of
+    # the opposite edge, so the edges' common neighbourhoods cover the mask
+    mask = 0
+    for v, row in vertex_rows:
+        above, u = row >> (v + 1), v
+        while above:  # bits(above), inlined and shifting as in Graph.__init__
+            step = (above & -above).bit_length()
+            u += step
+            mask |= rows[u] & row
+            above >>= step
+    return mask
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequence[str]] = None) -> Graph:
@@ -365,48 +371,46 @@ def enumerate_balls(G: Graph, r: int) -> list[int]:
     return [S for S in enumerate_connected_sets(G) if _radius_at_most(rows, S, r)]
 
 
-def _disjoint_families(G: Graph, balls: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Depth-first walk over the nonempty families of pairwise disjoint balls.
-
-    A family is a bitset over indices into ``balls``; children add a larger
-    index, visited in increasing order. Yields (family, number of ball pairs
-    joined by an edge), the edge count of the family's quotient.
-    """
-    # holding[v]: the indices of the balls that contain vertex v
+def _disjoint_later(G: Graph, balls: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(holding, later) for a walk over families of disjoint balls:
+    holding[v] is the bitset of the indices of the balls that contain vertex
+    v, and later[i] that of the balls after ball i disjoint from it."""
     holding = [0] * G.n
     for i, b in enumerate(balls):
         for v in bits(b):
             holding[v] |= 1 << i
-    # later[i]: the balls after ball i that are disjoint from it; touch[i]:
-    # the balls meeting a neighbour of ball i, which for the balls of a
-    # family (all disjoint from ball i) means an edge to it
     full = (1 << len(balls)) - 1
-    later, touch = [], []
+    later = []
     for i, b in enumerate(balls):
-        meet = near = joined = 0
+        meet = 0
         for v in bits(b):
             meet |= holding[v]
-            near |= G.rows[v]
-        for v in bits(near):
-            joined |= holding[v]
         later.append((full ^ meet) >> (i + 1) << (i + 1))
-        touch.append(joined)
-    stack = [(full, 0, 0)]
+    return holding, later
+
+
+def _disjoint_families(G: Graph, balls: Sequence[int]) -> Iterator[int]:
+    """Depth-first walk over the nonempty families of pairwise disjoint balls.
+
+    A family is a bitset over indices into ``balls``; children add a larger
+    index, visited in increasing order. ``sparsity.grad_r`` walks the same
+    order in place.
+    """
+    _, later = _disjoint_later(G, balls)
+    stack = [((1 << len(balls)) - 1, 0)]
     while stack:
-        avail, picked, edges = stack.pop()
+        avail, picked = stack.pop()
         while avail:
             low = avail & -avail
             avail ^= low
-            i = low.bit_length() - 1
             fam = picked | low
-            gain = edges + (touch[i] & picked).bit_count()
-            yield fam, gain
-            child = avail & later[i]
+            yield fam
+            child = avail & later[low.bit_length() - 1]
             if child:
                 # descend first; the remaining siblings wait on the stack
                 if avail:
-                    stack.append((avail, picked, edges))
-                avail, picked, edges = child, fam, gain
+                    stack.append((avail, picked))
+                avail, picked = child, fam
 
 
 def enumerate_ball_families(G: Graph, r: int) -> Iterator[BallFamily]:
@@ -421,5 +425,5 @@ def enumerate_ball_families(G: Graph, r: int) -> Iterator[BallFamily]:
             f"(got {G.n}); use heuristic mode")
     balls = enumerate_balls(G, r)
     yield BallFamily(G, (), r)
-    for fam, _ in _disjoint_families(G, balls):
+    for fam in _disjoint_families(G, balls):
         yield BallFamily(G, tuple(balls[i] for i in bits(fam)), r)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import Graph, _triangle_mask, bits, induced_subgraph
 
 PRESENT = "present"
 ABSENT = "absent"
@@ -59,21 +59,23 @@ class HomResult:
         return self.status == PRESENT
 
 
-def _max_clique_mask(G: Graph) -> int:
-    """Exact maximum clique (bitmask) for small graphs, greedy otherwise."""
-    degs = [G.degree(v) for v in range(G.n)]
-    if G.n > 16:
-        start = max(range(G.n), key=lambda v: (degs[v], -v))
+def _max_clique_mask(G: Graph, within: int) -> int:
+    """Maximum clique (bitmask) of G[within]: exact up to 16 vertices,
+    greedy above."""
+    rows = G.rows
+    if within.bit_count() > 16:
+        degs = [(row & within).bit_count() for row in rows]
+        start = max(bits(within), key=lambda v: (degs[v], -v))
         clique = 1 << start
         while True:
-            cand = G.full_mask & ~clique
+            cand = within & ~clique
             for v in bits(clique):
-                cand &= G.rows[v]
+                cand &= rows[v]
             if not cand:
                 return clique
             clique |= 1 << max(bits(cand), key=lambda v: (degs[v], -v))
     best = 0
-    stack = [(0, G.full_mask)]  # branch and bound: take the top vertex, then skip it
+    stack = [(0, within)]  # branch and bound: take the top vertex, then skip it
     while stack:
         clique, cand = stack.pop()
         if clique.bit_count() + cand.bit_count() <= best.bit_count():
@@ -83,32 +85,38 @@ def _max_clique_mask(G: Graph) -> int:
             continue
         v = cand.bit_length() - 1
         stack.append((clique, cand & ~(1 << v)))
-        stack.append((clique | (1 << v), cand & G.rows[v]))
+        stack.append((clique | (1 << v), cand & rows[v]))
     return best
 
 
-def _search_order(G: Graph, table: Sequence[int], clique: int) -> tuple[list[int], list[list]]:
-    """Deterministic assignment order for ``_search``: the vertices of
-    ``clique`` first, then BFS by descending degree; and with it, per depth,
-    the forward check that the neighbours placed later map into ``table[a]``.
+def _search_order(G: Graph, table: Sequence[int], clique: int,
+                  within: int) -> tuple[list[int], list[list]]:
+    """Deterministic assignment order of the vertices of ``within`` for
+    ``_search``: the vertices of ``clique`` first, then BFS by descending
+    degree in G[within]; and with it, per depth, the forward check that the
+    neighbours placed later map into ``table[a]``.
 
-    Putting a dense seed first lets forward checking refute impossible
-    instances (e.g. a K4 into a K4-free target) early.
+    Ties go to the lower index, so the order on a vertex mask is the order
+    on its induced subgraph, relabelled. Putting a dense seed first lets
+    forward checking refute impossible instances (e.g. a K4 into a K4-free
+    target) early.
     """
-    degs = [G.degree(v) for v in range(G.n)]
+    rows = G.rows
+    degs = [(row & within).bit_count() for row in rows]
     seed = sorted(bits(clique), key=lambda v: (-degs[v], v))
     order, checks = [], []
     placed = reach = 0
-    while placed != G.full_mask:
+    while placed != within:
         if len(order) < len(seed):
             u = seed[len(order)]
         else:  # a neighbour of the placed vertices, or the next component
-            frontier = reach & ~placed or G.full_mask & ~placed
+            frontier = reach & ~placed or within & ~placed
             u = max(bits(frontier), key=lambda v: (degs[v], -v))
         order.append(u)
         placed |= 1 << u
-        reach |= G.rows[u]
-        later = G.rows[u] & ~placed
+        near = rows[u] & within
+        reach |= near
+        later = near & ~placed
         checks.append([(table, list(bits(later)))] if later else [])
     return order, checks
 
@@ -123,13 +131,17 @@ def _index_order_checks(G: Graph, table: Sequence[int]) -> list[list]:
     return checks
 
 
-def _start_domains(G: Graph, H: Graph) -> Optional[list[int]]:
-    """Images each vertex of G may take before branching, or None if some
-    vertex has none. A homomorphism is injective on cliques, so a vertex on
-    a triangle of G maps to a vertex on a triangle of H; only images that
-    no homomorphism uses are removed, so the searches find the same maps.
+def _start_domains(G: Graph, H: Graph, within: int) -> Optional[list[int]]:
+    """Images each vertex of G[within] may take before branching (a list
+    over all of G's vertices), or None if some vertex has none. A
+    homomorphism is injective on cliques, so a vertex on a triangle of
+    G[within] maps to a vertex on a triangle of H; only images that no
+    homomorphism uses are removed, so the searches find the same maps.
     """
-    in_triangle = G.triangle_mask()
+    in_triangle = G.triangle_mask() & within
+    if in_triangle and within != G.full_mask:
+        rows = G.rows
+        in_triangle = _triangle_mask(rows, ((v, rows[v] & within) for v in bits(within)))
     if not in_triangle:
         return [H.full_mask] * G.n
     targets = H.triangle_mask()
@@ -213,27 +225,39 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
     each class, and the search tries only those: it reaches the same first
     map along a subset of the nodes, in the same order.
     """
-    if G.n == 0:
-        return HomResult(PRESENT, VertexMap(G, H, ()))
+    status, image = _find_within(G, G.full_mask, H, budget)
+    return HomResult(status, None if image is None else VertexMap(G, H, tuple(image)))
+
+
+def _find_within(G: Graph, within: int, H: Graph,
+                 budget: Optional[int] = None) -> tuple[str, Optional[list[int]]]:
+    """The search of ``find_homomorphism``, run on the induced subgraph
+    G[within] in place: (status, image list indexed by G's vertices, set on
+    ``within``). Every helper restricts degrees, triangles and forward
+    checks to the mask and breaks ties by index, so the search visits the
+    nodes it visits on ``induced_subgraph(G, within)``, relabelled: the
+    same first map, after the same number of nodes."""
+    if not within:
+        return PRESENT, [0] * G.n
     if H.n == 0:
-        return HomResult(ABSENT)
-    domains = _start_domains(G, H)
+        return ABSENT, None
+    domains = _start_domains(G, H, within)
     if domains is None:
-        return HomResult(ABSENT)
+        return ABSENT, None
     twins = H.twin_representatives()
     if twins != H.full_mask:
         domains = [d & twins for d in domains]
-    order, checks = _search_order(G, H.rows, _max_clique_mask(G))
+    order, checks = _search_order(G, H.rows, _max_clique_mask(G, within), within)
     for image in _search(order, domains, checks, budget):
         if image is None:
-            return HomResult(BUDGET)
-        return HomResult(PRESENT, VertexMap(G, H, tuple(image)))
-    return HomResult(ABSENT)
+            return BUDGET, None
+        return PRESENT, image
+    return ABSENT, None
 
 
 def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
     """All homomorphisms G -> H, in lexicographic image order."""
-    domains = _start_domains(G, H)
+    domains = _start_domains(G, H, G.full_mask)
     if domains is None:
         return
     for image in _search(range(G.n), domains, _index_order_checks(G, H.rows)):

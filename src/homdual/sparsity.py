@@ -14,7 +14,7 @@ from .graphs import (
     BALL_FAMILY_LIMIT,
     BallFamily,
     Graph,
-    _disjoint_families,
+    _disjoint_later,
     bits,
     connected_components,
     enumerate_balls,
@@ -224,9 +224,14 @@ class GradResult:
 def grad_r(G: Graph, r: int) -> GradResult:
     """Greatest reduced average density at rank r.
 
-    Exhaustive over all disjoint ball families for n <= BALL_FAMILY_LIMIT,
-    keeping the first densest family in the walk's order; larger graphs get
-    a greedy packing lower bound flagged inexact.
+    Exhaustive over all disjoint ball families for n <= BALL_FAMILY_LIMIT:
+    a depth-first walk (children add a later ball, in increasing index)
+    keeps the first densest family in walk order, counting each family's
+    quotient edges as its parent's plus the earlier balls joined to the new
+    one. The walk stops once the best density reaches ``_grad_ceiling(G)``,
+    which no family exceeds: no later family is then strictly denser, so
+    the value and witness are those of the whole walk. Larger graphs get a
+    greedy packing lower bound flagged inexact.
     """
     if r < 0:
         raise GraphError(f"rank must be nonnegative (got {r})")
@@ -235,17 +240,80 @@ def grad_r(G: Graph, r: int) -> GradResult:
     if G.n == 0:
         return GradResult(Fraction(0), BallFamily(G, (), r))
     balls = enumerate_balls(G, r)
+    holding, later = _disjoint_later(G, balls)
+    # touch[i]: the balls meeting a neighbour of ball i, which for the balls
+    # of a family (all disjoint from ball i) means an edge to it
+    beside = [0] * G.n  # beside[v]: the balls meeting a neighbour of v
+    for v, row in enumerate(G.rows):
+        for u in bits(row):
+            beside[v] |= holding[u]
+    touch = []
+    for b in balls:
+        joined = 0
+        for v in bits(b):
+            joined |= beside[v]
+        touch.append(joined)
+    ceiling = _grad_ceiling(G)
+    top_num, top_den = ceiling.numerator, ceiling.denominator
     best_num, best_den, best = 0, 1, 1
-    for fam, edges in _disjoint_families(G, balls):
-        parts = fam.bit_count()
-        if edges * best_den > best_num * parts:
-            best_num, best_den, best = edges, parts, fam
+    stack = [((1 << len(balls)) - 1, 0, 0)]  # (balls left to add, family, its edges)
+    while stack:
+        avail, picked, edges = stack.pop()
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            i = low.bit_length() - 1
+            fam = picked | low
+            gain = edges + (touch[i] & picked).bit_count()
+            parts = fam.bit_count()
+            if gain * best_den > best_num * parts:
+                best_num, best_den, best = gain, parts, fam
+                if gain * top_den >= top_num * parts:
+                    stack.clear()
+                    break
+            child = avail & later[i]
+            if child:
+                # descend first; the remaining siblings wait on the stack
+                if avail:
+                    stack.append((avail, picked, edges))
+                avail, picked, edges = child, fam, gain
     best_fam = tuple(balls[i] for i in bits(best))
     fam = BallFamily(G, best_fam, r)
     value = Fraction(best_num, best_den)
     if value != Fraction(quotient(G, fam).edge_count(), len(best_fam)):
         raise InternalCheckError("grad witness quotient does not attain the value")
+    if value > ceiling:
+        raise InternalCheckError(f"grad {value} exceeds its ceiling {ceiling}")
     return GradResult(value, fam)
+
+
+def _grad_ceiling(G: Graph) -> Fraction:
+    """An upper bound on the quotient density of every ball family of a
+    nonempty G, at every rank: the maximum over t <= n of
+    min((t - 1) / 2, (g + t) / t), where g = max |E(W)| - |W| over nonempty
+    vertex sets W.
+
+    A quotient on t parts has at most t(t - 1)/2 edges, and at most g + t:
+    each quotient edge needs its own edge of G between two parts, and a
+    connected part S holds at least |S| - 1 edges inside it, so with W the
+    union of the parts, |E(W)| >= q + |W| - t.
+
+    g is the sum of |E(C)| - |C| over the components C of G that hold a
+    cycle, or -1 (a single vertex) if G is a forest. Adding to W a vertex
+    with a neighbour in W never lowers |E(W)| - |W|, so some best W is a
+    union of whole components; one with a cycle adds |E(C)| - |C| >= 0 and
+    a tree adds -1.
+    """
+    excess = [sum(G.rows[v].bit_count() for v in bits(C)) // 2 - C.bit_count()
+              for C in connected_components(G)]
+    cyclic = [e for e in excess if e >= 0]
+    g = sum(cyclic) if cyclic else -1
+    num, den = 0, 1
+    for t in range(1, G.n + 1):
+        a, b = (t - 1, 2) if (t - 1) * t <= 2 * (g + t) else (g + t, t)
+        if a * den > num * b:
+            num, den = a, b
+    return Fraction(num, den)
 
 
 def _grad_greedy(G: Graph, r: int) -> GradResult:

@@ -210,6 +210,35 @@ def test_verify_low_td():
     assert not ok and len(violation.classes) == 1
 
 
+def test_verify_low_td_greedy_bound_is_no_violation():
+    """td(P20) = 5, so the 5 classes of v % 5 pass; beyond TD_LIMIT the
+    component has only a greedy bound (11), which proves nothing."""
+    P20 = path_graph(20)
+    with pytest.raises(SizeLimitError, match="greedy tree-depth bound 11"):
+        verify_low_td(P20, make_coloring(P20, [v % 5 for v in range(20)]), 5)
+    # a greedy bound within i proves a pass, and an edge count above what
+    # tree-depth i allows proves a violation
+    assert verify_low_td(P20, make_coloring(P20, [v % 12 for v in range(20)]), 12) \
+        == (True, None)
+    ok, violation = verify_low_td(P20, make_coloring(P20, [0] * 20), 20)
+    assert not ok and violation.classes == (0,) and violation.component == P20.full_mask
+
+
+def test_verify_low_td_caps_class_sets(monkeypatch):
+    """A rainbow P40 at p = 20 has about 6 * 10^11 class sets: refused at
+    once. The cap is read at each call."""
+    P40 = path_graph(40)
+    with pytest.raises(SizeLimitError, match="color sets"):
+        verify_low_td(P40, make_coloring(P40, range(40)), 20)
+    P4 = path_graph(4)
+    rainbow = make_coloring(P4, range(4))
+    assert verify_low_td(P4, rainbow, 4)[0]  # 4 + 6 + 4 + 1 = 15 sets
+    monkeypatch.setattr(coloring, "LOWTD_LIMIT", 14)
+    with pytest.raises(SizeLimitError):
+        verify_low_td(P4, rainbow, 4)
+    assert verify_low_td(P4, rainbow, 3)[0]  # 14 sets
+
+
 def test_verify_low_td_matches_oracle():
     """Verdicts and violations (classes, component, tree-depth) agree with
     the subset-by-subset oracle on 3,000 seeded cases."""

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homdual import duality
 from homdual.catalog import generate_all_graphs
@@ -28,11 +31,20 @@ from homdual.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    induced_subgraph,
+    mask_of,
     path_graph,
 )
-from homdual.homs import VertexMap, check_homomorphism, find_homomorphism, is_isomorphic
+from homdual.homs import (
+    ABSENT,
+    BUDGET,
+    VertexMap,
+    check_homomorphism,
+    find_homomorphism,
+    is_isomorphic,
+)
 
-from oracles import brute_truncated_power
+from oracles import brute_homomorphism, brute_truncated_power
 
 
 # --- local homomorphism checks ----------------------------------------------
@@ -57,6 +69,105 @@ def test_local_hom_check_errors():
     with pytest.raises(BudgetExceededError):
         local_hom_check(cycle_graph(5), [0, 1, 2, 3, 4], 5,
                         complete_graph(3), budget=1)
+
+
+def value_sets(phi, p):
+    """The value sets ``local_hom_check`` tries, in its order."""
+    values = sorted(set(phi))
+    if len(values) > p:
+        return list(combinations(values, p))
+    return [tuple(values)] if values else []
+
+
+def per_subset_route(G, phi, p, U):
+    """``local_hom_check`` as one ``find_homomorphism`` per induced
+    subgraph: (result, smallest budget that decides it)."""
+    deciding = 0
+    for I in value_sets(phi, p):
+        sub, _ = induced_subgraph(G, mask_of(v for v in range(G.n) if phi[v] in I))
+        need = 0
+        while (r := find_homomorphism(sub, U, budget=need)).status == BUDGET:
+            need += 1
+        deciding = max(deciding, need)
+        if r.status == ABSENT:
+            return (False, frozenset(I)), deciding
+    return (True, None), deciding
+
+
+def canonical_colourings(n, k):
+    """Every colouring of n vertices with values 0..k-1, each value at most
+    one above every value before it."""
+    out = [()]
+    for _ in range(n):
+        out = [c + (a,) for c in out for a in range(min(k, max(c, default=-1) + 2))]
+    return out
+
+
+def test_local_hom_check_matches_per_subset_route(catalog5):
+    """The in-place search decides every preimage as the search on the
+    induced subgraph does: the same result and failing set, the same
+    smallest deciding budget, and the same local witnesses."""
+    targets = [complete_graph(1), complete_graph(2), complete_graph(3), path_graph(3),
+               cycle_graph(5)]
+    K3 = complete_graph(3)
+    for G in catalog5:
+        for phi in canonical_colourings(G.n, 3):
+            for U in targets:
+                for p in (1, 2, 3):
+                    want, deciding = per_subset_route(G, phi, p, U)
+                    assert local_hom_check(G, phi, p, U, budget=deciding) == want
+                    if deciding:
+                        with pytest.raises(BudgetExceededError):
+                            local_hom_check(G, phi, p, U, budget=deciding - 1)
+                    if want[0] and G.n:
+                        subsets = list(combinations(range(3), p))
+                        wit = local_hom_witnesses(G, VertexMap(G, K3, phi), p, U, subsets)
+                        for I, g in wit.items():
+                            pre = mask_of(v for v in range(G.n) if phi[v] in I)
+                            sub, old = induced_subgraph(G, pre)
+                            image = find_homomorphism(sub, U).map.image
+                            assert g == {old[i]: image[i] for i in range(sub.n)}
+
+
+def test_local_hom_check_builds_no_graph_per_subset(monkeypatch):
+    G, K2 = cycle_graph(7), complete_graph(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for a preimage")
+
+    monkeypatch.setattr(duality, "induced_subgraph", refuse)
+    monkeypatch.setattr(duality, "find_homomorphism", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    assert local_hom_check(G, list(range(7)), 6, K2) == (True, None)
+    assert local_hom_check(G, list(range(7)), 7, K2) == (False, frozenset(range(7)))
+
+
+@st.composite
+def graphs_and_colourings(draw):
+    """A graph on at most 7 vertices and a colouring with values 0..4."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                       max_size=len(pairs)))) if keep]
+    phi = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+    return build_graph(n, edges), phi
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graphs_and_colourings(), st.integers(min_value=1, max_value=3),
+       st.sampled_from([complete_graph(1), complete_graph(2), complete_graph(3),
+                        path_graph(3)]))
+def test_local_hom_check_matches_brute_force(case, p, U):
+    """Against exhaustive map enumeration on every preimage, in the order
+    the check takes the value sets."""
+    G, phi = case
+    want = (True, None)
+    for I in value_sets(phi, p):
+        sub, _ = induced_subgraph(G, mask_of(v for v in range(G.n) if phi[v] in I))
+        if brute_homomorphism(sub, U) is None:
+            want = (False, frozenset(I))
+            break
+    assert local_hom_check(G, phi, p, U) == want
 
 
 # --- truncated powers ---------------------------------------------------------

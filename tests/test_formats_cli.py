@@ -381,6 +381,21 @@ def test_cli_regular_partition(p4_file, capsys):
     assert doc["results"]["ok"]
 
 
+@pytest.mark.parametrize("n, colors, p, message", [
+    (20, [v % 5 for v in range(20)], 5, "greedy tree-depth bound 11 exceeds 5"),
+    (40, list(range(40)), 20, "capped at 65536 color sets"),
+])
+def test_cli_regular_partition_unproved_exits_2(tmp_path, capsys, n, colors, p, message):
+    """A greedy tree-depth bound proves no violation, and too many class
+    sets are refused at once: exit 2 with one line, not a failed verdict."""
+    path = tmp_path / "path.g6"
+    path.write_text(to_graph6(path_graph(n)) + "\n")
+    assert main(["regular-partition", "--in", str(path), "--p", str(p), "--coloring",
+                 ",".join(map(str, colors)), "--n-rep", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and captured.err.count("\n") == 1
+
+
 def test_cli_experiment(capsys):
     code, doc = run_cli(["experiment-odd-power", "--gen", "--n-max", "5",
                          "--connected", "--p", "3", "--n-claim", "30"], capsys)

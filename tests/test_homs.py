@@ -83,10 +83,11 @@ def plain_find(G, H, budget=None):
         return PRESENT, ()
     if H.n == 0:
         return ABSENT, None
-    domains = homs._start_domains(G, H)
+    domains = homs._start_domains(G, H, G.full_mask)
     if domains is None:
         return ABSENT, None
-    order, checks = homs._search_order(G, H.rows, homs._max_clique_mask(G))
+    order, checks = homs._search_order(G, H.rows, homs._max_clique_mask(G, G.full_mask),
+                                       G.full_mask)
     for image in homs._search(order, domains, checks, budget):
         if image is None:
             return BUDGET, None

@@ -25,6 +25,7 @@ from homdual.graphs import (
 from homdual.sparsity import (
     RootedForest,
     TdCertificate,
+    _grad_ceiling,
     closure,
     degeneracy,
     expansion_profile,
@@ -237,6 +238,47 @@ def test_grad_witnesses_unchanged(catalog6):
             res = grad_r(G, r)
             h.update(f"{G.rows} {r} {res.value} {res.witness.balls}\n".encode())
     assert h.hexdigest() == GRAD_WITNESS_DIGEST
+
+
+# sha256 over (rows, value, witness balls) of grad_r(G, 1) for the <= 7-vertex
+# catalog, recorded with the walk that visited every family: stopping at the
+# ceiling keeps every value and witness.
+GRAD_RANK1_DIGEST = "b0b76c9a30a97c92a3d7aed39b8724cd1f84c4cfb126d67e9d7b239d6686b937"
+
+
+def test_grad_rank1_witnesses_unchanged(catalog7):
+    h = hashlib.sha256()
+    for G in catalog7:
+        res = grad_r(G, 1)
+        h.update(f"{G.rows} {res.value} {res.witness.balls}\n".encode())
+    assert h.hexdigest() == GRAD_RANK1_DIGEST
+
+
+def brute_ceiling(G):
+    """The grad ceiling's formula, with g = max |E(W)| - |W| over nonempty W
+    found by trying every vertex set."""
+    g = max(sum((G.rows[v] & W).bit_count() for v in bits(W)) // 2 - W.bit_count()
+            for W in range(1, 1 << G.n))
+    return max(min(Fraction(t - 1, 2), Fraction(g + t, t)) for t in range(1, G.n + 1))
+
+
+def test_grad_ceiling_bounds_every_rank(catalog6):
+    for G in catalog6:
+        if G.n == 0:
+            continue
+        ceiling = _grad_ceiling(G)
+        assert ceiling == brute_ceiling(G), G.rows
+        for r in (0, 1, 2):
+            assert brute_grad(G, r) <= ceiling, (G.rows, r)
+
+
+def test_grad_ceiling_is_tight_on_cliques_paths_stars_cycles():
+    stars = [build_graph(n, [(0, v) for v in range(1, n)]) for n in range(2, 9)]
+    graphs = [complete_graph(n) for n in range(1, 9)] + [path_graph(n) for n in range(1, 10)] \
+        + stars + [cycle_graph(n) for n in range(3, 10)]
+    for G in graphs:
+        for r in (0, 1, 2):
+            assert grad_r(G, r).value == _grad_ceiling(G), (G.rows, r)
 
 
 def test_grad_rejects_negative_rank():
