@@ -9,7 +9,6 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_ball_families,
     induced_subgraph,
     path_graph,
     quotient,

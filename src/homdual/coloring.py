@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
 from .graphs import (
@@ -24,8 +24,7 @@ from .sparsity import (
     verify_td,
 )
 
-CENTERED_LIMIT = 1 << 16  # color sets C(k, min(p - 1, k)) per verification
-LOWTD_LIMIT = 1 << 16  # color sets C(k, i), summed over i <= min(p, k), per verification
+CLASS_SET_LIMIT = 1 << 16  # color sets walked per verification
 LOWTD_EXHAUSTIVE_LIMIT = 11
 
 
@@ -43,12 +42,12 @@ class Coloring:
         if self.graph.n and set(self.colors) != set(range(self.k)):
             raise GraphError(f"colors are not exactly 0..{self.k - 1}")
 
-    def class_mask(self, c: int) -> int:
-        m = 0
-        for v, cv in enumerate(self.colors):
-            if cv == c:
-                m |= 1 << v
-        return m
+    def class_masks(self) -> list[int]:
+        """The vertex mask of every color class, in one pass."""
+        masks = [0] * self.k
+        for v, q in enumerate(self.colors):
+            masks[q] |= 1 << v
+        return masks
 
 
 def make_coloring(G: Graph, colors: Sequence[Hashable]) -> Coloring:
@@ -63,6 +62,32 @@ def _check_p(p: int) -> None:
         raise GraphError(f"p must be at least 1 (got {p})")
 
 
+def class_unions(masks: Sequence[int],
+                 sizes: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(class indices, union of their masks) for every set of classes whose
+    size is in ``sizes``: by size, then in lexicographic order."""
+    for size in sizes:
+        for classes in combinations(range(len(masks)), size):
+            S = 0
+            for q in classes:
+                S |= masks[q]
+            yield classes, S
+
+
+def _capped_unions(masks: list[int], sizes: Sequence[int], p: int,
+                   what: str) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``class_unions``, refused before the walk when the sets number more
+    than ``CLASS_SET_LIMIT``."""
+    sets = 0
+    for size in sizes:
+        sets += math.comb(len(masks), size)
+        if sets > CLASS_SET_LIMIT:
+            raise SizeLimitError(
+                f"{what} verification capped at {CLASS_SET_LIMIT} color sets "
+                f"(k = {len(masks)} colors at p = {p} give more)")
+    return class_unions(masks, sizes)
+
+
 def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int]]:
     """Check that every connected vertex set with fewer than p colors has a
     color used exactly once in it.
@@ -72,21 +97,17 @@ def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int
     fails if no color appears once in it; otherwise its first uniquely
     colored vertex is removed and the components left are checked in turn.
     A violating set lies inside some such K and never holds the removed
-    vertex, so this is complete. ``CENTERED_LIMIT`` caps the number of
+    vertex, so this is complete. ``CLASS_SET_LIMIT`` caps the number of
     color sets.
     """
     _check_p(p)
     size = min(p - 1, c.k)
-    if math.comb(c.k, size) > CENTERED_LIMIT:
-        raise SizeLimitError(
-            f"centered verification capped at {CENTERED_LIMIT} color sets "
-            f"(C({c.k},{size}) = {math.comb(c.k, size)})")
-    masks = [c.class_mask(q) for q in range(c.k)]
-    for classes in combinations(masks, size):
-        stack = connected_components(G, sum(classes))  # disjoint: sum is union
+    masks = c.class_masks()
+    for classes, S in _capped_unions(masks, (size,), p, "centered"):
+        stack = connected_components(G, S)
         while stack:
             K = stack.pop()
-            unique = [m & K for m in classes if (m & K).bit_count() == 1]
+            unique = [masks[q] & K for q in classes if (masks[q] & K).bit_count() == 1]
             if not unique:
                 return False, K
             v = min(unique)
@@ -121,39 +142,24 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdVi
     bound, which proves a pass when it is at most i but no violation; a
     violation there needs more edges than tree-depth i allows, and without
     them the check raises ``SizeLimitError``. It also raises when the class
-    sets number more than ``LOWTD_LIMIT``.
+    sets number more than ``CLASS_SET_LIMIT``.
     """
     _check_p(p)
-    sets = 0
-    for i in range(1, min(p, c.k) + 1):
-        sets += math.comb(c.k, i)
-        if sets > LOWTD_LIMIT:
-            raise SizeLimitError(
-                f"low tree-depth verification capped at {LOWTD_LIMIT} color sets "
-                f"(k = {c.k} colors at p = {p} give more)")
-    return _low_td_violation(G, c, p)
-
-
-def _low_td_violation(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdViolation]]:
-    """``verify_low_td`` with no cap on the class sets."""
-    masks = [c.class_mask(q) for q in range(c.k)]
-    for i in range(1, min(p, c.k) + 1):
-        for classes in combinations(range(c.k), i):
-            S = 0
-            for q in classes:
-                S |= masks[q]
-            for comp in connected_components(G, S):
-                if comp.bit_count() <= i:
-                    continue  # tree-depth is at most the order
-                sub, _ = induced_subgraph(G, comp)
-                td = tree_depth_value(sub)
-                if td <= i:
-                    continue
-                if sub.n > TD_LIMIT and _td_max_edges(sub.n, i) >= sub.edge_count():
-                    raise SizeLimitError(
-                        f"classes {classes} induce a component on {sub.n} > {TD_LIMIT} "
-                        f"vertices whose greedy tree-depth bound {td} exceeds {i}")
-                return False, LowTdViolation(classes, comp, td)
+    for classes, S in _capped_unions(c.class_masks(), range(1, min(p, c.k) + 1), p,
+                                  "low tree-depth"):
+        i = len(classes)
+        for comp in connected_components(G, S):
+            if comp.bit_count() <= i:
+                continue  # tree-depth is at most the order
+            sub, _ = induced_subgraph(G, comp)
+            td = tree_depth_value(sub)
+            if td <= i:
+                continue
+            if sub.n > TD_LIMIT and _td_max_edges(sub.n, i) >= sub.edge_count():
+                raise SizeLimitError(
+                    f"classes {classes} induce a component on {sub.n} > {TD_LIMIT} "
+                    f"vertices whose greedy tree-depth bound {td} exceeds {i}")
+            return False, LowTdViolation(classes, comp, td)
     return True, None
 
 
@@ -240,42 +246,34 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
 
 
 def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:
+    """First-fit distance-p coloring on reversed degeneracy order: vertices
+    within distance p of each other take distinct colors. It passes the low
+    tree-depth check at p with no need to run it: if i <= p classes had a
+    component on more than i vertices, that component would hold a
+    connected set of i + 1 vertices, pairwise within distance i <= p, and so
+    of i + 1 colors. A component on at most i vertices has tree-depth at
+    most i."""
     from .sparsity import degeneracy
 
     _, order = degeneracy(G)
-    dist_bound = p
-    for attempt in range(dist_bound, G.n + 1):
-        colors = [-1] * G.n
-        for v in reversed(order):
-            banned = set()
-            # vertices within distance `attempt` must take distinct colors
-            frontier = 1 << v
-            seen = frontier
-            for _ in range(attempt):
-                nxt = 0
-                for u in bits(frontier):
-                    nxt |= G.rows[u]
-                nxt &= ~seen
-                frontier = nxt
-                seen |= nxt
-            for u in bits(seen & ~(1 << v)):
-                if colors[u] >= 0:
-                    banned.add(colors[u])
-            q = 0
-            while q in banned:
-                q += 1
-            colors[v] = q
-        cand = make_coloring(G, colors)
-        if cand.k > k_max:
-            return None
-        try:
-            # uncapped: a failing candidate mostly stops at its first sets
-            ok, _ = _low_td_violation(G, cand, p)
-        except SizeLimitError:  # a greedy tree-depth bound, not a violation
-            continue
-        if ok:
-            return LowTdColoring(cand, False)
-    return None
+    colors = [-1] * G.n
+    for v in reversed(order):
+        seen = frontier = 1 << v
+        for _ in range(p):
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= G.rows[u]
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+        banned = {colors[u] for u in bits(seen ^ (1 << v))}
+        q = 0
+        while q in banned:
+            q += 1
+        colors[v] = q
+    c = make_coloring(G, colors)
+    return LowTdColoring(c, False) if c.k <= k_max else None
 
 
 def product_centered(G: Graph, cbar: Coloring, p: int) -> Coloring:
@@ -287,12 +285,8 @@ def product_centered(G: Graph, cbar: Coloring, p: int) -> Coloring:
     ok, _ = verify_low_td(G, cbar, p)
     if not ok:
         raise GraphError("base coloring fails the low tree-depth condition")
-    subsets = list(combinations(range(cbar.k), min(p, cbar.k)))
     per_subset = []
-    for P in subsets:
-        S = 0
-        for q in P:
-            S |= cbar.class_mask(q)
+    for _, S in class_unions(cbar.class_masks(), (min(p, cbar.k),)):
         sub, old = induced_subgraph(G, S)
         cert = tree_depth(sub)
         cp = centered_from_td(sub, cert)

@@ -16,7 +16,6 @@ from .graphs import (
     disjoint_union,
     induced_subgraph,
     is_connected,
-    mask_of,
 )
 from .homs import (
     ABSENT,
@@ -33,7 +32,7 @@ from .homs import (
     hom_equivalent,
 )
 from .sparsity import tree_depth_value
-from .coloring import Coloring, find_low_td_coloring
+from .coloring import Coloring, class_unions, find_low_td_coloring
 
 POWER_ORDER_CAP = 100_000
 DEFAULT_REP_ORDER = 6
@@ -56,19 +55,14 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int, U: Graph,
     for v, a in enumerate(phi):
         classes[a] = classes.get(a, 0) | 1 << v
     values = sorted(classes)
-    if len(values) <= p:
-        subsets = [tuple(values)] if values else []
-    else:
-        subsets = combinations(values, p)
-    for I in subsets:
-        pre = 0
-        for a in I:
-            pre |= classes[a]
+    sizes = (min(p, len(values)),) if values else ()
+    for J, pre in class_unions([classes[a] for a in values], sizes):
         status, _ = _find_within(G, pre, U, budget)
         if status == BUDGET:
-            raise BudgetExceededError(f"local check ran out of budget on {I}")
+            raise BudgetExceededError(
+                f"local check ran out of budget on {tuple(values[j] for j in J)}")
         if status == ABSENT:
-            return False, frozenset(I)
+            return False, frozenset(values[j] for j in J)
     return True, None
 
 
@@ -230,22 +224,24 @@ def power_local_property(TP: TruncatedPower) -> bool:
     return True
 
 
-def local_hom_witnesses(G: Graph, gamma: VertexMap, p: int, U: Graph,
-                        subsets: Sequence[tuple[int, ...]]) -> dict:
+def local_hom_witnesses(G: Graph, gamma: VertexMap, p: int, U: Graph) -> dict:
     """Per-subset homomorphisms of the gamma-preimages into the base, each
-    searched in place as in ``local_hom_check``.
+    searched in place as in ``local_hom_check``, over the p-subsets of
+    gamma's target with a nonempty preimage.
 
     Keys are subsets (tuples); values map original G-vertices to U-vertices.
     """
+    masks = [0] * gamma.target.n
+    for v, a in enumerate(gamma.image):
+        masks[a] |= 1 << v
     out = {}
-    for I in subsets:
-        pre = mask_of(v for v in range(G.n) if gamma.image[v] in I)
+    for I, pre in class_unions(masks, (p,)):
         if pre == 0:
             continue
         status, image = _find_within(G, pre, U)
         if status != PRESENT:
             raise GraphError(f"missing local witness for subset {I}")
-        out[tuple(I)] = {v: image[v] for v in bits(pre)}
+        out[I] = {v: image[v] for v in bits(pre)}
     return out
 
 
@@ -257,7 +253,7 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
         raise GraphError("gamma must map G into the power's template")
     if not check_homomorphism(gamma):
         raise GraphError("gamma is not a homomorphism")
-    witnesses = local_hom_witnesses(G, gamma, TP.p, TP.base, TP.subsets)
+    witnesses = local_hom_witnesses(G, gamma, TP.p, TP.base)
     image = []
     for x in range(G.n):
         v = gamma.image[x]
@@ -424,26 +420,22 @@ def regular_partition_report(G: Graph, c: Coloring, p: int,
         raise GraphError("coloring fails the low tree-depth condition")
     entries = []
     unmatched = []
-    for i in range(1, min(p, c.k) + 1):
-        for classes in combinations(range(c.k), i):
-            S = 0
-            for q in classes:
-                S |= c.class_mask(q)
-            for comp in connected_components(G, S):
-                sub, _ = induced_subgraph(G, comp)
-                match = None
-                for ridx, R in enumerate(reps):
-                    if hom_equivalent(sub, R):
-                        match = ridx
-                        break
-                entry = {
-                    "classes": list(classes),
-                    "component": sorted(bits(comp)),
-                    "representative": match,
-                }
-                entries.append(entry)
-                if match is None:
-                    unmatched.append(entry)
+    for classes, S in class_unions(c.class_masks(), range(1, min(p, c.k) + 1)):
+        for comp in connected_components(G, S):
+            sub, _ = induced_subgraph(G, comp)
+            match = None
+            for ridx, R in enumerate(reps):
+                if hom_equivalent(sub, R):
+                    match = ridx
+                    break
+            entry = {
+                "classes": list(classes),
+                "component": sorted(bits(comp)),
+                "representative": match,
+            }
+            entries.append(entry)
+            if match is None:
+                unmatched.append(entry)
     return {
         "ok": not unmatched,
         "entries": entries,

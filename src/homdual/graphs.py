@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import GraphError, SizeLimitError
+from .errors import GraphError
 
 BALL_FAMILY_LIMIT = 12
 
@@ -348,13 +348,18 @@ def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator
 
 def _radius_at_most(rows: Sequence[int], S: int, r: int) -> bool:
     """Whether some vertex of S reaches all of S within r steps inside S."""
-    steps = min(r, S.bit_count())  # what c reaches inside S, it reaches in |S| - 1 steps
     for c in bits(S):
-        reach = 1 << c
-        for _ in range(steps):
-            for v in bits(reach):
-                reach |= rows[v]
-            reach &= S
+        reach = frontier = 1 << c
+        for _ in range(r):  # each step grows only the new frontier
+            nxt = 0
+            while frontier:  # bits(frontier), inlined as in connected_components
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & S & ~reach
+            if not frontier:
+                break
+            reach |= frontier
         if reach == S:
             return True
     return False
@@ -387,43 +392,3 @@ def _disjoint_later(G: Graph, balls: Sequence[int]) -> tuple[list[int], list[int
             meet |= holding[v]
         later.append((full ^ meet) >> (i + 1) << (i + 1))
     return holding, later
-
-
-def _disjoint_families(G: Graph, balls: Sequence[int]) -> Iterator[int]:
-    """Depth-first walk over the nonempty families of pairwise disjoint balls.
-
-    A family is a bitset over indices into ``balls``; children add a larger
-    index, visited in increasing order. ``sparsity.grad_r`` walks the same
-    order in place.
-    """
-    _, later = _disjoint_later(G, balls)
-    stack = [((1 << len(balls)) - 1, 0)]
-    while stack:
-        avail, picked = stack.pop()
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            fam = picked | low
-            yield fam
-            child = avail & later[low.bit_length() - 1]
-            if child:
-                # descend first; the remaining siblings wait on the stack
-                if avail:
-                    stack.append((avail, picked))
-                avail, picked = child, fam
-
-
-def enumerate_ball_families(G: Graph, r: int) -> Iterator[BallFamily]:
-    """Every family of pairwise disjoint balls of radius <= r, once each.
-
-    The empty family is included. Exhaustive only at desk scale; callers
-    needing larger graphs should use the heuristic grad bounds instead.
-    """
-    if G.n > BALL_FAMILY_LIMIT:
-        raise SizeLimitError(
-            f"ball-family enumeration capped at {BALL_FAMILY_LIMIT} vertices "
-            f"(got {G.n}); use heuristic mode")
-    balls = enumerate_balls(G, r)
-    yield BallFamily(G, (), r)
-    for fam in _disjoint_families(G, balls):
-        yield BallFamily(G, tuple(balls[i] for i in bits(fam)), r)

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homdual import coloring
 from homdual.coloring import (
@@ -41,7 +43,7 @@ def test_make_coloring_densifies():
     G = path_graph(3)
     c = make_coloring(G, [7, 2, 7])
     assert c.colors == (0, 1, 0) and c.k == 2
-    assert c.class_mask(0) == mask_of([0, 2])
+    assert c.class_masks() == [mask_of([0, 2]), mask_of([1])]
     c = make_coloring(G, [(1, 0), (0, 2), (1, 0)])  # any hashable colors
     assert c.colors == (0, 1, 0) and c.k == 2
 
@@ -94,7 +96,7 @@ def test_verify_p_centered_size_cap(monkeypatch):
     P17 = path_graph(17)
     assert verify_p_centered(P17, make_coloring(P17, [0] * 17), 2) == (False, P17.full_mask)
     P4 = path_graph(4)
-    monkeypatch.setattr(coloring, "CENTERED_LIMIT", 1)
+    monkeypatch.setattr(coloring, "CLASS_SET_LIMIT", 1)
     with pytest.raises(SizeLimitError):
         verify_p_centered(P4, make_coloring(P4, [0, 1, 0, 1]), 2)
 
@@ -233,7 +235,7 @@ def test_verify_low_td_caps_class_sets(monkeypatch):
     P4 = path_graph(4)
     rainbow = make_coloring(P4, range(4))
     assert verify_low_td(P4, rainbow, 4)[0]  # 4 + 6 + 4 + 1 = 15 sets
-    monkeypatch.setattr(coloring, "LOWTD_LIMIT", 14)
+    monkeypatch.setattr(coloring, "CLASS_SET_LIMIT", 14)
     with pytest.raises(SizeLimitError):
         verify_low_td(P4, rainbow, 4)
     assert verify_low_td(P4, rainbow, 3)[0]  # 14 sets
@@ -369,6 +371,39 @@ def test_find_low_td_coloring_greedy_fallback():
     res = find_low_td_coloring(G, 2)
     assert res is not None and not res.exhaustive
     assert verify_low_td(G, res.coloring, 2)[0]
+
+
+def test_greedy_low_td_walks_no_class_sets(monkeypatch):
+    """The greedy distance-p coloring passes by construction, so it walks no
+    class set: K24 at p = 8 (1,271,625 sets) comes back as a rainbow."""
+    def refuse(*args):
+        raise AssertionError("the greedy coloring walked class sets")
+
+    monkeypatch.setattr(coloring, "combinations", refuse)
+    res = find_low_td_coloring(complete_graph(24), 8)
+    assert res.coloring.colors == tuple(range(24)) and not res.exhaustive
+
+
+def test_greedy_low_td_threshold_above_order():
+    """At p > n the distance-p ball is the whole component: a rainbow."""
+    P12 = path_graph(12)
+    for p in (12, 13, 40):
+        res = find_low_td_coloring(P12, p)
+        assert res.coloring.k == 12 and not res.exhaustive
+        assert verify_low_td(P12, res.coloring, p) == (True, None)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(min_value=12, max_value=14), st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.0, max_value=0.6), st.randoms(use_true_random=False))
+def test_greedy_low_td_passes_oracle(n, p, density, rng):
+    """Greedy colorings (above the exhaustive cutoff) have no violation by
+    the subset-by-subset oracle."""
+    G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < density])
+    res = find_low_td_coloring(G, p)
+    assert not res.exhaustive
+    assert brute_low_td_violation(G, res.coloring.colors, p) is None, (G.rows, p)
 
 
 def test_product_centered():

@@ -10,6 +10,7 @@ import pytest
 from homdual.catalog import GraphFilters, generate_all_graphs
 from homdual import cli, formats
 from homdual.cli import main
+from homdual.coloring import make_coloring, verify_low_td
 from homdual.duality import POWER_ORDER_CAP
 from homdual.errors import BudgetExceededError, GraphError, SizeLimitError
 from homdual.formats import (
@@ -307,6 +308,18 @@ def test_cli_lowtd_find(p4_file, capsys):
                          "--k-max", "2"], capsys)
     assert code == 1
     assert doc["results"] == {"found": False, "exhaustive": True}
+
+
+def test_cli_lowtd_find_threshold_above_order(tmp_path, capsys):
+    """p above the order still finds the (rainbow) greedy coloring."""
+    path = tmp_path / "p12.g6"
+    path.write_text(to_graph6(path_graph(12)) + "\n")
+    code, doc = run_cli(["lowtd-find", "--in", str(path), "--p", "13"], capsys)
+    assert code == 0
+    results = doc["results"]
+    assert results["found"] and results["k"] == 12 and not results["exhaustive"]
+    c = make_coloring(path_graph(12), results["colors"])
+    assert verify_low_td(path_graph(12), c, 13) == (True, None)
 
 
 def test_cli_power(tmp_path, capsys):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from homdual.errors import GraphError, SizeLimitError
+from homdual.errors import GraphError
 from homdual.graphs import (
     BallFamily,
     Graph,
@@ -15,7 +15,6 @@ from homdual.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_ball_families,
     enumerate_balls,
     enumerate_connected_sets,
     induced_subgraph,
@@ -204,15 +203,13 @@ def test_enumerate_balls():
     assert all(b.bit_count() <= 3 for b in enumerate_balls(cycle_graph(6), 1))
 
 
-def test_enumerate_ball_families():
-    K2 = complete_graph(2)
-    fams = list(enumerate_ball_families(K2, 0))
-    assert len(fams) == 4  # empty, {0}, {1}, both
-    assert len(list(enumerate_ball_families(complete_graph(1), 0))) == 2
-    balls_seen = {f.balls for f in fams}
-    assert len(balls_seen) == 4
+def test_enumerate_balls_match_radius_center(catalog5):
+    """The frontier walk keeps exactly the connected sets whose radius, as
+    ``radius_center`` measures it by breadth-first layers, is at most r."""
+    for G in catalog5:
+        sets = list(enumerate_connected_sets(G))
+        for r in (1, 2, 3, 4):
+            assert enumerate_balls(G, r) == \
+                [S for S in sets if radius_center(G, S)[0] <= r], (G.rows, r)
 
 
-def test_enumerate_ball_families_size_cap():
-    with pytest.raises(SizeLimitError):
-        next(enumerate_ball_families(empty_graph(13), 0))

@@ -17,7 +17,6 @@ from homdual.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_ball_families,
     mask_of,
     path_graph,
     quotient,
@@ -205,18 +204,6 @@ def test_grad_1_known_values():
     assert grad_r(cycle_graph(6), 1).value == 1
     # radius-1 balls around branch vertices recover K4
     assert grad_r(subdivided_k4(), 1).value == Fraction(3, 2)
-
-
-def test_grad_matches_naive_family_enumeration(catalog4):
-    """The packing recursion agrees with plain ball-family enumeration."""
-    for G in catalog4:
-        for r in (0, 1):
-            best = Fraction(0)
-            for fam in enumerate_ball_families(G, r):
-                q = quotient(G, fam)
-                if q.n:
-                    best = max(best, Fraction(q.edge_count(), q.n))
-            assert grad_r(G, r).value == best
 
 
 def test_grad_matches_brute_force(catalog5):

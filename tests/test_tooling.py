@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -34,3 +35,17 @@ def test_readme_size_limits_match_constants():
         for name in re.findall(r"^([A-Z_]+_(?:LIMIT|CAP)) = ", path.read_text(), re.M):
             caps[name] = path.stem
     assert caps and listed == caps
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark tracer wraps is a callable of
+    ``homdual``, and the memo it clears and reads keeps its interface."""
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{name}" for module, names in spans.TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"homdual.{module}"), name, None))]
+    assert spans.FUNCTIONS and not missing, missing
+    memo = importlib.import_module("homdual.sparsity").tree_depth_value
+    assert callable(memo.cache_clear) and callable(memo.cache_info)
