@@ -45,6 +45,8 @@ _G6_CHARS = bytes(range(63, 127))
 _B64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _FROM_G6 = bytes.maketrans(_G6_CHARS, _B64_CHARS)
 _TO_G6 = bytes.maketrans(_B64_CHARS, _G6_CHARS)
+# little-endian bytes, bit order reversed: stream bit 0 first, as the MSB
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -91,12 +93,18 @@ def to_graph6(G: Graph) -> str:
         header = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         header = bytes([126, 126] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)])
-    stream = "".join(format(G.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
-                     for j in range(1, n))
-    need = (len(stream) + 5) // 6
-    stream += "0" * (-len(stream) % 24)
-    raw = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
-    body = base64.b64encode(raw).translate(_TO_G6)[:need]
+    # Column j holds the bits of pairs (0, j), ..., (j - 1, j), at stream
+    # offset j(j-1)/2; pack stream bit k as bit k of one integer, joining
+    # the columns pairwise so that each bit is shifted O(log n) times.
+    parts = [(G.rows[j] & ((1 << j) - 1), j) for j in range(1, n)]
+    while len(parts) > 1:
+        joined = [(a | b << wa, wa + wb)
+                  for (a, wa), (b, wb) in zip(parts[::2], parts[1::2])]
+        parts = joined + parts[2 * len(joined):]
+    nbits = n * (n - 1) // 2
+    packed = parts[0][0] if parts else 0
+    raw = packed.to_bytes((nbits + 23) // 24 * 3, "little").translate(_BIT_REVERSED)
+    body = base64.b64encode(raw).translate(_TO_G6)[:(nbits + 5) // 6]
     return (header + body).decode("ascii")
 
 

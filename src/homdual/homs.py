@@ -59,9 +59,10 @@ class HomResult:
         return self.status == PRESENT
 
 
-def _max_clique_mask(G: Graph, within: int) -> int:
-    """Maximum clique (bitmask) of G[within]: exact up to 16 vertices,
-    greedy above."""
+def _max_clique_mask(G: Graph, within: int, in_triangle: int) -> int:
+    """Maximum clique (bitmask) of G[within], where ``in_triangle`` holds
+    the vertices on a triangle of G[within]: exact up to 16 vertices (the
+    numerically largest one), greedy above."""
     rows = G.rows
     if within.bit_count() > 16:
         degs = [(row & within).bit_count() for row in rows]
@@ -74,6 +75,15 @@ def _max_clique_mask(G: Graph, within: int) -> int:
             if not cand:
                 return clique
             clique |= 1 << max(bits(cand), key=lambda v: (degs[v], -v))
+    if not in_triangle:  # the top edge, else the top vertex
+        rest = within
+        while rest:
+            v = rest.bit_length() - 1
+            near = rows[v] & within
+            if near:
+                return 1 << v | 1 << (near.bit_length() - 1)
+            rest ^= 1 << v
+        return 1 << within.bit_length() >> 1
     best = 0
     stack = [(0, within)]  # branch and bound: take the top vertex, then skip it
     while stack:
@@ -131,17 +141,22 @@ def _index_order_checks(G: Graph, table: Sequence[int]) -> list[list]:
     return checks
 
 
-def _start_domains(G: Graph, H: Graph, within: int) -> Optional[list[int]]:
-    """Images each vertex of G[within] may take before branching (a list
-    over all of G's vertices), or None if some vertex has none. A
-    homomorphism is injective on cliques, so a vertex on a triangle of
-    G[within] maps to a vertex on a triangle of H; only images that no
-    homomorphism uses are removed, so the searches find the same maps.
-    """
+def _triangles_within(G: Graph, within: int) -> int:
+    """Bitmask of the vertices on a triangle of G[within]."""
     in_triangle = G.triangle_mask() & within
     if in_triangle and within != G.full_mask:
         rows = G.rows
         in_triangle = _triangle_mask(rows, ((v, rows[v] & within) for v in bits(within)))
+    return in_triangle
+
+
+def _start_domains(G: Graph, H: Graph, in_triangle: int) -> Optional[list[int]]:
+    """Images each vertex of G may take before branching, or None if some
+    vertex has none, where ``in_triangle`` holds the vertices on a triangle
+    of the subgraph searched. A homomorphism is injective on cliques, so
+    such a vertex maps to a vertex on a triangle of H; only images that no
+    homomorphism uses are removed, so the searches find the same maps.
+    """
     if not in_triangle:
         return [H.full_mask] * G.n
     targets = H.triangle_mask()
@@ -154,24 +169,37 @@ def _search(order: Sequence[int], domains: list[int],
             checks: Sequence[list[tuple[Sequence[int], list[int]]]],
             budget: Optional[int] = None,
             reject: Optional[Callable[[int, list[int]], bool]] = None,
+            lookahead: Optional[Sequence[int]] = None,
             ) -> Iterator[Optional[list[int]]]:
     """The one backtracking loop, on an explicit stack.
 
     Depth i assigns ``order[i]`` each image left in its domain (a bitmask),
     in increasing index. For each (table, later) in ``checks[i]``, image a
     leaves each vertex in ``later`` only the images in ``table[a]``; a
-    domain emptied refutes a. If the checks pass, ``reject(i, image)``, when
+    domain emptied refutes a. If the checks pass and ``lookahead`` (the
+    source graph's rows) is given, one round of arc consistency follows:
+    each w in ``later`` leaves each of its neighbours not yet placed only
+    its support, the OR of ``table[b]`` over the images b left to w; a
+    domain emptied refutes a too. If those pass, ``reject(i, image)``, when
     given, may still refute a on the images placed so far; once it returns
     False the search descends from a (or yields). Yields the image list
     (indexed by vertex and reused between yields) at each solution. Every
     assignment tried counts one node; past ``budget`` nodes it yields None
     and stops.
+
+    The look-ahead removes only images that no solution extending the
+    images placed uses, so it keeps every solution and their order, and
+    visits a subset of the nodes visited without it, in the same order.
     """
     n = len(order)
     image = [0] * len(domains)
     if n == 0:
         yield image
         return
+    if lookahead is not None:  # free[i]: the vertices placed after depth i
+        free = [0] * n
+        for i in range(n - 1, 0, -1):
+            free[i - 1] = free[i] | 1 << order[i]
     doms = [domains] * n  # doms[i]: the domains at depth i
     todo = [0] * n  # todo[i]: the images depth i has still to try
     todo[0] = domains[order[0]]
@@ -202,6 +230,8 @@ def _search(order: Sequence[int], domains: list[int],
                     new[w] = d
                 if not ok:
                     break
+            if ok and lookahead is not None:
+                ok = _look_ahead(new, checks[i], lookahead, free[i])
         if not ok or reject is not None and reject(i, image):
             continue
         if i + 1 == n:
@@ -210,6 +240,28 @@ def _search(order: Sequence[int], domains: list[int],
             i += 1
             doms[i] = new
             todo[i] = new[order[i]]
+
+
+def _look_ahead(doms: list[int], checks: Sequence[tuple[Sequence[int], list[int]]],
+                rows: Sequence[int], free: int) -> bool:
+    """The look-ahead round of ``_search`` on the domains ``doms`` (narrowed
+    in place); False if it empties a domain."""
+    for table, later in checks:
+        for w in later:
+            near = rows[w] & free
+            if not near:
+                continue
+            support, rest = 0, doms[w]
+            while rest:  # bits(rest), inlined: the search's inner loop
+                low = rest & -rest
+                support |= table[low.bit_length() - 1]
+                rest ^= low
+            for x in bits(near):
+                d = doms[x] & support
+                if not d:
+                    return False
+                doms[x] = d
+    return True
 
 
 def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomResult:
@@ -223,7 +275,9 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
     interchangeable, and every start domain and forward-check row is a union
     of twin classes. So the first map found uses only the lowest vertex of
     each class, and the search tries only those: it reaches the same first
-    map along a subset of the nodes, in the same order.
+    map along a subset of the nodes, in the same order. The look-ahead
+    round of ``_search`` after each forward check does the same, so a
+    budget stop can only become a decision.
     """
     status, image = _find_within(G, G.full_mask, H, budget)
     return HomResult(status, None if image is None else VertexMap(G, H, tuple(image)))
@@ -241,14 +295,16 @@ def _find_within(G: Graph, within: int, H: Graph,
         return PRESENT, [0] * G.n
     if H.n == 0:
         return ABSENT, None
-    domains = _start_domains(G, H, within)
+    in_triangle = _triangles_within(G, within)
+    domains = _start_domains(G, H, in_triangle)
     if domains is None:
         return ABSENT, None
     twins = H.twin_representatives()
     if twins != H.full_mask:
         domains = [d & twins for d in domains]
-    order, checks = _search_order(G, H.rows, _max_clique_mask(G, within), within)
-    for image in _search(order, domains, checks, budget):
+    clique = _max_clique_mask(G, within, in_triangle)
+    order, checks = _search_order(G, H.rows, clique, within)
+    for image in _search(order, domains, checks, budget, lookahead=G.rows):
         if image is None:
             return BUDGET, None
         return PRESENT, image
@@ -257,7 +313,7 @@ def _find_within(G: Graph, within: int, H: Graph,
 
 def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
     """All homomorphisms G -> H, in lexicographic image order."""
-    domains = _start_domains(G, H, G.full_mask)
+    domains = _start_domains(G, H, G.triangle_mask())
     if domains is None:
         return
     for image in _search(range(G.n), domains, _index_order_checks(G, H.rows)):

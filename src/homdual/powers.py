@@ -77,7 +77,7 @@ def chromatic_number(G: Graph) -> int:
         return 0
     if G.n > CHROMATIC_LIMIT:
         raise SizeLimitError(f"exact chromatic number capped at {CHROMATIC_LIMIT} vertices")
-    clique = _max_clique_mask(G, G.full_mask)
+    clique = _max_clique_mask(G, G.full_mask, G.triangle_mask())
     other_colors = [G.full_mask ^ (1 << a) for a in range(G.n)]
     order, checks = _search_order(G, other_colors, clique, G.full_mask)
     omega = clique.bit_count()

@@ -35,6 +35,16 @@ def brute_homomorphism(G: Graph, H: Graph):
     return None
 
 
+def brute_max_clique(G: Graph, mask: int) -> int:
+    """The maximum clique of G[mask] as a bitmask, the largest by value among
+    those of maximum size, by checking every vertex subset of the mask."""
+    verts = list(bits(mask))
+    cliques = [sum(1 << v for v in S)
+               for k in range(len(verts) + 1) for S in itertools.combinations(verts, k)
+               if all(G.has_edge(a, b) for a, b in itertools.combinations(S, 2))]
+    return max(cliques, key=lambda m: (m.bit_count(), m))
+
+
 def brute_triangle_mask(G: Graph) -> int:
     """Vertices on a triangle, by checking every vertex triple."""
     mask = 0

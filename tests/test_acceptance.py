@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from homdual import catalog
 from homdual.catalog import GraphFilters, generate_all_graphs
 from homdual.coloring import centered_from_td, verify_p_centered
 from homdual.duality import (
@@ -225,6 +226,41 @@ def test_criterion_09_witnesses_pinned(dual_pipeline):
     for code in ("FCpr_", "FCQb_"):
         r = find_homomorphism(by_graph6[code], build.D, budget=20_000)
         assert r.present and check_homomorphism(r.map), code
+
+
+def test_criterion_09_hard_members_decide_within_100_nodes(dual_pipeline):
+    """The look-ahead decides the two members that need the most search
+    nodes within 100 nodes each, where the forward checks alone needed
+    about 20,000."""
+    corpus, build = dual_pipeline
+    by_graph6 = {to_graph6(G): G for G in corpus}
+    for code in ("FCpr_", "FCQb_"):
+        r = find_homomorphism(by_graph6[code], build.D, budget=100)
+        assert r.present and check_homomorphism(r.map), code
+
+
+def test_criterion_09_dual_holds_on_eight_vertices(dual_pipeline, subcubic8):
+    """The criterion-9 dual, built from the graphs on at most 7 vertices,
+    passes the duality check on the connected subcubic graphs on at most 8."""
+    _, build = dual_pipeline
+    assert len(subcubic8) == 307
+    report = verify_duality(subcubic8, [complete_graph(3)], build.D)
+    assert report.verdict and all(report.forbidden_ok)
+
+
+def test_triangle_free_subcubic_nine_map_into_core_base_dual(monkeypatch):
+    """Each connected triangle-free subcubic graph on 9 vertices maps into
+    the 6,144-vertex power of the core base K2 over K6 within 100,000
+    search nodes."""
+    monkeypatch.setattr(catalog, "GENERATE_LIMIT", 9)
+    filters = GraphFilters(max_degree=3, connected=True, triangle_free=True)
+    nine = [G for G in generate_all_graphs(9, filters) if G.n == 9]
+    assert len(nine) == 219
+    D = truncated_power(complete_graph(2), complete_graph(6), 3).D
+    assert D.n == 6144
+    for G in nine:
+        r = find_homomorphism(G, D, budget=100_000)
+        assert r.present and check_homomorphism(r.map), to_graph6(G)
 
 
 def test_criterion_10_exact_power_chromatic_bounds(dual_pipeline):

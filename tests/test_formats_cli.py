@@ -72,13 +72,13 @@ def test_parse_graph6_rejects_malformed():
         parse_graph6("A\u00e9")  # non-ASCII, not a UnicodeEncodeError
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 62, 63, 64, 300, 1000])
 def test_graph6_roundtrip_sizes(n):
     rng = random.Random(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     sparse = build_graph(n, [e for e in pairs if rng.random() < 0.05])
     dense = build_graph(n, [e for e in pairs if rng.random() < 0.5])
-    for G in (sparse, dense):
+    for G in (sparse, dense, complete_graph(n)):
         line = to_graph6(G)
         assert line == naive_graph6(G)
         assert parse_graph6(line) == G
@@ -361,7 +361,8 @@ def test_cli_dual_build_and_verify(tmp_path, capsys):
 
 def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
     """The 3,645-vertex dual of the connected subcubic graphs on at most 7
-    vertices survives a graph6 round trip through the CLI."""
+    vertices survives a graph6 round trip through the CLI, and verifies
+    within 100 search nodes per question."""
     forbid = tmp_path / "k3.g6"
     forbid.write_text(to_graph6(complete_graph(3)) + "\n")
     dual = tmp_path / "dual.g6"
@@ -371,6 +372,10 @@ def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["provenance"]["dual_order"] == 3645
     code, doc = run_cli(["dual-verify", *corpus, "--dual", str(dual)], capsys)
+    assert code == 0
+    assert doc["results"]["verdict"] == "pass"
+    code, doc = run_cli(["dual-verify", *corpus, "--dual", str(dual),
+                         "--limit-nodes", "100"], capsys)
     assert code == 0
     assert doc["results"]["verdict"] == "pass"
 

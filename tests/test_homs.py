@@ -5,6 +5,8 @@ import sys
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homdual import homs
 from homdual.errors import GraphError
@@ -38,6 +40,7 @@ from oracles import (
     brute_core,
     brute_homomorphism,
     brute_homomorphisms,
+    brute_max_clique,
     brute_triangle_mask,
     brute_twin_representatives,
 )
@@ -76,18 +79,21 @@ def twin_rich_targets():
     return [k23, k33, cycle_graph(4), star, doubled_c5()]
 
 
-def plain_find(G, H, budget=None):
-    """``find_homomorphism`` without the twin restriction: the same order,
-    forward checks and start domains, every image tried. (status, image)."""
+def plain_find(G, H, budget=None, twins=False):
+    """``find_homomorphism`` without the look-ahead and, unless ``twins``,
+    without the twin restriction: the same order, forward checks and start
+    domains. (status, image)."""
     if G.n == 0:
         return PRESENT, ()
     if H.n == 0:
         return ABSENT, None
-    domains = homs._start_domains(G, H, G.full_mask)
+    domains = homs._start_domains(G, H, G.triangle_mask())
     if domains is None:
         return ABSENT, None
-    order, checks = homs._search_order(G, H.rows, homs._max_clique_mask(G, G.full_mask),
-                                       G.full_mask)
+    if twins:
+        domains = [d & H.twin_representatives() for d in domains]
+    clique = homs._max_clique_mask(G, G.full_mask, G.triangle_mask())
+    order, checks = homs._search_order(G, H.rows, clique, G.full_mask)
     for image in homs._search(order, domains, checks, budget):
         if image is None:
             return BUDGET, None
@@ -238,6 +244,24 @@ def test_triangle_mask_leaves_equality_and_hash():
     assert len({a, b}) == 1
 
 
+def test_max_clique_matches_oracle(catalog6):
+    """On every vertex mask, the triangles of the induced subgraph are
+    found, and the exact branch returns the numerically largest maximum
+    clique, whether it takes the triangle-free shortcut or the branch and
+    bound."""
+    branches = set()
+    for G in catalog6 + [petersen(), doubled_c5()]:
+        for mask in range(1 << G.n):
+            sub, verts = induced_subgraph(G, mask)
+            tri = brute_triangle_mask(sub)
+            in_triangle = homs._triangles_within(G, mask)
+            assert in_triangle == mask_of(v for i, v in enumerate(verts) if tri >> i & 1)
+            got = homs._max_clique_mask(G, mask, in_triangle)
+            assert got == brute_max_clique(G, mask), (G, mask)
+            branches.add(not in_triangle)
+    assert branches == {True, False}
+
+
 def test_twin_representatives(catalog5):
     for G in catalog5 + triangle_free_targets() + twin_rich_targets():
         assert G.twin_representatives() == brute_twin_representatives(G), G
@@ -253,26 +277,59 @@ def test_twin_representatives_leave_equality_and_hash():
     assert len({a, b}) == 1
 
 
-def test_twin_restriction_keeps_first_map_and_decisions(catalog5):
-    """Against the search over every image: the same first map, and at
-    every budget each pair the plain search decides gets the same answer.
-    Some pairs are decided only with the restriction."""
-    decided_only_restricted = 0
-    for G in catalog5:
-        for H in catalog5 + triangle_free_targets() + twin_rich_targets():
+def decided_only_by_find(sources, twins):
+    """Checks ``find_homomorphism`` against ``plain_find``: the same first
+    map, and at budgets 1, 2, 5 and 20 the same answer on each pair the
+    plain search decides. Returns how many (pair, budget) cases only
+    ``find_homomorphism`` decides."""
+    decided_only = 0
+    for G in sources:
+        for H in sources + triangle_free_targets() + twin_rich_targets():
             r = find_homomorphism(G, H)
             full = (r.status, r.map.image if r.present else None)
-            assert full == plain_find(G, H), (G, H)
+            assert full == plain_find(G, H, twins=twins), (G, H)
             for budget in (1, 2, 5, 20):
                 r = find_homomorphism(G, H, budget=budget)
                 got = (r.status, r.map.image if r.present else None)
-                plain = plain_find(G, H, budget)
+                plain = plain_find(G, H, budget, twins)
                 if plain[0] != BUDGET:
                     assert got == plain, (G, H, budget)
                 elif got[0] != BUDGET:
                     assert got == full, (G, H, budget)
-                    decided_only_restricted += 1
-    assert decided_only_restricted > 0
+                    decided_only += 1
+    return decided_only
+
+
+def test_twin_restriction_keeps_first_map_and_decisions(catalog5):
+    """Against the search over every image: the same first map, and at
+    every budget each pair the plain search decides gets the same answer.
+    Some pairs are decided only with the restriction."""
+    assert decided_only_by_find(catalog5, twins=False) > 0
+
+
+def test_look_ahead_keeps_first_map_and_decisions(catalog5):
+    """Against the same search without the look-ahead: the same first map,
+    and at every budget each pair it decides gets the same answer. Some
+    pairs are decided only with the look-ahead."""
+    assert decided_only_by_find(catalog5, twins=True) > 0
+
+
+@st.composite
+def small_graphs(draw, n_max):
+    n = draw(st.integers(min_value=0, max_value=n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_graphs(6), small_graphs(7))
+def test_find_homomorphism_matches_brute_force(G, H):
+    """Existence as exhaustive map enumeration finds it, and a checked map."""
+    r = find_homomorphism(G, H)
+    assert r.status in (PRESENT, ABSENT)
+    assert r.present == (brute_homomorphism(G, H) is not None)
+    assert not r.present or check_homomorphism(r.map)
 
 
 def test_enumerate_homomorphisms_keeps_twins(catalog4):
