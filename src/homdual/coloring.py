@@ -13,6 +13,7 @@ from .graphs import (
     bits,
     connected_components,
     induced_subgraph,
+    layers,
 )
 from .homs import _index_order_checks, _search
 from .sparsity import (
@@ -258,16 +259,8 @@ def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:
     _, order = degeneracy(G)
     colors = [-1] * G.n
     for v in reversed(order):
-        seen = frontier = 1 << v
-        for _ in range(p):
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= G.rows[u]
-            frontier = nxt & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-        banned = {colors[u] for u in bits(seen ^ (1 << v))}
+        near = sum(layers(G.rows, 1 << v, G.full_mask, p)[1:])
+        banned = {colors[u] for u in bits(near)}
         q = 0
         while q in banned:
             q += 1

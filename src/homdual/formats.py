@@ -70,18 +70,26 @@ def parse_graph6(line: str) -> Graph:
         raise ParseError(f"invalid payload byte {bad[0]}",
                          pos + len(body) - len(bad))
     b64 = body.translate(_FROM_G6) + b"A" * (-len(body) % 4)
-    raw = base64.b64decode(b64)
-    stream = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    if "1" in stream[nbits:]:
+    raw = base64.b64decode(b64).translate(_BIT_REVERSED)
+    packed = int.from_bytes(raw, "little")  # stream bit k is bit k
+    if packed >> nbits:
         raise ParseError("nonzero padding bits", pos + len(body) - 1)
-    # Column j holds the bits of pairs (0, j), ..., (j - 1, j) in order.
+    # Column j holds the bits of pairs (0, j), ..., (j - 1, j), at stream
+    # offset j(j-1)/2; split the stream into columns in halves, the inverse
+    # of to_graph6's join, so that each bit is shifted O(log n) times.
     rows = [0] * n
-    for j in range(1, n):
-        k = j * (j - 1) // 2
-        col = int(stream[k:k + j][::-1], 2)
-        rows[j] = col
-        for i in bits(col):
-            rows[i] |= 1 << j
+    stack = [(packed, 1, n)] if n > 1 else []  # (columns lo..hi-1, lo, hi)
+    while stack:
+        part, lo, hi = stack.pop()
+        if hi - lo == 1:
+            rows[lo] |= part
+            for i in bits(part):
+                rows[i] |= 1 << lo
+            continue
+        mid = (lo + hi) // 2
+        width = (mid * (mid - 1) - lo * (lo - 1)) // 2
+        stack.append((part & ((1 << width) - 1), lo, mid))
+        stack.append((part >> width, mid, hi))
     return Graph(n, rows)
 
 
@@ -127,9 +135,12 @@ def parse_edge_list(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None or rows or beyond:
                 raise ParseError(f"line {lineno}: stray size header", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError(f"line {lineno}: malformed size header", lineno)
-            n = int(parts[1])
+            try:  # int() also refuses more digits than its conversion limit
+                if len(parts) != 2 or not parts[1].isdecimal():
+                    raise ValueError
+                n = int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed size header", lineno) from None
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'", lineno)

@@ -217,24 +217,26 @@ def is_connected(G: Graph, within: Optional[int] = None) -> bool:
     return connected_components(G, mask)[0] == mask
 
 
-def bfs_layers(G: Graph, source: int, within: int) -> list[int]:
-    """Distance from ``source`` to each vertex of ``within`` (-1 unreachable)."""
-    dist = [-1] * G.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
+def layers(rows: Sequence[int], start: int, within: int, depth: int = -1) -> list[int]:
+    """Breadth-first frontier masks from the vertex mask ``start`` inside
+    ``within``: layer d holds the vertices at distance d from ``start``, and
+    the walk takes at most ``depth`` steps (no limit when negative). The
+    layers are disjoint, so their sum is the ball."""
+    out = [start]
+    seen = frontier = start
+    while depth:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= G.rows[v]
-        nxt &= within & ~seen
-        for v in bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
+        while frontier:  # bits(frontier), inlined: this is a hot loop
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        if not frontier:
+            break
+        out.append(frontier)
+        seen |= frontier
+        depth -= 1
+    return out
 
 
 def radius_center(G: Graph, S: int) -> tuple[int, int]:
@@ -244,13 +246,7 @@ def radius_center(G: Graph, S: int) -> tuple[int, int]:
     """
     if S == 0 or not is_connected(G, S):
         raise GraphError("not a ball: empty or disconnected vertex set")
-    best_r, best_c = None, None
-    for v in bits(S):
-        dist = bfs_layers(G, v, S)
-        ecc = max(dist[u] for u in bits(S))
-        if best_r is None or ecc < best_r:
-            best_r, best_c = ecc, v
-    return best_r, best_c
+    return min((len(layers(G.rows, 1 << v, S)) - 1, v) for v in bits(S))
 
 
 @dataclass(frozen=True)
@@ -348,20 +344,12 @@ def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator
 
 def _radius_at_most(rows: Sequence[int], S: int, r: int) -> bool:
     """Whether some vertex of S reaches all of S within r steps inside S."""
-    for c in bits(S):
-        reach = frontier = 1 << c
-        for _ in range(r):  # each step grows only the new frontier
-            nxt = 0
-            while frontier:  # bits(frontier), inlined as in connected_components
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & S & ~reach
-            if not frontier:
-                break
-            reach |= frontier
-        if reach == S:
+    rest = S
+    while rest:
+        low = rest & -rest
+        if sum(layers(rows, low, S, r)) == S:
             return True
+        rest ^= low
     return False
 
 

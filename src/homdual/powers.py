@@ -6,7 +6,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, SizeLimitError
-from .graphs import Graph, bfs_layers, bits
+from .graphs import Graph, bits, layers
 from .homs import _max_clique_mask, _search, _search_order
 
 EXACT_POWER_LIMIT = 7
@@ -44,21 +44,26 @@ def exact_distance_graph(G: Graph, p: int) -> Graph:
         raise ValueError("distance must be >= 1")
     rows = [0] * G.n
     for x in range(G.n):
-        dist = bfs_layers(G, x, G.full_mask)
-        for y in range(G.n):
-            if y != x and dist[y] == p:
-                rows[x] |= 1 << y
+        ring = layers(G.rows, 1 << x, G.full_mask, p)
+        if len(ring) > p:
+            rows[x] = ring[p]
     return Graph(G.n, rows)
 
 
 def odd_girth(G: Graph):
-    """Length of the shortest odd cycle; math.inf if bipartite."""
+    """Length of the shortest odd cycle; math.inf if bipartite.
+
+    An edge inside breadth-first layer d of a root closes an odd walk of
+    length 2d + 1, and the shortest odd cycle gives one from each of its
+    vertices; each root walks only the layers that could beat the best so far.
+    """
     best = INFINITY
     for root in range(G.n):
-        dist = bfs_layers(G, root, G.full_mask)
-        for u, v in G.edges():
-            if dist[u] >= 0 and dist[u] == dist[v]:
-                best = min(best, dist[u] + dist[v] + 1)
+        depth = -1 if best == INFINITY else (best - 3) // 2
+        for d, ring in enumerate(layers(G.rows, 1 << root, G.full_mask, depth)):
+            if any(G.rows[v] & ring for v in bits(ring)):
+                best = 2 * d + 1
+                break
     return best
 
 

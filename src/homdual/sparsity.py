@@ -18,6 +18,7 @@ from .graphs import (
     bits,
     connected_components,
     enumerate_balls,
+    layers,
     quotient,
 )
 
@@ -324,16 +325,7 @@ def _grad_greedy(G: Graph, r: int) -> GradResult:
     for c in order:
         if covered >> c & 1:
             continue
-        avail = G.full_mask & ~covered
-        ball = frontier = 1 << c
-        for _ in range(r):  # grow the ball one step at a time inside avail
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= G.rows[v]
-            frontier = nxt & avail & ~ball
-            if not frontier:
-                break
-            ball |= frontier
+        ball = sum(layers(G.rows, 1 << c, G.full_mask & ~covered, r))
         balls.append(ball)
         covered |= ball
     fam = BallFamily(G, tuple(balls), r)

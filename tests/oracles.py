@@ -8,6 +8,8 @@ cross-check each other on desk-scale inputs.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -252,6 +254,41 @@ def brute_chromatic(G: Graph) -> int:
             if all(colors[u] != colors[v] for u, v in G.edges()):
                 return k
     raise AssertionError("unreachable: n colors always suffice")
+
+
+def brute_distances(G: Graph, source: int, within: int) -> dict[int, int]:
+    """Distance from ``source`` to each vertex it reaches inside the mask
+    ``within``, by a queue of vertices and a dict of distances."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in range(G.n):
+            if within >> v & 1 and v not in dist and G.has_edge(u, v):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def brute_odd_girth(G: Graph):
+    """Length of the shortest odd closed walk, which is the shortest odd
+    cycle, read off the diagonals of the boolean adjacency powers A^k for
+    k = 1..n; math.inf if none has a closed walk."""
+    n = G.n
+    A = [[G.has_edge(u, v) for v in range(n)] for u in range(n)]
+    power = A
+    for k in range(1, n + 1):
+        if k % 2 and any(power[v][v] for v in range(n)):
+            return k
+        step = [[False] * n for _ in range(n)]  # A^(k+1) = A^k A
+        for u in range(n):
+            for w in range(n):
+                if power[u][w]:
+                    for v in range(n):
+                        if A[w][v]:
+                            step[u][v] = True
+        power = step
+    return math.inf
 
 
 def brute_is_connected_subset(G: Graph, S: int) -> bool:

@@ -4,14 +4,17 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homdual.catalog import GraphFilters, generate_all_graphs
 from homdual import cli, formats
 from homdual.cli import main
 from homdual.coloring import make_coloring, verify_low_td
-from homdual.duality import POWER_ORDER_CAP
+from homdual.duality import POWER_ORDER_CAP, truncated_power
 from homdual.errors import BudgetExceededError, GraphError, SizeLimitError
 from homdual.formats import (
     ParseError,
@@ -20,7 +23,14 @@ from homdual.formats import (
     parse_graph_lines,
     to_graph6,
 )
-from homdual.graphs import build_graph, complete_graph, cycle_graph, path_graph
+from homdual.graphs import (
+    Graph,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+)
 from homdual.homs import is_isomorphic
 from homdual.powers import is_bipartite
 
@@ -108,6 +118,45 @@ def test_parse_graph6_error_offsets(line, message, offset):
         parse_graph6(line)
     assert str(exc.value) == f"{message} (at {offset})"
     assert exc.value.offset == offset
+
+
+def test_parse_graph6_dual_decodes_in_small_memory():
+    """The 3,645-vertex criterion-9 dual (830 KB of adjacency bits) decodes
+    under a 10 MB allocation peak: the payload is read as one integer, not
+    as a string of one character per bit."""
+    U, _ = disjoint_union([complete_graph(1), complete_graph(2)])
+    D = truncated_power(U, complete_graph(5), 3).D
+    line = to_graph6(D)
+    tracemalloc.start()
+    try:
+        G = parse_graph6(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G == D
+    assert peak < 10_000_000, peak
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40))
+def test_parse_graph6_returns_graph_or_graph_error(line):
+    try:
+        G = parse_graph6(line)
+    except GraphError:
+        return
+    assert isinstance(G, Graph)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.text(max_size=30) | st.text(alphabet="n 0123456789+-_#\n\t\u0663\u00b2x", max_size=30))
+@example("n \u00b2\n")  # a digit to str.isdigit, but no decimal to int()
+@example("n " + "1" * 5000)  # over int()'s digit limit
+def test_parse_edge_list_returns_graph_or_graph_error(text):
+    try:
+        G = parse_edge_list(text)
+    except GraphError:
+        return
+    assert isinstance(G, Graph)
 
 
 # --- edge lists ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 
 import pytest
@@ -7,7 +8,6 @@ from homdual.errors import GraphError
 from homdual.graphs import (
     BallFamily,
     Graph,
-    bfs_layers,
     bits,
     build_graph,
     complete_graph,
@@ -19,6 +19,7 @@ from homdual.graphs import (
     enumerate_connected_sets,
     induced_subgraph,
     is_connected,
+    layers,
     mask_of,
     path_graph,
     quotient,
@@ -26,7 +27,7 @@ from homdual.graphs import (
 )
 from homdual.homs import is_isomorphic
 
-from oracles import brute_is_connected_subset
+from oracles import brute_distances, brute_is_connected_subset
 
 
 def test_build_graph_basic():
@@ -98,11 +99,57 @@ def test_connected_components():
     assert not is_connected(G, within=0)
 
 
-def test_bfs_layers():
+def test_layers():
     P4 = path_graph(4)
-    assert bfs_layers(P4, 0, P4.full_mask) == [0, 1, 2, 3]
+    assert layers(P4.rows, 1, P4.full_mask) == [1, 2, 4, 8]
     # restricted to a mask that cuts the path
-    assert bfs_layers(P4, 0, mask_of([0, 1, 3])) == [0, 1, -1, -1]
+    assert layers(P4.rows, 1, mask_of([0, 1, 3])) == [1, 2]
+
+
+def _brute_layers(G, start, within):
+    """Layer d: the vertices of ``within`` whose nearest vertex of ``start``
+    is d steps away inside ``within``."""
+    near: dict[int, int] = {}
+    for s in bits(start):
+        for v, d in brute_distances(G, s, within).items():
+            near[v] = min(d, near.get(v, d))
+    out = [0] * (max(near.values()) + 1)
+    for v, d in near.items():
+        out[d] |= 1 << v
+    return out
+
+
+def _brute_radius_center(G, S):
+    return min((max(brute_distances(G, c, S).values()), c) for c in bits(S))
+
+
+def test_layers_match_brute_distances(catalog6, seeded_graphs):
+    """From single vertices and from sets, inside the whole graph and inside
+    a random mask, and cut at every depth."""
+    rng = random.Random(8)
+    for G in catalog6 + seeded_graphs:
+        for v in range(G.n):
+            inside = rng.getrandbits(G.n) | 1 << v
+            sources = rng.getrandbits(G.n) & inside | 1 << v
+            for start, within in ((1 << v, G.full_mask), (1 << v, inside),
+                                  (sources, inside)):
+                want = _brute_layers(G, start, within)
+                assert layers(G.rows, start, within) == want, (G.rows, start, within)
+                for depth in range(len(want)):
+                    assert layers(G.rows, start, within, depth) == want[:depth + 1]
+
+
+def test_radius_center_matches_brute_distances(catalog6, seeded_graphs):
+    """On every connected set of the small graphs, and on the set that a
+    vertex reaches inside a random mask of the larger ones."""
+    for G in catalog6:
+        for S in enumerate_connected_sets(G):
+            assert radius_center(G, S) == _brute_radius_center(G, S), (G.rows, S)
+    rng = random.Random(9)
+    for G in seeded_graphs:
+        for v in range(G.n):
+            S = sum(1 << u for u in brute_distances(G, v, rng.getrandbits(G.n) | 1 << v))
+            assert radius_center(G, S) == _brute_radius_center(G, S), (G.rows, S)
 
 
 def test_radius_center():
@@ -203,13 +250,13 @@ def test_enumerate_balls():
     assert all(b.bit_count() <= 3 for b in enumerate_balls(cycle_graph(6), 1))
 
 
-def test_enumerate_balls_match_radius_center(catalog5):
-    """The frontier walk keeps exactly the connected sets whose radius, as
-    ``radius_center`` measures it by breadth-first layers, is at most r."""
+def test_enumerate_balls_match_brute_radius(catalog5):
+    """The balls are exactly the connected sets whose radius, by the
+    dict-and-queue oracle, is at most r."""
     for G in catalog5:
         sets = list(enumerate_connected_sets(G))
         for r in (1, 2, 3, 4):
             assert enumerate_balls(G, r) == \
-                [S for S in sets if radius_center(G, S)[0] <= r], (G.rows, r)
+                [S for S in sets if _brute_radius_center(G, S)[0] <= r], (G.rows, r)
 
 

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -481,14 +480,15 @@ def two_switch(G, rng):
             return Graph(G.n, rows)
 
 
-def to_nx(G):
-    N = nx.Graph()
-    N.add_nodes_from(range(G.n))
-    N.add_edges_from(G.edges())
-    return N
-
-
 def test_is_isomorphic_matches_networkx(catalog6):
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(G):
+        N = nx.Graph()
+        N.add_nodes_from(range(G.n))
+        N.add_edges_from(G.edges())
+        return N
+
     rng = random.Random(13)
     pairs = []
     for G in catalog6:

@@ -26,7 +26,7 @@ from homdual.powers import (
     odd_power_experiment,
 )
 
-from oracles import brute_chromatic, brute_exact_power
+from oracles import brute_chromatic, brute_distances, brute_exact_power, brute_odd_girth
 
 
 def petersen():
@@ -66,6 +66,14 @@ def test_exact_distance_within_exact_power(catalog6):
                 assert E.rows[v] & ~P.rows[v] == 0
 
 
+def test_exact_distance_matches_brute_distances(catalog6, seeded_graphs):
+    for G in catalog6 + seeded_graphs:
+        for p in (1, 2, 3, 4):
+            want = [sum(1 << y for y, d in brute_distances(G, x, G.full_mask).items()
+                        if d == p) for x in range(G.n)]
+            assert list(exact_distance_graph(G, p).rows) == want, (G.rows, p)
+
+
 def test_exact_power_matches_oracle(catalog6):
     rng = random.Random(31)
     extra = []
@@ -91,6 +99,12 @@ def test_odd_girth():
     assert odd_girth(petersen()) == 5
     G, _ = disjoint_union([cycle_graph(6), cycle_graph(7)])
     assert odd_girth(G) == 7
+
+
+def test_odd_girth_matches_brute_odd_girth(catalog6, seeded_graphs):
+    long_odd = [cycle_graph(15), disjoint_union([cycle_graph(8), cycle_graph(11)])[0]]
+    for G in catalog6 + seeded_graphs + long_odd:
+        assert odd_girth(G) == brute_odd_girth(G), G.rows
 
 
 def test_is_bipartite_matches_odd_girth(catalog6):
