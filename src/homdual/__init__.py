@@ -29,7 +29,6 @@ from .sparsity import (
     Orientation,
     RootedForest,
     TdCertificate,
-    closure,
     degeneracy,
     expansion_profile,
     grad_0_flow,

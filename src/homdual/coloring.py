@@ -117,15 +117,14 @@ def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int
 
 
 def centered_from_td(G: Graph, cert: TdCertificate) -> Coloring:
-    """Level coloring of a tree-depth witness: color = forest height - 1.
+    """Level coloring of a tree-depth witness: color = forest depth - 1.
 
     Passes the centered check for every p, because the unique minimum-level
     vertex of a connected subset inside one tree is uniquely colored.
     """
     if not verify_td(G, cert):
         raise GraphError("invalid tree-depth certificate")
-    levels = [cert.forest.height_of(v) - 1 for v in range(G.n)]
-    return make_coloring(G, levels)
+    return make_coloring(G, [d - 1 for d in cert.forest.depth])
 
 
 @dataclass(frozen=True)

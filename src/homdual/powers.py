@@ -67,10 +67,6 @@ def odd_girth(G: Graph):
     return best
 
 
-def is_bipartite(G: Graph) -> bool:
-    return odd_girth(G) == INFINITY
-
-
 def chromatic_number(G: Graph) -> int:
     """Exact chromatic number: the least k, from the clique size upward,
     with a homomorphism G -> K_k.

@@ -5,9 +5,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import GraphError, InternalCheckError
 from .graphs import (
@@ -27,55 +27,42 @@ TD_LIMIT = 16
 
 @dataclass(frozen=True)
 class RootedForest:
-    """Parent pointers (None = root) over vertices 0..n-1."""
+    """Parent pointers (None = root) over vertices 0..n-1.
+
+    ``depth[v]`` is the number of vertices on the root-to-v path (roots have
+    depth 1), worked out once here; a cycle or a parent outside 0..n-1 is a
+    ``GraphError``.
+    """
 
     parent: tuple[Optional[int], ...]
+    depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.parent)
+        depth = [0] * n  # 0: not reached yet, -1: on the chain being walked
         for v in range(n):
-            seen = set()
+            chain = []
             x = v
-            while x is not None:
-                if x in seen:
-                    raise GraphError("parent relation has a cycle")
-                seen.add(x)
+            while x is not None and depth[x] == 0:
+                depth[x] = -1
+                chain.append(x)
                 x = self.parent[x]
+                if x is not None and not 0 <= x < n:
+                    raise GraphError(f"parent {x} is not a vertex of 0..{n - 1}")
+            if x is not None and depth[x] < 0:
+                raise GraphError("parent relation has a cycle")
+            d = 0 if x is None else depth[x]
+            for y in reversed(chain):
+                d += 1
+                depth[y] = d
+        object.__setattr__(self, "depth", tuple(depth))
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
-    def height_of(self, v: int) -> int:
-        """Number of vertices on the root-to-v path (roots have height 1)."""
-        h = 0
-        x: Optional[int] = v
-        while x is not None:
-            h += 1
-            x = self.parent[x]
-        return h
-
     def height(self) -> int:
-        return max((self.height_of(v) for v in range(self.n)), default=0)
-
-    def ancestors_mask(self, v: int) -> int:
-        m = 0
-        x = self.parent[v]
-        while x is not None:
-            m |= 1 << x
-            x = self.parent[x]
-        return m
-
-
-def closure(F: RootedForest) -> Graph:
-    """Edges between every strict ancestor-descendant pair."""
-    rows = [0] * F.n
-    for v in range(F.n):
-        anc = F.ancestors_mask(v)
-        rows[v] |= anc
-        for a in bits(anc):
-            rows[a] |= 1 << v
-    return Graph(F.n, rows)
+        return max(self.depth, default=0)
 
 
 @dataclass(frozen=True)
@@ -86,13 +73,21 @@ class TdCertificate:
 
 
 def verify_td(G: Graph, cert: TdCertificate) -> bool:
-    """Check G is a subgraph of the witness closure at the claimed height."""
-    if cert.forest.n != G.n:
+    """Check the witness has the claimed height and its closure holds G:
+    each edge's deeper end, walked up its parent chain by the depth
+    difference, lands on the other end. O(m * depth), with no graph built."""
+    F = cert.forest
+    if F.n != G.n or F.height() != cert.value:
         return False
-    if cert.forest.height() != cert.value:
-        return False
-    clos = closure(cert.forest)
-    return all(G.rows[v] & ~clos.rows[v] == 0 for v in range(G.n))
+    parent, depth = F.parent, F.depth
+    for u, v in G.edges():
+        if depth[u] < depth[v]:
+            u, v = v, u
+        for _ in range(depth[u] - depth[v]):
+            u = parent[u]
+        if u != v:
+            return False
+    return True
 
 
 def _td_max_edges(n: int, t: int) -> int:
@@ -167,45 +162,40 @@ def tree_depth(G: Graph) -> TdCertificate:
             at_most(S, b[0])
         return b[1]
 
-    parent: list[Optional[int]] = [None] * G.n
-
-    def build(mask: int, above: Optional[int]) -> None:
-        for S in connected_components(G, mask):
-            if S.bit_count() == 1:
-                parent[S.bit_length() - 1] = above
-                continue
-            t = td(S)
-            v = next(v for v in bits(S) if root_fits(S, v, t))
-            parent[v] = above
-            build(S ^ (1 << v), v)
+    def first_root(S: int) -> int:
+        t = td(S)
+        return next(v for v in bits(S) if root_fits(S, v, t))
 
     val = max((td(S) for S in connected_components(G)), default=0)
-    build(G.full_mask, None)
-    cert = TdCertificate(val, RootedForest(tuple(parent)))
-    if not verify_td(G, cert):
-        raise InternalCheckError("tree-depth witness fails its own check")
-    return cert
+    return _td_certificate(G, first_root, val)
 
 
 def _greedy_td(G: Graph) -> TdCertificate:
-    """Upper-bound witness: in each component, delete a max-degree vertex
-    and root the components left below it."""
-    if G.n == 0:
-        return TdCertificate(0, RootedForest(()), optimal=False)
+    """Upper-bound witness: each component is rooted at a vertex of maximum
+    degree in it (the lowest such index), flagged non-optimal."""
+    rows = G.rows
+    return _td_certificate(
+        G, lambda S: max(bits(S), key=lambda x: ((rows[x] & S).bit_count(), -x)), None)
+
+
+def _td_certificate(G: Graph, root: Callable[[int], int], value: Optional[int]) -> TdCertificate:
+    """The forest that roots each component S of what is left at ``root(S)``
+    and hangs the components of S minus that vertex below it, checked by
+    ``verify_td``. ``value`` is the proven tree-depth, or None for an upper
+    bound read off the forest's height and flagged non-optimal."""
     parent: list[Optional[int]] = [None] * G.n
-    val = 0
-    stack: list[tuple[int, Optional[int], int]] = [(G.full_mask, None, 1)]
+    stack: list[tuple[int, Optional[int]]] = [(G.full_mask, None)]
     while stack:
-        mask, above, depth = stack.pop()
-        val = max(val, depth)
-        for comp in connected_components(G, mask):
-            v = max(bits(comp), key=lambda x: ((G.rows[x] & comp).bit_count(), -x))
+        mask, above = stack.pop()
+        for S in connected_components(G, mask):
+            v = root(S)
             parent[v] = above
-            if comp != 1 << v:
-                stack.append((comp ^ (1 << v), v, depth + 1))
-    cert = TdCertificate(val, RootedForest(tuple(parent)), optimal=False)
+            if S != 1 << v:
+                stack.append((S ^ (1 << v), v))
+    forest = RootedForest(tuple(parent))
+    cert = TdCertificate(forest.height() if value is None else value, forest, value is not None)
     if not verify_td(G, cert):
-        raise InternalCheckError("greedy tree-depth witness fails its own check")
+        raise InternalCheckError("tree-depth witness fails its own check")
     return cert
 
 
@@ -318,7 +308,12 @@ def _grad_ceiling(G: Graph) -> Fraction:
 
 
 def _grad_greedy(G: Graph, r: int) -> GradResult:
-    """Lower bound: greedy BFS-ball packing around high-degree centers."""
+    """Lower bound: greedy BFS-ball packing around high-degree centers.
+
+    Flagged exact when already proven: the value reaches ``_grad_ceiling``,
+    which bounds every rank, or r = 0 and it is the densest-subgraph
+    density, which is grad_0 itself.
+    """
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     covered = 0
     balls = []
@@ -337,7 +332,7 @@ def _grad_greedy(G: Graph, r: int) -> GradResult:
         # rank-0 density is always a valid rank-r lower bound
         fam = BallFamily(G, tuple(1 << v for v in bits(best_sub)), r)
         value = dense
-    return GradResult(value, fam, exact=False)
+    return GradResult(value, fam, exact=(r == 0 and value == dense) or value == _grad_ceiling(G))
 
 
 # --- edge shares, used by the density and orientation routines ---

@@ -81,12 +81,14 @@ def naive_graph6(G: Graph) -> str:
 
 
 @lru_cache(maxsize=8)
-def all_rooted_forests(n: int) -> list[tuple[int, int]]:
-    """(height, closure edge bitmask) for every rooted forest on 0..n-1.
+def all_rooted_forests(n: int) -> list[tuple[tuple, int, int]]:
+    """(parent tuple, height, closure edge bitmask) for every rooted forest
+    on 0..n-1.
 
-    Forests are parent arrays; -1 marks a root. Closure edges are indexed
-    as u * n + v for u < v. Cached because enumerating (n+1)^n arrays is
-    the slow part and every graph on n vertices reuses the same list.
+    Forests are parent arrays, enumerated with -1 marking a root and
+    returned with None there. Closure edges are indexed as u * n + v for
+    u < v. Cached because enumerating (n+1)^n arrays is the slow part and
+    every graph on n vertices reuses the same list.
     """
     out = []
     for parent in itertools.product(range(-1, n), repeat=n):
@@ -113,8 +115,34 @@ def all_rooted_forests(n: int) -> list[tuple[int, int]]:
             for u in ancestors[v]:
                 a, b = min(u, v), max(u, v)
                 closure |= 1 << (a * n + b)
-        out.append((max(depth, default=0), closure))
+        out.append((tuple(None if p == -1 else p for p in parent), max(depth, default=0), closure))
     return out
+
+
+@lru_cache(maxsize=8)
+def _forests_by_parent(n: int) -> dict[tuple, tuple[int, int]]:
+    return {parent: (height, closure) for parent, height, closure in all_rooted_forests(n)}
+
+
+def brute_verify_td(G: Graph, parent: tuple, value: int):
+    """None if ``parent`` is no rooted forest on 0..n-1 (a cycle, or a parent
+    out of range); otherwise whether the forest has height ``value`` and its
+    closure holds every edge of G."""
+    n = G.n
+    found = _forests_by_parent(n).get(tuple(parent))
+    if found is None:
+        return None
+    height, closure = found
+    return height == value and _edge_bits(G) & ~closure == 0
+
+
+def _edge_bits(G: Graph) -> int:
+    """The edges of G in the closure bitmask indexing of ``all_rooted_forests``."""
+    need = 0
+    for u, v in G.edges():
+        a, b = min(u, v), max(u, v)
+        need |= 1 << (a * G.n + b)
+    return need
 
 
 def brute_tree_depth(G: Graph) -> int:
@@ -122,12 +150,9 @@ def brute_tree_depth(G: Graph) -> int:
     n = G.n
     if n == 0:
         return 0
-    need = 0
-    for u, v in G.edges():
-        a, b = min(u, v), max(u, v)
-        need |= 1 << (a * n + b)
+    need = _edge_bits(G)
     best = n
-    for height, closure in all_rooted_forests(n):
+    for _, height, closure in all_rooted_forests(n):
         if need & ~closure == 0 and height < best:
             best = height
     return best

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import os
 import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -32,7 +36,6 @@ from homdual.graphs import (
     path_graph,
 )
 from homdual.homs import is_isomorphic
-from homdual.powers import is_bipartite
 
 from oracles import naive_graph6
 
@@ -302,6 +305,33 @@ def test_cli_td_deep_path(tmp_path, capsys):
     assert doc["results"]["optimal"] is False
     assert doc["results"]["value"] == 601
     assert doc["verdict"] == "pass"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(("td", "grad")), st.sampled_from(("g6", "edges")),
+       st.text(max_size=40) | st.binary(max_size=40))
+@example("td", "edges", "0 1\n1 2\n")
+@example("grad", "g6", "C~\n")
+@example("td", "g6", "C~\u00e9")
+@example("grad", "edges", b"0 1\xff\n")
+def test_cli_exit_code_contract_on_arbitrary_input(command, fmt, data):
+    """Whatever the file holds, ASCII or not, td and grad exit 0 with a JSON
+    report or 2 with a single error line, and raise nothing."""
+    raw = data.encode() if isinstance(data, str) else data
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--in", path, "--format", fmt])
+    assert code in (0, 2), (raw, code)
+    if code == 0:
+        assert json.loads(out.getvalue())["verdict"] == "pass"
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (raw, lines)
 
 
 def test_cli_grad(tmp_path, capsys):

@@ -21,7 +21,6 @@ from homdual.powers import (
     chromatic_number,
     exact_distance_graph,
     exact_power,
-    is_bipartite,
     odd_girth,
     odd_power_experiment,
 )
@@ -105,11 +104,6 @@ def test_odd_girth_matches_brute_odd_girth(catalog6, seeded_graphs):
     long_odd = [cycle_graph(15), disjoint_union([cycle_graph(8), cycle_graph(11)])[0]]
     for G in catalog6 + seeded_graphs + long_odd:
         assert odd_girth(G) == brute_odd_girth(G), G.rows
-
-
-def test_is_bipartite_matches_odd_girth(catalog6):
-    for G in catalog6:
-        assert is_bipartite(G) == (odd_girth(G) == INFINITY)
 
 
 def test_chromatic_number_known():

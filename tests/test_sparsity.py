@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import subprocess
@@ -17,7 +18,6 @@ from homdual.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    mask_of,
     path_graph,
     quotient,
 )
@@ -25,7 +25,6 @@ from homdual.sparsity import (
     RootedForest,
     TdCertificate,
     _grad_ceiling,
-    closure,
     degeneracy,
     expansion_profile,
     grad_0_flow,
@@ -43,6 +42,7 @@ from oracles import (
     brute_greedy_balls,
     brute_max_excess,
     brute_tree_depth,
+    brute_verify_td,
     plain_tree_depth,
 )
 
@@ -62,22 +62,18 @@ def subdivided_k4():
 
 def test_rooted_forest():
     F = RootedForest((None, 0, 1, 0))
-    assert F.height_of(2) == 3 and F.height_of(0) == 1
-    assert F.height() == 3
-    assert F.ancestors_mask(2) == mask_of([0, 1])
-    with pytest.raises(GraphError):
-        RootedForest((1, 0))  # two-cycle
-    with pytest.raises(GraphError):
-        RootedForest((0,))  # self-parent
-
-
-def test_closure():
-    # a chain becomes a complete graph
-    F = RootedForest((None, 0, 1))
-    assert closure(F) == complete_graph(3)
-    # a star of leaves stays a star
-    F = RootedForest((None, 0, 0, 0))
-    assert closure(F) == build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert F.depth == (1, 2, 3, 2) and F.height() == 3
+    assert RootedForest((2, 2, None)).depth == (2, 2, 1)
+    assert RootedForest(()).height() == 0
+    # the depths stay out of equality, hashing and repr
+    assert F == RootedForest((None, 0, 1, 0)) and hash(F) == hash(RootedForest((None, 0, 1, 0)))
+    assert repr(F) == "RootedForest(parent=(None, 0, 1, 0))"
+    for bad in ((1, 0), (0,), (None, 2, 1)):  # cycles, self-parent included
+        with pytest.raises(GraphError, match="cycle"):
+            RootedForest(bad)
+    for bad in ((5,), (None, -2, None), (None, -1)):  # parents outside 0..n-1
+        with pytest.raises(GraphError, match="not a vertex"):
+            RootedForest(bad)
 
 
 def test_verify_td():
@@ -90,6 +86,32 @@ def test_verify_td():
     assert not verify_td(P4, TdCertificate(3, RootedForest((1, None, 1, 1))))
     # wrong vertex count
     assert not verify_td(P4, TdCertificate(1, RootedForest((None,))))
+    # an edge between two vertices at the same depth
+    assert not verify_td(P4, TdCertificate(2, RootedForest((None, 0, None, 2))))
+
+
+def test_verify_td_matches_forest_oracle(catalog5):
+    """Every parent array over None and -2..n, on n <= 4 vertices against
+    every labelled graph on them and on 5 vertices against the 5-vertex
+    catalog, at every claimed value 0..n: a cyclic or out-of-range array
+    raises, and any other is accepted exactly when the oracle accepts it."""
+    cases = []
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        cases.append((n, [build_graph(n, [e for i, e in enumerate(pairs) if m >> i & 1])
+                          for m in range(1 << len(pairs))]))
+    cases.append((5, [G for G in catalog5 if G.n == 5]))
+    for n, graphs in cases:
+        for parent in itertools.product((None, *range(-2, n + 1)), repeat=n):
+            if brute_verify_td(graphs[0], parent, 0) is None:
+                with pytest.raises(GraphError):
+                    RootedForest(parent)
+                continue
+            F = RootedForest(parent)
+            for G in graphs:
+                for value in range(n + 1):
+                    expect = brute_verify_td(G, parent, value)
+                    assert verify_td(G, TdCertificate(value, F)) == expect, (G.rows, parent, value)
 
 
 # --- tree-depth -------------------------------------------------------------
@@ -355,7 +377,8 @@ def test_grad_greedy_runs_one_densest_flow(monkeypatch):
                         lambda G: calls.append(G) or densest(G))
     G, _ = disjoint_union([complete_graph(5), empty_graph(10)])
     res = grad_r(G, 1)  # 15 vertices: greedy, and the flow bound wins
-    assert not res.exact and res.value == 2
+    assert res.value == 2 == _grad_ceiling(G)
+    assert res.exact  # it meets the ceiling, which bounds every rank
     assert res.witness.balls == tuple(1 << v for v in range(5))
     assert len(calls) == 1
 
@@ -376,8 +399,25 @@ def test_grad_greedy_balls_match_oracle(monkeypatch):
     for G in graphs:
         for r in range(4):
             res = grad_r(G, r)
-            assert not res.exact
+            assert res.exact == (res.value == _grad_ceiling(G)), (G, r)
             assert list(res.witness.balls) == brute_greedy_balls(G, r), (G, r)
+
+
+def test_grad_greedy_flags_proven_values_exact():
+    """A greedy grad is exact when it meets the ceiling, or at rank 0, where
+    the densest-subgraph fallback is grad_0 itself; otherwise it stays a
+    lower bound."""
+    P = path_graph(40)
+    for r in range(3):
+        res = grad_r(P, r)
+        assert res.value == _grad_ceiling(P) == Fraction(39, 40) and res.exact, r
+    rng = random.Random(0)
+    G = build_graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.2])
+    res = grad_r(G, 0)
+    assert res.exact and res.value == grad_0_flow(G)
+    for r in range(1, 4):
+        res = grad_r(G, r)
+        assert res.value < _grad_ceiling(G) and not res.exact, r
 
 
 # --- orientations and degeneracy ---------------------------------------------
