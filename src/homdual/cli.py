@@ -21,6 +21,7 @@ from .coloring import (
     verify_p_centered,
 )
 from .duality import (
+    DEFAULT_REP_ORDER,
     build_dual,
     regular_partition_report,
     representatives,
@@ -70,7 +71,7 @@ def _load_corpus(args) -> list[Graph]:
             triangle_free=args.triangle_free,
         )
         return generate_all_graphs(args.n_max, filters)
-    if not getattr(args, "infile", None):
+    if not args.infile:
         raise GraphError("provide --in or --gen")
     if args.format == "edges":
         return [parse_edge_list(_read_text(args.infile))]
@@ -248,9 +249,8 @@ def _cmd_regular_partition(args):
                    rep["ok"], args)
 
 
-def _add_common(sp, infile=True):
-    if infile:
-        sp.add_argument("--in", dest="infile", help="input graph file")
+def _add_common(sp):
+    sp.add_argument("--in", dest="infile", help="input graph file")
     sp.add_argument("--format", choices=("g6", "edges"), default="g6")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
     sp.add_argument("--timing", action="store_true",
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--reps", help="graph6 file of representatives")
-    sp.add_argument("--n-rep", dest="n_rep", type=int, default=6)
+    sp.add_argument("--n-rep", dest="n_rep", type=int, default=DEFAULT_REP_ORDER)
     sp.set_defaults(func=_cmd_regular_partition)
 
     return ap

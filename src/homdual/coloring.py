@@ -15,7 +15,7 @@ from .graphs import (
     induced_subgraph,
     layers,
 )
-from .homs import _index_order_checks, _search
+from .homs import _index_order_later, _search
 from .sparsity import (
     TD_LIMIT,
     TdCertificate,
@@ -212,7 +212,6 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
     """
     n, rows = G.n, G.rows
     others = [((1 << k) - 1) ^ (1 << a) for a in range(k)]
-    checks = _index_order_checks(G, others)
     domains = [(1 << min(v + 1, k)) - 1 for v in range(n)]
     classes = [[0] * k for _ in range(n)]  # classes[v][q]: vertices below v colored q
     used = [0] * n  # used[v]: colors on the vertices below v, 0..used[v] - 1
@@ -238,7 +237,7 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
             used[v + 1] = top_after
         return False
 
-    for colors in _search(range(n), domains, checks, reject=reject):
+    for colors in _search(range(n), domains, others, _index_order_later(G), reject=reject):
         cand = Coloring(G, tuple(colors), k)
         if verify_low_td(G, cand, p)[0]:
             return cand

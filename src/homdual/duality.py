@@ -81,21 +81,9 @@ class TruncatedPower:
     D: Graph
     alpha: VertexMap
     subsets: tuple[tuple[int, ...], ...]  # all p-subsets of V(H), lex order
+    through: tuple[tuple[tuple[int, ...], ...], ...]  # per v: the subsets through v
     block: int  # assignments per template vertex: |V(U)| ** B
     coords: int  # B = binom(|V(H)|-1, p-1)
-
-    def subsets_through(self, v: int) -> list[tuple[int, ...]]:
-        return [I for I in self.subsets if v in I]
-
-    def decode(self, z: int) -> tuple[int, tuple[int, ...]]:
-        """(template vertex, assignment digits in lex subset order)."""
-        v, rest = divmod(z, self.block)
-        u = self.base.n
-        digits = []
-        for j in range(self.coords - 1, -1, -1):
-            d, rest = divmod(rest, u ** j)
-            digits.append(d)
-        return v, tuple(digits)
 
     def encode(self, v: int, digits: Sequence[int]) -> int:
         u = self.base.n
@@ -104,11 +92,20 @@ class TruncatedPower:
             idx = idx * u + d
         return v * self.block + idx
 
-    def coordinate(self, z: int, I: tuple[int, ...]) -> int:
-        """The base vertex assigned to subset I at the power vertex z."""
-        v, digits = self.decode(z)
-        pos = self.subsets_through(v).index(tuple(I))
-        return digits[pos]
+
+def _digit_masks(u: int, B: int) -> list[list[int]]:
+    """digit[j][a]: the local indices 0..u**B - 1 whose j-th digit (most
+    significant first) is a. Digit j is constant on runs of u ** (B-1-j)
+    indices, repeating with period u ** (B-j). Every reader of a power
+    vertex's digits goes through these masks; ``TruncatedPower.encode``
+    writes them."""
+    full = (1 << u ** B) - 1
+    digit = []
+    for j in range(B):
+        run = u ** (B - 1 - j)
+        spread = full // ((1 << (run * u)) - 1)  # bit 0 of every period
+        digit.append([(((1 << run) - 1) << (a * run)) * spread for a in range(u)])
+    return digit
 
 
 def power_order(u_count: int, h_count: int, p: int) -> int:
@@ -134,29 +131,21 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
     if order > POWER_ORDER_CAP:
         raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
     subsets = tuple(combinations(range(h), p))
-    through = [tuple(I for I in subsets if v in I) for v in range(h)]
+    through = tuple(tuple(I for I in subsets if v in I) for v in range(h))
     B = math.comb(h - 1, p - 1)
     if any(len(t) != B for t in through):
         raise InternalCheckError(f"a template vertex lies on other than {B} subsets")
     block = u ** B
     full = (1 << block) - 1
 
-    # near[j][a]: local indices whose j-th digit (most significant first) is
-    # a base neighbour of a; digit j is constant on runs of u ** (B-1-j)
-    # indices, repeating with period u ** (B-j)
-    near = []
-    for j in range(B):
-        run = u ** (B - 1 - j)
-        spread = full // ((1 << (run * u)) - 1)  # bit 0 of every period
-        digit_run = [((1 << run) - 1) << (b * run) for b in range(u)]
-        row_near = []
-        for a in range(u):
-            m = 0
-            for b in bits(U.rows[a]):
-                m |= digit_run[b]
-            row_near.append(m * spread)
-        near.append(row_near)
-    digits = [tuple(i // u ** (B - 1 - j) % u for j in range(B)) for i in range(block)]
+    digit = _digit_masks(u, B)
+    # near[j][a]: local indices whose j-th digit is a base neighbour of a
+    near = [[sum(masks[b] for b in bits(U.rows[a])) for a in range(u)] for masks in digit]
+    digits = [[0] * B for _ in range(block)]  # digits[i][j]: the j-th digit of i
+    for j, masks in enumerate(digit):
+        for a, m in enumerate(masks):
+            for i in bits(m):
+                digits[i][j] = a
 
     rows = [0] * order
     for v, w in H.edges():
@@ -183,7 +172,7 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
             raise InternalCheckError(
                 f"power edges leave the template neighbourhood of vertex {v}")
     alpha = VertexMap(D, H, tuple(z // block for z in range(order)))
-    return TruncatedPower(U, H, p, D, alpha, subsets, block, B)
+    return TruncatedPower(U, H, p, D, alpha, subsets, through, block, B)
 
 
 def power_local_property(TP: TruncatedPower) -> bool:
@@ -191,24 +180,21 @@ def power_local_property(TP: TruncatedPower) -> bool:
     color projection: for each p-subset of template vertices, the coordinate
     map at that subset is itself a homomorphism of the preimage into the base.
 
-    Each vertex is decoded once; per subset, Z[a] holds the preimage vertices
-    with coordinate a there, and a vertex of Z[a] may only have preimage
-    neighbours in the Z[b] with b adjacent to a. Small powers are
-    additionally cross-checked with the generic search.
+    Per subset I, Z[a] holds the preimage vertices with coordinate a at I:
+    over each v in I, the digit mask of I's position through v, shifted to
+    v's block. A vertex of Z[a] may only have preimage neighbours in the
+    Z[b] with b adjacent to a. Small powers are additionally cross-checked
+    with the generic search.
     """
     D, U = TP.D, TP.base
-    decoded = [TP.decode(z) for z in range(D.n)]
-    position = [{I: j for j, I in enumerate(TP.subsets_through(v))}
-                for v in range(TP.template.n)]
+    digit = _digit_masks(U.n, TP.coords)
     for I in TP.subsets:
         Z = [0] * U.n
-        for z, (v, digits) in enumerate(decoded):
-            j = position[v].get(I)
-            if j is not None:
-                Z[digits[j]] |= 1 << z
-        pre = 0
-        for m in Z:
-            pre |= m
+        for v in I:
+            masks = digit[TP.through[v].index(I)]
+            for a in range(U.n):
+                Z[a] |= masks[a] << v * TP.block
+        pre = sum(Z)
         for a in range(U.n):
             allowed = 0
             for b in bits(U.rows[a]):
@@ -258,8 +244,8 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
     for x in range(G.n):
         v = gamma.image[x]
         digits = []
-        for I in TP.subsets_through(v):
-            g = witnesses.get(tuple(I))
+        for I in TP.through[v]:
+            g = witnesses.get(I)
             if g is None or x not in g:
                 raise GraphError(f"missing local witness for subset {I}")
             digits.append(g[x])

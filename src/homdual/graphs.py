@@ -279,21 +279,21 @@ def quotient(G: Graph, P: BallFamily) -> Graph:
     """
     if P.graph is not G and P.graph != G:
         raise GraphError("ball family does not belong to this graph")
-    balls = P.balls
-    nbhd = []
-    for b in balls:
+    owner = [-1] * G.n  # owner[v]: the ball holding v, or -1
+    for i, b in enumerate(P.balls):
+        for v in bits(b):
+            owner[v] = i
+    rows = []
+    for b in P.balls:
         nb = 0
         for v in bits(b):
             nb |= G.rows[v]
-        nbhd.append(nb & ~b)
-    p = len(balls)
-    rows = [0] * p
-    for i in range(p):
-        for j in range(i + 1, p):
-            if nbhd[i] & balls[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(p, rows)
+        row = 0
+        for w in bits(nb & ~b):
+            if owner[w] >= 0:
+                row |= 1 << owner[w]
+        rows.append(row)
+    return Graph(len(P.balls), rows)
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:

@@ -99,12 +99,11 @@ def _max_clique_mask(G: Graph, within: int, in_triangle: int) -> int:
     return best
 
 
-def _search_order(G: Graph, table: Sequence[int], clique: int,
-                  within: int) -> tuple[list[int], list[list]]:
+def _search_order(G: Graph, clique: int, within: int) -> tuple[list[int], list[list[int]]]:
     """Deterministic assignment order of the vertices of ``within`` for
     ``_search``: the vertices of ``clique`` first, then BFS by descending
-    degree in G[within]; and with it, per depth, the forward check that the
-    neighbours placed later map into ``table[a]``.
+    degree in G[within]; and with it, per depth, the neighbours placed
+    later, which the forward check narrows.
 
     Ties go to the lower index, so the order on a vertex mask is the order
     on its induced subgraph, relabelled. Putting a dense seed first lets
@@ -114,7 +113,7 @@ def _search_order(G: Graph, table: Sequence[int], clique: int,
     rows = G.rows
     degs = [(row & within).bit_count() for row in rows]
     seed = sorted(bits(clique), key=lambda v: (-degs[v], v))
-    order, checks = [], []
+    order, later = [], []
     placed = reach = 0
     while placed != within:
         if len(order) < len(seed):
@@ -126,19 +125,14 @@ def _search_order(G: Graph, table: Sequence[int], clique: int,
         placed |= 1 << u
         near = rows[u] & within
         reach |= near
-        later = near & ~placed
-        checks.append([(table, list(bits(later)))] if later else [])
-    return order, checks
+        later.append(list(bits(near & ~placed)))
+    return order, later
 
 
-def _index_order_checks(G: Graph, table: Sequence[int]) -> list[list]:
-    """Forward checks for ``_search`` over the order 0..n-1: image a leaves
-    each higher-index neighbour only ``table[a]``."""
-    checks = []
-    for v in range(G.n):
-        later = G.rows[v] >> (v + 1) << (v + 1)
-        checks.append([(table, list(bits(later)))] if later else [])
-    return checks
+def _index_order_later(G: Graph) -> list[list[int]]:
+    """The neighbours placed later, per depth, for ``_search`` over the
+    order 0..n-1: each vertex's higher-index neighbours."""
+    return [list(bits(G.rows[v] >> (v + 1) << (v + 1))) for v in range(G.n)]
 
 
 def _triangles_within(G: Graph, within: int) -> int:
@@ -165,27 +159,25 @@ def _start_domains(G: Graph, H: Graph, in_triangle: int) -> Optional[list[int]]:
     return [targets if in_triangle >> v & 1 else H.full_mask for v in range(G.n)]
 
 
-def _search(order: Sequence[int], domains: list[int],
-            checks: Sequence[list[tuple[Sequence[int], list[int]]]],
-            budget: Optional[int] = None,
+def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
+            later: Sequence[list[int]], budget: Optional[int] = None,
             reject: Optional[Callable[[int, list[int]], bool]] = None,
             lookahead: Optional[Sequence[int]] = None,
             ) -> Iterator[Optional[list[int]]]:
     """The one backtracking loop, on an explicit stack.
 
     Depth i assigns ``order[i]`` each image left in its domain (a bitmask),
-    in increasing index. For each (table, later) in ``checks[i]``, image a
-    leaves each vertex in ``later`` only the images in ``table[a]``; a
-    domain emptied refutes a. If the checks pass and ``lookahead`` (the
-    source graph's rows) is given, one round of arc consistency follows:
-    each w in ``later`` leaves each of its neighbours not yet placed only
-    its support, the OR of ``table[b]`` over the images b left to w; a
-    domain emptied refutes a too. If those pass, ``reject(i, image)``, when
-    given, may still refute a on the images placed so far; once it returns
-    False the search descends from a (or yields). Yields the image list
-    (indexed by vertex and reused between yields) at each solution. Every
-    assignment tried counts one node; past ``budget`` nodes it yields None
-    and stops.
+    in increasing index. Image a leaves each vertex in ``later[i]`` only
+    the images in ``table[a]``; a domain emptied refutes a. If that passes
+    and ``lookahead`` (the source graph's rows) is given, one round of arc
+    consistency follows: each w in ``later[i]`` leaves each of its
+    neighbours not yet placed only its support, the OR of ``table[b]`` over
+    the images b left to w; a domain emptied refutes a too. If those pass,
+    ``reject(i, image)``, when given, may still refute a on the images
+    placed so far; once it returns False the search descends from a (or
+    yields). Yields the image list (indexed by vertex and reused between
+    yields) at each solution. Every assignment tried counts one node; past
+    ``budget`` nodes it yields None and stops.
 
     The look-ahead removes only images that no solution extending the
     images placed uses, so it keeps every solution and their order, and
@@ -218,20 +210,17 @@ def _search(order: Sequence[int], domains: list[int],
         a = low.bit_length() - 1
         image[order[i]] = a
         new, ok = doms[i], True
-        if checks[i]:
+        if later[i]:
             new = list(new)
-            for table, later in checks[i]:
-                row = table[a]
-                for w in later:
-                    d = new[w] & row
-                    if not d:
-                        ok = False
-                        break
-                    new[w] = d
-                if not ok:
+            row = table[a]
+            for w in later[i]:
+                d = new[w] & row
+                if not d:
+                    ok = False
                     break
+                new[w] = d
             if ok and lookahead is not None:
-                ok = _look_ahead(new, checks[i], lookahead, free[i])
+                ok = _look_ahead(new, later[i], table, lookahead, free[i])
         if not ok or reject is not None and reject(i, image):
             continue
         if i + 1 == n:
@@ -242,25 +231,24 @@ def _search(order: Sequence[int], domains: list[int],
             todo[i] = new[order[i]]
 
 
-def _look_ahead(doms: list[int], checks: Sequence[tuple[Sequence[int], list[int]]],
+def _look_ahead(doms: list[int], later: Sequence[int], table: Sequence[int],
                 rows: Sequence[int], free: int) -> bool:
     """The look-ahead round of ``_search`` on the domains ``doms`` (narrowed
     in place); False if it empties a domain."""
-    for table, later in checks:
-        for w in later:
-            near = rows[w] & free
-            if not near:
-                continue
-            support, rest = 0, doms[w]
-            while rest:  # bits(rest), inlined: the search's inner loop
-                low = rest & -rest
-                support |= table[low.bit_length() - 1]
-                rest ^= low
-            for x in bits(near):
-                d = doms[x] & support
-                if not d:
-                    return False
-                doms[x] = d
+    for w in later:
+        near = rows[w] & free
+        if not near:
+            continue
+        support, rest = 0, doms[w]
+        while rest:  # bits(rest), inlined: the search's inner loop
+            low = rest & -rest
+            support |= table[low.bit_length() - 1]
+            rest ^= low
+        for x in bits(near):
+            d = doms[x] & support
+            if not d:
+                return False
+            doms[x] = d
     return True
 
 
@@ -303,8 +291,8 @@ def _find_within(G: Graph, within: int, H: Graph,
     if twins != H.full_mask:
         domains = [d & twins for d in domains]
     clique = _max_clique_mask(G, within, in_triangle)
-    order, checks = _search_order(G, H.rows, clique, within)
-    for image in _search(order, domains, checks, budget, lookahead=G.rows):
+    order, later = _search_order(G, clique, within)
+    for image in _search(order, domains, H.rows, later, budget, lookahead=G.rows):
         if image is None:
             return BUDGET, None
         return PRESENT, image
@@ -316,7 +304,7 @@ def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
     domains = _start_domains(G, H, G.triangle_mask())
     if domains is None:
         return
-    for image in _search(range(G.n), domains, _index_order_checks(G, H.rows)):
+    for image in _search(range(G.n), domains, H.rows, _index_order_later(G)):
         yield VertexMap(G, H, tuple(image))
 
 
@@ -360,24 +348,19 @@ def core(G: Graph) -> Graph:
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:
-    """Exact isomorphism: a map that keeps degrees, sends edges to edges
-    and non-edges to non-edges is injective, so between graphs of one
-    order it is an isomorphism."""
+    """Exact isomorphism: an injective homomorphism between graphs of equal
+    order and edge count is a bijection that sends the edges onto the
+    edges, so it is an isomorphism. The search keeps degrees and rejects an
+    image already taken."""
     if G.n != H.n or G.edge_count() != H.edge_count():
         return False
-    n, full = G.n, G.full_mask
-    degG = [G.degree(v) for v in range(n)]
-    degH = [H.degree(a) for a in range(n)]
+    degG = [G.degree(v) for v in range(G.n)]
+    degH = [H.degree(a) for a in range(H.n)]
     if sorted(degG) != sorted(degH):
         return False
     by_degree: dict[int, int] = {}
     for a, d in enumerate(degH):
         by_degree[d] = by_degree.get(d, 0) | 1 << a
-    non_edges = [full ^ row ^ (1 << a) for a, row in enumerate(H.rows)]
-    checks = []
-    for v in range(n):
-        above = full >> (v + 1) << (v + 1)
-        checks.append([(H.rows, list(bits(G.rows[v] & above))),
-                       (non_edges, list(bits(above & ~G.rows[v])))])
     domains = [by_degree[d] for d in degG]
-    return next(_search(range(n), domains, checks), None) is not None
+    return next(_search(range(G.n), domains, H.rows, _index_order_later(G),
+                        reject=lambda v, image: image[v] in image[:v]), None) is not None

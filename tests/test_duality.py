@@ -184,7 +184,7 @@ def test_truncated_power_shape():
     assert TP.D.n == 12 and TP.coords == 2 and TP.block == 4
     assert check_homomorphism(TP.alpha)
     assert TP.subsets == ((0, 1), (0, 2), (1, 2))
-    assert TP.subsets_through(1) == [(0, 1), (1, 2)]
+    assert TP.through[1] == ((0, 1), (1, 2))
 
 
 def test_truncated_power_rejects_bad_parameters(monkeypatch):
@@ -200,12 +200,14 @@ def test_truncated_power_rejects_bad_parameters(monkeypatch):
 
 
 def test_encode_decode_roundtrip():
+    # decode each vertex through the digit masks, the one layout
     TP = truncated_power(path_graph(3), complete_graph(3), 2)
+    digit = duality._digit_masks(TP.base.n, TP.coords)
     for z in range(TP.D.n):
-        v, digits = TP.decode(z)
+        v, i = divmod(z, TP.block)
+        assert all(sum(m >> i & 1 for m in masks) == 1 for masks in digit)
+        digits = [next(a for a, m in enumerate(masks) if m >> i & 1) for masks in digit]
         assert TP.encode(v, digits) == z
-        for pos, I in enumerate(TP.subsets_through(v)):
-            assert TP.coordinate(z, I) == digits[pos]
 
 
 def test_power_local_property():

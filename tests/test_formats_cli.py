@@ -97,6 +97,24 @@ def test_graph6_roundtrip_sizes(n):
         assert parse_graph6(line) == G
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=70), st.integers(min_value=0, max_value=2 ** 16),
+       st.sampled_from((0.0, 0.05, 0.3, 0.7, 1.0)))
+@example(62, 0, 0.3)
+@example(63, 0, 0.3)
+def test_codecs_roundtrip_random_graphs(n, seed, density):
+    """graph6 and edge-list text both give back the graph, on either side
+    of the 62/63 boundary where graph6 switches to the 4-byte header."""
+    rng = random.Random(seed)
+    G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < density])
+    line = to_graph6(G)
+    assert line.startswith("~") == (n >= 63)
+    assert parse_graph6(line) == G
+    text = "".join([f"n {n}\n"] + [f"{u} {v}\n" for u, v in G.edges()])
+    assert parse_edge_list(text) == G
+
+
 @pytest.mark.parametrize("line, message, offset", [
     ("", "empty graph6 string", 0),
     ("\x19", "invalid header byte 25", 0),

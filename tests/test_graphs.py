@@ -196,6 +196,26 @@ def test_quotient_by_singletons_is_induced_subgraph(catalog5):
             assert is_isomorphic(quotient(G, fam), sub)
 
 
+def test_quotient_matches_pairwise_definition(seeded_graphs):
+    """Against the definition, every pair of balls: i ~ j iff some edge of G
+    joins them. Balls of radius 0 to 2 around seeded centers, some vertices
+    left uncovered."""
+    rng = random.Random(16)
+    for G in seeded_graphs:
+        for r in range(3):
+            covered, balls = 0, []
+            for c in rng.sample(range(G.n), G.n):
+                if covered >> c & 1 or rng.random() < 0.2:
+                    continue
+                ball = sum(layers(G.rows, 1 << c, G.full_mask & ~covered, r))
+                balls.append(ball)
+                covered |= ball
+            want = [sum(1 << j for j, other in enumerate(balls)
+                        if j != i and any(G.rows[v] & other for v in bits(ball)))
+                    for i, ball in enumerate(balls)]
+            assert quotient(G, BallFamily(G, tuple(balls), r)) == Graph(len(balls), want)
+
+
 def test_disjoint_union():
     G, offsets = disjoint_union([complete_graph(2), cycle_graph(3), empty_graph(1)])
     assert offsets == [0, 2, 5]

@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -92,8 +93,8 @@ def plain_find(G, H, budget=None, twins=False):
     if twins:
         domains = [d & H.twin_representatives() for d in domains]
     clique = homs._max_clique_mask(G, G.full_mask, G.triangle_mask())
-    order, checks = homs._search_order(G, H.rows, clique, G.full_mask)
-    for image in homs._search(order, domains, checks, budget):
+    order, later = homs._search_order(G, clique, G.full_mask)
+    for image in homs._search(order, domains, H.rows, later, budget):
         if image is None:
             return BUDGET, None
         return PRESENT, tuple(image)
@@ -466,29 +467,34 @@ def relabel(G, perm):
     return Graph(G.n, rows)
 
 
+def switched(G, a, b, c, d):
+    """G with edges ab, cd replaced by ac, bd: the same degrees."""
+    rows = list(G.rows)
+    for x, y in ((a, b), (c, d), (a, c), (b, d)):
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    return Graph(G.n, rows)
+
+
 def two_switch(G, rng):
-    """G with edges ab, cd replaced by ac, bd: the same degrees, and mostly
-    another graph."""
+    """A random switch of G: mostly another graph."""
     edges = G.edges()
     while True:
         (a, b), (c, d) = rng.sample(edges, 2)
         if len({a, b, c, d}) == 4 and not G.has_edge(a, c) and not G.has_edge(b, d):
-            rows = list(G.rows)
-            for x, y in ((a, b), (c, d), (a, c), (b, d)):
-                rows[x] ^= 1 << y
-                rows[y] ^= 1 << x
-            return Graph(G.n, rows)
+            return switched(G, a, b, c, d)
+
+
+def to_networkx(G):
+    nx = pytest.importorskip("networkx")
+    N = nx.Graph()
+    N.add_nodes_from(range(G.n))
+    N.add_edges_from(G.edges())
+    return N
 
 
 def test_is_isomorphic_matches_networkx(catalog6):
     nx = pytest.importorskip("networkx")
-
-    def to_nx(G):
-        N = nx.Graph()
-        N.add_nodes_from(range(G.n))
-        N.add_edges_from(G.edges())
-        return N
-
     rng = random.Random(13)
     pairs = []
     for G in catalog6:
@@ -512,7 +518,25 @@ def test_is_isomorphic_matches_networkx(catalog6):
             H = relabel(G, perm)
             pairs += [(G, H), (G, two_switch(H, rng))]
     verdicts = [is_isomorphic(G, H) for G, H in pairs]
-    assert verdicts == [nx.is_isomorphic(to_nx(G), to_nx(H)) for G, H in pairs]
+    assert verdicts == [nx.is_isomorphic(to_networkx(G), to_networkx(H)) for G, H in pairs]
     assert any(verdicts) and not all(verdicts)
     assert is_isomorphic(P, relabel(P, [3, 7, 1, 9, 0, 5, 2, 8, 6, 4]))
     assert not is_isomorphic(P, cubic10)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_graphs(8), st.data())
+def test_is_isomorphic_matches_networkx_on_relabellings_and_switches(G, data):
+    """Injectivity rests on the reject hook alone. A relabelling must be
+    found isomorphic; a 2-switch of it (edges ab, cd replaced by ac, bd:
+    the same degree sequence, often another graph, as C6 against 2K3)
+    must get networkx's verdict."""
+    nx = pytest.importorskip("networkx")
+    H = relabel(G, data.draw(st.permutations(range(G.n))))
+    assert is_isomorphic(G, H) and is_isomorphic(H, G)
+    switches = [(a, b, c, d) for (a, b), (x, y) in combinations(H.edges(), 2)
+                for c, d in ((x, y), (y, x))
+                if len({a, b, c, d}) == 4 and not H.has_edge(a, c) and not H.has_edge(b, d)]
+    if switches:
+        K = switched(H, *data.draw(st.sampled_from(switches)))
+        assert is_isomorphic(G, K) == nx.is_isomorphic(to_networkx(G), to_networkx(K))
