@@ -14,12 +14,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .catalog import GraphFilters, generate_all_graphs
-from .coloring import (
-    LOWTD_EXHAUSTIVE_LIMIT,
-    find_low_td_coloring,
-    make_coloring,
-    verify_p_centered,
-)
+from .coloring import find_low_td_coloring, make_coloring, verify_p_centered
 from .duality import (
     DEFAULT_REP_ORDER,
     build_dual,
@@ -28,8 +23,8 @@ from .duality import (
     truncated_power,
     verify_duality,
 )
-from .errors import BudgetExceededError, GraphError
-from .formats import parse_edge_list, parse_graph6, parse_graph_lines, to_graph6
+from .errors import GraphError
+from .formats import parse_edge_list, parse_graph_lines, to_graph6
 from .graphs import Graph, bits
 from .powers import (
     INFINITY,
@@ -59,8 +54,10 @@ def _load_graph(path: Optional[str], fmt: str) -> Graph:
     text = _read_text(path)
     if fmt == "edges":
         return parse_edge_list(text)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    return parse_graph6(first)
+    graphs = parse_graph_lines(text)
+    if len(graphs) != 1:
+        raise GraphError(f"{path} holds {len(graphs)} graphs, expected one")
+    return graphs[0]
 
 
 def _load_corpus(args) -> list[Graph]:
@@ -158,10 +155,7 @@ def _cmd_centered_verify(args):
 
 def _cmd_lowtd_find(args):
     G = _load_graph(args.infile, args.format)
-    res = find_low_td_coloring(G, args.p, k_max=args.k_max)
-    if res is None:
-        results = {"found": False, "exhaustive": G.n <= LOWTD_EXHAUSTIVE_LIMIT}
-        return _report("lowtd-find", {"n": G.n, "p": args.p}, results, False, args)
+    res = find_low_td_coloring(G, args.p)
     results = {
         "found": True,
         "k": res.coloring.k,
@@ -188,7 +182,7 @@ def _cmd_power(args):
 def _cmd_dual_build(args):
     corpus = _load_corpus(args)
     f_set = parse_graph_lines(_read_text(args.forbid))
-    build = build_dual(corpus, f_set, p_override=args.p_override)
+    build = build_dual(corpus, f_set)
     results = {
         "provenance": build.provenance,
         "dual_graph6": to_graph6(build.D) if build.D.n <= args.emit_limit else None,
@@ -203,10 +197,7 @@ def _cmd_dual_build(args):
 def _cmd_dual_verify(args):
     corpus = _load_corpus(args)
     f_set = parse_graph_lines(_read_text(args.forbid))
-    if args.dual:
-        D = parse_graph6(_read_text(args.dual).strip())
-    else:
-        D = build_dual(corpus, f_set, p_override=args.p_override).D
+    D = _load_graph(args.dual, "g6") if args.dual else build_dual(corpus, f_set).D
     report = verify_duality(corpus, f_set, D, budget=args.limit_nodes)
     results = report.to_dict()
     return _report("dual-verify", {"corpus": len(corpus), "forbid": len(f_set),
@@ -291,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lowtd-find", help="find a low tree-depth coloring")
     _add_common(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
     sp.add_argument("--exhaustive", action="store_true",
                     help="fail instead of falling back to the heuristic")
     sp.set_defaults(func=_cmd_lowtd_find)
@@ -307,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_gen(sp)
     sp.add_argument("--forbid", required=True, help="graph6 file, one per line")
-    sp.add_argument("--p-override", dest="p_override", type=int, default=None)
     sp.add_argument("--dual-out", dest="dual_out", help="write the dual as graph6")
     sp.add_argument("--emit-limit", dest="emit_limit", type=int, default=500)
     sp.set_defaults(func=_cmd_dual_build)
@@ -319,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dual", help="graph6 file with the dual (default: rebuild)")
     sp.add_argument("--limit-nodes", dest="limit_nodes", type=int, default=None,
                     help="search-node budget per homomorphism question")
-    sp.add_argument("--p-override", dest="p_override", type=int, default=None)
     sp.set_defaults(func=_cmd_dual_verify)
 
     sp = sub.add_parser("exact-power", help="exact path/distance power")
@@ -355,8 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args._start = time.perf_counter()
     try:
         text, code = args.func(args)
-    except (GraphError, BudgetExceededError, OSError, ValueError, MemoryError,
-            RecursionError) as exc:
+    except (GraphError, OSError, ValueError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
-from .errors import GraphError, SizeLimitError
+from .errors import GraphError, InternalCheckError, SizeLimitError
 from .graphs import (
     Graph,
     bits,
@@ -15,11 +15,12 @@ from .graphs import (
     induced_subgraph,
     layers,
 )
-from .homs import _index_order_later, _search
+from .homs import _search
 from .sparsity import (
     TD_LIMIT,
     TdCertificate,
     _td_max_edges,
+    degeneracy,
     tree_depth,
     tree_depth_value,
     verify_td,
@@ -169,7 +170,7 @@ class LowTdColoring:
     exhaustive: bool
 
 
-def find_low_td_coloring(G: Graph, p: int, k_max: Optional[int] = None) -> Optional[LowTdColoring]:
+def find_low_td_coloring(G: Graph, p: int) -> LowTdColoring:
     """Smallest coloring passing the low tree-depth check at threshold p.
 
     Exhaustive (provably minimal) for |V| <= ``LOWTD_EXHAUSTIVE_LIMIT``;
@@ -177,17 +178,15 @@ def find_low_td_coloring(G: Graph, p: int, k_max: Optional[int] = None) -> Optio
     minimality not guaranteed.
     """
     _check_p(p)
-    if k_max is None:
-        k_max = max(G.n, 1)
     if G.n == 0:
         return LowTdColoring(Coloring(G, (), 0), True)
-    if G.n <= LOWTD_EXHAUSTIVE_LIMIT:
-        for k in range(1, k_max + 1):
-            c = _exhaustive_low_td(G, p, k)
-            if c is not None:
-                return LowTdColoring(c, True)
-        return None
-    return _greedy_low_td(G, p, k_max)
+    if G.n > LOWTD_EXHAUSTIVE_LIMIT:
+        return _greedy_low_td(G, p)
+    for k in range(1, G.n + 1):
+        c = _exhaustive_low_td(G, p, k)
+        if c is not None:
+            return LowTdColoring(c, True)
+    raise InternalCheckError(f"no low tree-depth coloring of {G.n} vertices with {G.n} colors")
 
 
 def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
@@ -237,14 +236,14 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
             used[v + 1] = top_after
         return False
 
-    for colors in _search(range(n), domains, others, _index_order_later(G), reject=reject):
+    for colors in _search(range(n), domains, others, rows, reject=reject):
         cand = Coloring(G, tuple(colors), k)
         if verify_low_td(G, cand, p)[0]:
             return cand
     return None
 
 
-def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:
+def _greedy_low_td(G: Graph, p: int) -> LowTdColoring:
     """First-fit distance-p coloring on reversed degeneracy order: vertices
     within distance p of each other take distinct colors. It passes the low
     tree-depth check at p with no need to run it: if i <= p classes had a
@@ -252,8 +251,6 @@ def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:
     connected set of i + 1 vertices, pairwise within distance i <= p, and so
     of i + 1 colors. A component on at most i vertices has tree-depth at
     most i."""
-    from .sparsity import degeneracy
-
     _, order = degeneracy(G)
     colors = [-1] * G.n
     for v in reversed(order):
@@ -263,8 +260,7 @@ def _greedy_low_td(G: Graph, p: int, k_max: int) -> Optional[LowTdColoring]:
         while q in banned:
             q += 1
         colors[v] = q
-    c = make_coloring(G, colors)
-    return LowTdColoring(c, False) if c.k <= k_max else None
+    return LowTdColoring(make_coloring(G, colors), False)
 
 
 def product_centered(G: Graph, cbar: Coloring, p: int) -> Coloring:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, GraphError, InternalCheckError, SizeLimitError
+from .errors import GraphError, InternalCheckError, SizeLimitError
 from .graphs import (
     Graph,
     bits,
@@ -31,22 +31,23 @@ from .homs import (
     forb_member,
     hom_equivalent,
 )
+from .catalog import generate_all_graphs
 from .sparsity import tree_depth_value
-from .coloring import Coloring, class_unions, find_low_td_coloring
+from .coloring import Coloring, class_unions, find_low_td_coloring, verify_low_td
 
 POWER_ORDER_CAP = 100_000
 DEFAULT_REP_ORDER = 6
 
 
-def local_hom_check(G: Graph, phi: Sequence[int], p: int, U: Graph,
-                    budget: Optional[int] = None) -> tuple[bool, Optional[frozenset]]:
+def local_hom_check(G: Graph, phi: Sequence[int], p: int,
+                    U: Graph) -> tuple[bool, Optional[frozenset]]:
     """Is every vertex set with at most p distinct phi-values mappable to U?
 
     It suffices to check the preimage of each p-subset of the range, since
     any qualifying set sits inside one of those. Each preimage is a union
     of phi's class masks, searched in place on G's rows: the search
     ``find_homomorphism`` runs on the induced subgraph, with the same nodes
-    and so the same budget stops, and no graph built per subset.
+    and no graph built per subset.
     Returns (True, None) or (False, failing value set).
     """
     if len(phi) != G.n:
@@ -57,10 +58,7 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int, U: Graph,
     values = sorted(classes)
     sizes = (min(p, len(values)),) if values else ()
     for J, pre in class_unions([classes[a] for a in values], sizes):
-        status, _ = _find_within(G, pre, U, budget)
-        if status == BUDGET:
-            raise BudgetExceededError(
-                f"local check ran out of budget on {tuple(values[j] for j in J)}")
+        status, _ = _find_within(G, pre, U)
         if status == ABSENT:
             return False, frozenset(values[j] for j in J)
     return True, None
@@ -281,8 +279,6 @@ def representatives(p: int, n_max: int = DEFAULT_REP_ORDER) -> list[Graph]:
     isomorphism class. Desk-scale stand-in for the finite representative
     set of bounded tree-depth classes.
     """
-    from .catalog import generate_all_graphs
-
     reps = [G for G in generate_all_graphs(n_max)
             if G.n and tree_depth_value(G) <= p and core(G).n == G.n]
     reps.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
@@ -300,8 +296,7 @@ class DualBuild:
     provenance: dict
 
 
-def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
-               p_override: Optional[int] = None) -> DualBuild:
+def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
     """Construct a dual graph for the forbidden family over a finite corpus.
 
     Pipeline: threshold from the largest forbidden graph, low tree-depth
@@ -313,13 +308,11 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
     for F in f_set:
         if not is_connected(F):
             raise GraphError("forbidden graphs must be connected")
-    p = p_override if p_override is not None else max(F.n for F in f_set)
+    p = max(F.n for F in f_set)
     colorings = []
     n_colors = 1
     for G in corpus:
         res = find_low_td_coloring(G, p)
-        if res is None:
-            raise GraphError(f"no low tree-depth coloring found for {G!r}")
         colorings.append(res.coloring)
         n_colors = max(n_colors, res.coloring.k)
     reps = [R for R in representatives(p, DEFAULT_REP_ORDER) if forb_member(R, f_set)]
@@ -328,7 +321,8 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph],
     U, _ = disjoint_union(reps)
     template_size = max(n_colors, p)  # the power needs p <= |V(H)|
     order = power_order(U.n, template_size, p)
-    # checked before K_{template_size}, which a huge p would make huge
+    # checked before K_{template_size}, which can be huge: the greedy
+    # coloring of a 1,201-vertex star at p = 3 takes 1,201 colors
     if order > POWER_ORDER_CAP:
         raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
     H = complete_graph(template_size)
@@ -399,8 +393,6 @@ def regular_partition_report(G: Graph, c: Coloring, p: int,
     hom-equivalent representative. An unmatched component means the
     representative set is too small.
     """
-    from .coloring import verify_low_td
-
     ok, _ = verify_low_td(G, c, p)
     if not ok:
         raise GraphError("coloring fails the low tree-depth condition")

@@ -11,7 +11,3 @@ class SizeLimitError(GraphError):
 
 class InternalCheckError(GraphError):
     """A result failed a self-check; this signals a bug, not bad input."""
-
-
-class BudgetExceededError(Exception):
-    """A search exceeded its node budget without deciding the question."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import GraphError, SizeLimitError
+from .errors import GraphError
 from .graphs import Graph, _triangle_mask, bits, induced_subgraph
 
 PRESENT = "present"
@@ -99,11 +99,10 @@ def _max_clique_mask(G: Graph, within: int, in_triangle: int) -> int:
     return best
 
 
-def _search_order(G: Graph, clique: int, within: int) -> tuple[list[int], list[list[int]]]:
+def _search_order(G: Graph, clique: int, within: int) -> list[int]:
     """Deterministic assignment order of the vertices of ``within`` for
     ``_search``: the vertices of ``clique`` first, then BFS by descending
-    degree in G[within]; and with it, per depth, the neighbours placed
-    later, which the forward check narrows.
+    degree in G[within].
 
     Ties go to the lower index, so the order on a vertex mask is the order
     on its induced subgraph, relabelled. Putting a dense seed first lets
@@ -113,7 +112,7 @@ def _search_order(G: Graph, clique: int, within: int) -> tuple[list[int], list[l
     rows = G.rows
     degs = [(row & within).bit_count() for row in rows]
     seed = sorted(bits(clique), key=lambda v: (-degs[v], v))
-    order, later = [], []
+    order = []
     placed = reach = 0
     while placed != within:
         if len(order) < len(seed):
@@ -123,16 +122,8 @@ def _search_order(G: Graph, clique: int, within: int) -> tuple[list[int], list[l
             u = max(bits(frontier), key=lambda v: (degs[v], -v))
         order.append(u)
         placed |= 1 << u
-        near = rows[u] & within
-        reach |= near
-        later.append(list(bits(near & ~placed)))
-    return order, later
-
-
-def _index_order_later(G: Graph) -> list[list[int]]:
-    """The neighbours placed later, per depth, for ``_search`` over the
-    order 0..n-1: each vertex's higher-index neighbours."""
-    return [list(bits(G.rows[v] >> (v + 1) << (v + 1))) for v in range(G.n)]
+        reach |= rows[u] & within
+    return order
 
 
 def _triangles_within(G: Graph, within: int) -> int:
@@ -160,24 +151,23 @@ def _start_domains(G: Graph, H: Graph, in_triangle: int) -> Optional[list[int]]:
 
 
 def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
-            later: Sequence[list[int]], budget: Optional[int] = None,
+            rows: Sequence[int], budget: Optional[int] = None,
             reject: Optional[Callable[[int, list[int]], bool]] = None,
-            lookahead: Optional[Sequence[int]] = None,
-            ) -> Iterator[Optional[list[int]]]:
+            lookahead: bool = False) -> Iterator[Optional[list[int]]]:
     """The one backtracking loop, on an explicit stack.
 
     Depth i assigns ``order[i]`` each image left in its domain (a bitmask),
-    in increasing index. Image a leaves each vertex in ``later[i]`` only
-    the images in ``table[a]``; a domain emptied refutes a. If that passes
-    and ``lookahead`` (the source graph's rows) is given, one round of arc
-    consistency follows: each w in ``later[i]`` leaves each of its
-    neighbours not yet placed only its support, the OR of ``table[b]`` over
-    the images b left to w; a domain emptied refutes a too. If those pass,
-    ``reject(i, image)``, when given, may still refute a on the images
-    placed so far; once it returns False the search descends from a (or
-    yields). Yields the image list (indexed by vertex and reused between
-    yields) at each solution. Every assignment tried counts one node; past
-    ``budget`` nodes it yields None and stops.
+    in increasing index. Image a leaves each neighbour of ``order[i]`` (in
+    the source graph's ``rows``) placed later only the images in
+    ``table[a]``; a domain emptied refutes a. If that passes and
+    ``lookahead`` is set, one round of arc consistency follows: each such
+    neighbour w leaves each of its neighbours not yet placed only its
+    support, the OR of ``table[b]`` over the images b left to w; a domain
+    emptied refutes a too. If those pass, ``reject(i, image)``, when given,
+    may still refute a on the images placed so far; once it returns False
+    the search descends from a (or yields). Yields the image list (indexed
+    by vertex and reused between yields) at each solution. Every assignment
+    tried counts one node; past ``budget`` nodes it yields None and stops.
 
     The look-ahead removes only images that no solution extending the
     images placed uses, so it keeps every solution and their order, and
@@ -188,10 +178,15 @@ def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
     if n == 0:
         yield image
         return
-    if lookahead is not None:  # free[i]: the vertices placed after depth i
-        free = [0] * n
-        for i in range(n - 1, 0, -1):
-            free[i - 1] = free[i] | 1 << order[i]
+    free = [0] * n  # free[i]: the vertices placed after depth i
+    later = [()] * n  # later[i]: the neighbours of order[i] among them
+    f = 0
+    for i in range(n - 1, -1, -1):
+        near = rows[order[i]] & f
+        if near:
+            later[i] = list(bits(near))
+        free[i] = f
+        f |= 1 << order[i]
     doms = [domains] * n  # doms[i]: the domains at depth i
     todo = [0] * n  # todo[i]: the images depth i has still to try
     todo[0] = domains[order[0]]
@@ -219,8 +214,8 @@ def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
                     ok = False
                     break
                 new[w] = d
-            if ok and lookahead is not None:
-                ok = _look_ahead(new, later[i], table, lookahead, free[i])
+            if ok and lookahead:
+                ok = _look_ahead(new, later[i], table, rows, free[i])
         if not ok or reject is not None and reject(i, image):
             continue
         if i + 1 == n:
@@ -291,8 +286,8 @@ def _find_within(G: Graph, within: int, H: Graph,
     if twins != H.full_mask:
         domains = [d & twins for d in domains]
     clique = _max_clique_mask(G, within, in_triangle)
-    order, later = _search_order(G, clique, within)
-    for image in _search(order, domains, H.rows, later, budget, lookahead=G.rows):
+    order = _search_order(G, clique, within)
+    for image in _search(order, domains, H.rows, G.rows, budget, lookahead=True):
         if image is None:
             return BUDGET, None
         return PRESENT, image
@@ -304,7 +299,7 @@ def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
     domains = _start_domains(G, H, G.triangle_mask())
     if domains is None:
         return
-    for image in _search(range(G.n), domains, H.rows, _index_order_later(G)):
+    for image in _search(range(G.n), domains, H.rows, G.rows):
         yield VertexMap(G, H, tuple(image))
 
 
@@ -320,12 +315,8 @@ def forb_member(G: Graph, f_set: Sequence[Graph], budget: Optional[int] = None) 
     return None if unknown else True
 
 
-def hom_equivalent(G: Graph, H: Graph, budget: Optional[int] = None) -> bool:
-    a = find_homomorphism(G, H, budget=budget)
-    b = find_homomorphism(H, G, budget=budget)
-    if BUDGET in (a.status, b.status):
-        raise SizeLimitError("hom-equivalence undecided within budget")
-    return a.present and b.present
+def hom_equivalent(G: Graph, H: Graph) -> bool:
+    return find_homomorphism(G, H).present and find_homomorphism(H, G).present
 
 
 def core(G: Graph) -> Graph:
@@ -362,5 +353,5 @@ def is_isomorphic(G: Graph, H: Graph) -> bool:
     for a, d in enumerate(degH):
         by_degree[d] = by_degree.get(d, 0) | 1 << a
     domains = [by_degree[d] for d in degG]
-    return next(_search(range(G.n), domains, H.rows, _index_order_later(G),
+    return next(_search(range(G.n), domains, H.rows, G.rows,
                         reject=lambda v, image: image[v] in image[:v]), None) is not None

@@ -80,13 +80,13 @@ def chromatic_number(G: Graph) -> int:
         raise SizeLimitError(f"exact chromatic number capped at {CHROMATIC_LIMIT} vertices")
     clique = _max_clique_mask(G, G.full_mask, G.triangle_mask())
     other_colors = [G.full_mask ^ (1 << a) for a in range(G.n)]
-    order, later = _search_order(G, clique, G.full_mask)
+    order = _search_order(G, clique, G.full_mask)
     omega = clique.bit_count()
     for k in range(omega, G.n + 1):
         domains = [(1 << k) - 1] * G.n
         for color, v in enumerate(order[:omega]):
             domains[v] = 1 << color
-        if next(_search(order, domains, other_colors, later), None) is not None:
+        if next(_search(order, domains, other_colors, G.rows), None) is not None:
             return k
     raise InternalCheckError(f"no colouring of {G.n} vertices with {G.n} colours")
 

@@ -282,7 +282,6 @@ def test_find_low_td_coloring_known_sizes():
         assert res.coloring.k == 4
     res = find_low_td_coloring(empty_graph(3), 3)
     assert res.coloring.k == 1
-    assert find_low_td_coloring(path_graph(4), 2, k_max=2) is None
 
 
 def test_find_low_td_coloring_is_minimal():

@@ -23,7 +23,7 @@ from homdual.duality import (
     truncated_power,
     verify_duality,
 )
-from homdual.errors import BudgetExceededError, GraphError, InternalCheckError, SizeLimitError
+from homdual.errors import GraphError, InternalCheckError, SizeLimitError
 from homdual.graphs import (
     Graph,
     build_graph,
@@ -39,6 +39,7 @@ from homdual.homs import (
     ABSENT,
     BUDGET,
     VertexMap,
+    _find_within,
     check_homomorphism,
     find_homomorphism,
     is_isomorphic,
@@ -66,9 +67,6 @@ def test_local_hom_check():
 def test_local_hom_check_errors():
     with pytest.raises(GraphError):
         local_hom_check(path_graph(3), [0, 1], 1, complete_graph(2))
-    with pytest.raises(BudgetExceededError):
-        local_hom_check(cycle_graph(5), [0, 1, 2, 3, 4], 5,
-                        complete_graph(3), budget=1)
 
 
 def value_sets(phi, p):
@@ -81,17 +79,19 @@ def value_sets(phi, p):
 
 def per_subset_route(G, phi, p, U):
     """``local_hom_check`` as one ``find_homomorphism`` per induced
-    subgraph: (result, smallest budget that decides it)."""
-    deciding = 0
+    subgraph: the result, and per preimage tried (mask, vertices, result,
+    smallest budget that decides it)."""
+    tried = []
     for I in value_sets(phi, p):
-        sub, _ = induced_subgraph(G, mask_of(v for v in range(G.n) if phi[v] in I))
+        pre = mask_of(v for v in range(G.n) if phi[v] in I)
+        sub, old = induced_subgraph(G, pre)
         need = 0
         while (r := find_homomorphism(sub, U, budget=need)).status == BUDGET:
             need += 1
-        deciding = max(deciding, need)
+        tried.append((pre, old, r, need))
         if r.status == ABSENT:
-            return (False, frozenset(I)), deciding
-    return (True, None), deciding
+            return (False, frozenset(I)), tried
+    return (True, None), tried
 
 
 def canonical_colourings(n, k):
@@ -105,8 +105,9 @@ def canonical_colourings(n, k):
 
 def test_local_hom_check_matches_per_subset_route(catalog5):
     """The in-place search decides every preimage as the search on the
-    induced subgraph does: the same result and failing set, the same
-    smallest deciding budget, and the same local witnesses."""
+    induced subgraph does: the same status and first map, the same
+    smallest deciding budget, so the same result and failing set, and the
+    same local witnesses."""
     targets = [complete_graph(1), complete_graph(2), complete_graph(3), path_graph(3),
                cycle_graph(5)]
     K3 = complete_graph(3)
@@ -114,11 +115,15 @@ def test_local_hom_check_matches_per_subset_route(catalog5):
         for phi in canonical_colourings(G.n, 3):
             for U in targets:
                 for p in (1, 2, 3):
-                    want, deciding = per_subset_route(G, phi, p, U)
-                    assert local_hom_check(G, phi, p, U, budget=deciding) == want
-                    if deciding:
-                        with pytest.raises(BudgetExceededError):
-                            local_hom_check(G, phi, p, U, budget=deciding - 1)
+                    want, tried = per_subset_route(G, phi, p, U)
+                    assert local_hom_check(G, phi, p, U) == want
+                    for pre, old, r, need in tried:
+                        status, image = _find_within(G, pre, U, need)
+                        assert status == r.status
+                        if r.map is not None:
+                            assert tuple(image[v] for v in old) == r.map.image
+                        if need:
+                            assert _find_within(G, pre, U, need - 1)[0] == BUDGET
                     if want[0] and G.n:
                         wit = local_hom_witnesses(G, VertexMap(G, K3, phi), p, U)
                         for I, g in wit.items():
@@ -434,8 +439,10 @@ def test_build_dual_checks_power_cap_before_template(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(duality, "complete_graph", small_only)
-    with pytest.raises(SizeLimitError, match="exceeds cap"):
-        build_dual([complete_graph(1)], [complete_graph(2)], p_override=10**6)
+    # the greedy coloring of the star at p = 3 is a rainbow: 1,201 colors
+    star = build_graph(1201, [(0, i) for i in range(1, 1201)])
+    with pytest.raises(SizeLimitError, match="vastly exceeds any cap"):
+        build_dual([star], [complete_graph(3)])
 
 
 def test_build_dual_rejects_bad_forbidden_sets():

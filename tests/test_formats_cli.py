@@ -19,7 +19,7 @@ from homdual import cli, formats
 from homdual.cli import main
 from homdual.coloring import make_coloring, verify_low_td
 from homdual.duality import POWER_ORDER_CAP, truncated_power
-from homdual.errors import BudgetExceededError, GraphError, SizeLimitError
+from homdual.errors import GraphError, SizeLimitError
 from homdual.formats import (
     ParseError,
     parse_edge_list,
@@ -401,10 +401,6 @@ def test_cli_lowtd_find(p4_file, capsys):
                          "--exhaustive"], capsys)
     assert code == 0
     assert doc["results"]["k"] == 3 and doc["results"]["exhaustive"]
-    code, doc = run_cli(["lowtd-find", "--in", p4_file, "--p", "2",
-                         "--k-max", "2"], capsys)
-    assert code == 1
-    assert doc["results"] == {"found": False, "exhaustive": True}
 
 
 def test_cli_lowtd_find_threshold_above_order(tmp_path, capsys):
@@ -542,21 +538,49 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["td", "--in", str(good), "--seed", "1"]) == 2  # no such option
 
 
-@pytest.mark.parametrize("error", [
-    BudgetExceededError("local check ran out of budget"),
-    RecursionError("maximum recursion depth exceeded"),
+def test_cli_graph6_input_skips_comment_lines(tmp_path, capsys):
+    """A single-graph command reads graph6 as a corpus does: a line
+    starting with '#' is a comment."""
+    path = tmp_path / "p4.g6"
+    path.write_text("# the path on 4 vertices\n" + to_graph6(path_graph(4)) + "\n")
+    code, doc = run_cli(["td", "--in", str(path)], capsys)
+    assert code == 0 and doc["results"]["value"] == 3
+
+
+@pytest.mark.parametrize("text, count", [
+    ("A_\nBw\n", 2),
+    ("# no graph here\n\n", 0),
 ])
-def test_cli_search_errors_exit_2(p4_file, capsys, monkeypatch, error):
-    """A budget stop or an exhausted call stack is an error, exit 2 with a
-    one-line message, not a traceback and the verdict-fail exit 1."""
+@pytest.mark.parametrize("argv", [
+    ["td", "--in", "{bad}"],
+    ["power", "--in", "{k3}", "--template", "{bad}", "--p", "2"],
+    ["dual-verify", "--gen", "--n-max", "3", "--forbid", "{k3}", "--dual", "{bad}"],
+])
+def test_cli_single_graph_inputs_refuse_other_counts(tmp_path, capsys, argv, text, count):
+    """--in, --template and --dual each name one graph: a graph6 file
+    holding none or several exits 2 with one line, not a silent first."""
+    bad = tmp_path / "bad.g6"
+    bad.write_text(text)
+    k3 = tmp_path / "k3.g6"
+    k3.write_text(to_graph6(complete_graph(3)) + "\n")
+    files = {"bad": str(bad), "k3": str(k3)}
+    assert main([a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad} holds {count} graphs, expected one\n"
+
+
+def test_cli_search_errors_exit_2(p4_file, capsys, monkeypatch):
+    """An exhausted call stack is an error, exit 2 with a one-line
+    message, not a traceback and the verdict-fail exit 1."""
     def fail(G):
-        raise error
+        raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "tree_depth", fail)
     assert main(["td", "--in", p4_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {error}\n"
+    assert captured.err == "error: maximum recursion depth exceeded\n"
 
 
 def test_cli_huge_edge_list_exits_2(tmp_path):

@@ -93,8 +93,8 @@ def plain_find(G, H, budget=None, twins=False):
     if twins:
         domains = [d & H.twin_representatives() for d in domains]
     clique = homs._max_clique_mask(G, G.full_mask, G.triangle_mask())
-    order, later = homs._search_order(G, clique, G.full_mask)
-    for image in homs._search(order, domains, H.rows, later, budget):
+    order = homs._search_order(G, clique, G.full_mask)
+    for image in homs._search(order, domains, H.rows, G.rows, budget):
         if image is None:
             return BUDGET, None
         return PRESENT, tuple(image)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import homdual
@@ -16,6 +17,25 @@ def test_no_assert_in_src():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert list(SRC.glob("*.py")) and not found, found
+
+
+def test_src_imports_only_the_standard_library():
+    """README promises no runtime dependencies, and CI installs the test
+    extras, so an import of one of them in the library would go unnoticed:
+    every import, function-local ones too, is relative or of a standard
+    library module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
     assert list(SRC.glob("*.py")) and not found, found
 
 
