@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import SizeLimitError
-from .graphs import Graph, bits, connected_components, empty_graph
+from .graphs import Graph, bits, connected_components, empty_graph, mask_of
 from .homs import is_isomorphic
 
 GENERATE_LIMIT = 8
@@ -34,25 +34,29 @@ def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None) -> l
     """All graphs with at most n_max vertices, one per isomorphism class.
 
     Incremental vertex extension with invariant bucketing plus exact
-    isomorphism checks. Monotone filters (degree, triangle-free) prune
-    during generation; the rest apply at the end.
+    isomorphism checks. The monotone filters (degree, triangle-free) hold
+    on every base, so they prune the new vertex's neighbour set before a
+    graph is built; connectivity applies at the end.
     """
     if n_max > GENERATE_LIMIT:
         raise SizeLimitError(f"graph generation capped at {GENERATE_LIMIT} vertices")
     f = filters or GraphFilters()
+    cap, triangle_free = f.max_degree, f.triangle_free
     levels: list[list[Graph]] = [[empty_graph(0)]]
     for n in range(1, n_max + 1):
         buckets: dict[tuple, list[Graph]] = {}
         accepted: list[Graph] = []
         for base in levels[n - 1]:
+            if cap is not None:  # the new vertex joins at most cap vertices, each below cap
+                free = mask_of(v for v in range(n - 1) if base.degree(v) < cap)
             for nb in range(1 << (n - 1)):
+                if cap is not None and (nb & ~free or nb.bit_count() > cap):
+                    continue
+                if triangle_free and any(base.rows[v] & nb for v in bits(nb)):
+                    continue
                 rows = [base.rows[v] | ((nb >> v & 1) << (n - 1)) for v in range(n - 1)]
                 rows.append(nb)
                 G = Graph(n, rows)
-                if f.max_degree is not None and G.max_degree() > f.max_degree:
-                    continue
-                if f.triangle_free and G.triangle_mask():
-                    continue
                 key = _invariant(G)
                 bucket = buckets.setdefault(key, [])
                 if any(is_isomorphic(G, other) for other in bucket):

@@ -157,7 +157,6 @@ def _cmd_lowtd_find(args):
     G = _load_graph(args.infile, args.format)
     res = find_low_td_coloring(G, args.p)
     results = {
-        "found": True,
         "k": res.coloring.k,
         "colors": list(res.coloring.colors),
         "exhaustive": res.exhaustive,
@@ -173,7 +172,6 @@ def _cmd_power(args):
     results = {
         "order": TP.D.n,
         "edges": TP.D.edge_count(),
-        "alpha_checked": True,
         "graph6": to_graph6(TP.D) if TP.D.n <= args.emit_limit else None,
     }
     return _report("power", {"u": U.n, "h": H.n, "p": args.p}, results, True, args)

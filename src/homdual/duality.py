@@ -21,7 +21,6 @@ from .homs import (
     ABSENT,
     BUDGET,
     PRESENT,
-    HomResult,
     VertexMap,
     _find_within,
     check_homomorphism,
@@ -280,7 +279,7 @@ def representatives(p: int, n_max: int = DEFAULT_REP_ORDER) -> list[Graph]:
     set of bounded tree-depth classes.
     """
     reps = [G for G in generate_all_graphs(n_max)
-            if G.n and tree_depth_value(G) <= p and core(G).n == G.n]
+            if G.n and tree_depth_value(G) <= p and len(core(G)[1]) == G.n]
     reps.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
     return reps
 
@@ -289,10 +288,6 @@ def representatives(p: int, n_max: int = DEFAULT_REP_ORDER) -> list[Graph]:
 class DualBuild:
     D: Graph
     power: TruncatedPower
-    base: Graph
-    p: int
-    n_colors: int
-    colorings: tuple[Coloring, ...]
     provenance: dict
 
 
@@ -309,16 +304,13 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
         if not is_connected(F):
             raise GraphError("forbidden graphs must be connected")
     p = max(F.n for F in f_set)
-    colorings = []
     n_colors = 1
     for G in corpus:
-        res = find_low_td_coloring(G, p)
-        colorings.append(res.coloring)
-        n_colors = max(n_colors, res.coloring.k)
+        n_colors = max(n_colors, find_low_td_coloring(G, p).coloring.k)
     reps = [R for R in representatives(p, DEFAULT_REP_ORDER) if forb_member(R, f_set)]
     if not reps:
         raise GraphError("no representative avoids the forbidden family")
-    U, _ = disjoint_union(reps)
+    U = disjoint_union(reps)
     template_size = max(n_colors, p)  # the power needs p <= |V(H)|
     order = power_order(U.n, template_size, p)
     # checked before K_{template_size}, which can be huge: the greedy
@@ -339,7 +331,7 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
         "dual_order": TP.D.n,
         "dual_edges": TP.D.edge_count(),
     }
-    return DualBuild(TP.D, TP, U, p, template_size, tuple(colorings), provenance)
+    return DualBuild(TP.D, TP, provenance)
 
 
 @dataclass(frozen=True)

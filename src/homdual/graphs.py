@@ -32,9 +32,9 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple graph: ``rows[v]`` is the neighbor bitmask of v."""
 
-    __slots__ = ("n", "rows", "labels", "_hash", "_triangles", "_twins")
+    __slots__ = ("n", "rows", "_hash", "_triangles", "_twins")
 
-    def __init__(self, n: int, rows: Sequence[int], labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, rows: Sequence[int]):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         rows = tuple(rows)
@@ -67,7 +67,6 @@ class Graph:
                         raise GraphError(f"adjacency not symmetric at {{{u},{v}}}")
         self.n = n
         self.rows = rows
-        self.labels = tuple(labels) if labels is not None else None
         self._hash = hash((n, rows))
         self._triangles = None
         self._twins = None
@@ -142,7 +141,7 @@ def _triangle_mask(rows: Sequence[int], vertex_rows: Iterable[tuple[int, int]]) 
     return mask
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequence[str]] = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, rejecting loops and bad endpoints."""
     rows = [0] * n
     for u, v in edges:
@@ -152,7 +151,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], labels: Optional[Seque
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, labels)
+    return Graph(n, rows)
 
 
 def complete_graph(n: int) -> Graph:
@@ -184,10 +183,7 @@ def induced_subgraph(G: Graph, S: int) -> tuple[Graph, list[int]]:
     for i, v in enumerate(verts):
         for u in bits(G.rows[v] & S):
             rows[i] |= 1 << index[u]
-    labels = None
-    if G.labels is not None:
-        labels = [G.labels[v] for v in verts]
-    return Graph(len(verts), rows, labels), verts
+    return Graph(len(verts), rows), verts
 
 
 def connected_components(G: Graph, within: Optional[int] = None) -> list[int]:
@@ -296,24 +292,17 @@ def quotient(G: Graph, P: BallFamily) -> Graph:
     return Graph(len(P.balls), rows)
 
 
-def disjoint_union(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
-    """Disjoint union; returns (graph, vertex offsets of each part)."""
-    offsets = []
+def disjoint_union(graphs: Sequence[Graph]) -> Graph:
+    """Disjoint union, the parts placed one after another in order."""
     total = 0
     rows: list[int] = []
-    labels: list[str] = []
-    any_labels = any(g.labels is not None for g in graphs)
     for g in graphs:
-        offsets.append(total)
-        for v in range(g.n):
-            rows.append(g.rows[v] << total)
-            if any_labels:
-                labels.append(g.labels[v] if g.labels is not None else str(v))
+        rows += [row << total for row in g.rows]
         total += g.n
-    return Graph(total, rows, labels if any_labels else None), offsets
+    return Graph(total, rows)
 
 
-def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator[int]:
+def enumerate_connected_sets(G: Graph) -> Iterator[int]:
     """All nonempty vertex masks inducing connected subgraphs, each once.
 
     Depth first from each start vertex v, with the vertices before v banned:
@@ -321,14 +310,13 @@ def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator
     u in increasing order, and the u already tried are banned for the later
     ones.
     """
-    allowed = G.full_mask if within is None else within
     rows = G.rows
     banned = 0
-    for v in bits(allowed):
+    for v in range(G.n):
         S = 1 << v
         yield S
         # frames: (set, its neighbourhood, boundary vertices left to try, banned)
-        stack = [(S, rows[v], rows[v] & allowed & ~S & ~banned, banned)]
+        stack = [(S, rows[v], rows[v] & ~S & ~banned, banned)]
         while stack:
             S, near, todo, b = stack.pop()
             if not todo:
@@ -338,7 +326,7 @@ def enumerate_connected_sets(G: Graph, within: Optional[int] = None) -> Iterator
             S |= low
             near |= rows[low.bit_length() - 1]
             yield S
-            stack.append((S, near, near & allowed & ~S & ~b, b))
+            stack.append((S, near, near & ~S & ~b, b))
         banned |= 1 << v
 
 

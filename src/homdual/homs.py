@@ -27,9 +27,6 @@ class VertexMap:
         if not all(0 <= a < self.target.n for a in self.image):
             raise GraphError(f"an image lies outside 0..{self.target.n - 1}")
 
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
 
 def check_homomorphism(f: VertexMap) -> bool:
     """True iff every edge of the source maps to an edge of the target."""
@@ -319,14 +316,14 @@ def hom_equivalent(G: Graph, H: Graph) -> bool:
     return find_homomorphism(G, H).present and find_homomorphism(H, G).present
 
 
-def core(G: Graph) -> Graph:
+def core(G: Graph) -> tuple[Graph, list[int]]:
     """The core of G: smallest induced subgraph hom-equivalent to G.
 
     One retraction pass: for v from n-1 down to 0, drop v when the kept
     graph maps into itself minus v. What is left is a core, since a map
     K -> K - v would have let v go when it was tried. Canonical choice:
-    the vertex set this pass keeps. Labels carry the original vertex
-    indices.
+    the vertex set this pass keeps. Returns (core, kept vertices of G), as
+    ``induced_subgraph`` does.
     """
     S = G.full_mask
     K = G
@@ -335,7 +332,7 @@ def core(G: Graph) -> Graph:
         if find_homomorphism(K, sub).present:
             S &= ~(1 << v)
             K = sub
-    return Graph(K.n, K.rows, [str(v) for v in bits(S)])
+    return K, list(bits(S))
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:

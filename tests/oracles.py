@@ -420,13 +420,13 @@ def brute_truncated_power(U: Graph, H: Graph, p: int) -> list[int]:
 
 def brute_core(G: Graph) -> Graph:
     """A smallest induced subgraph that G maps into, trying vertex subsets
-    by size, then lexicographically, with ``brute_homomorphism``. Its
-    labels are the chosen vertices of G; G itself when it has none."""
+    by size, then lexicographically, with ``brute_homomorphism``; G itself
+    when it has none."""
     for size in range(1, G.n + 1):
         for subset in itertools.combinations(range(G.n), size):
             rows = [sum(1 << i for i, u in enumerate(subset) if G.has_edge(v, u))
                     for v in subset]
-            sub = Graph(size, rows, [str(v) for v in subset])
+            sub = Graph(size, rows)
             if brute_homomorphism(G, sub) is not None:
                 return sub
     return G

@@ -186,7 +186,7 @@ def test_criterion_08_centered_colorings():
 
 def test_criterion_09_end_to_end_duality(dual_pipeline):
     corpus, build = dual_pipeline
-    assert build.p == 3
+    assert build.power.p == 3
     assert build.provenance["dual_order"] == 3645
     assert find_homomorphism(complete_graph(3), build.D).status == "absent"
     report = verify_duality(corpus, [complete_graph(3)], build.D)

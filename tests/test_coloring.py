@@ -417,7 +417,7 @@ def test_product_centered():
 
 
 def test_product_centered_disconnected():
-    G, _ = disjoint_union([path_graph(3), complete_graph(3)])
+    G = disjoint_union([path_graph(3), complete_graph(3)])
     base = find_low_td_coloring(G, 2).coloring
     c = product_centered(G, base, 2)
     assert verify_p_centered(G, c, 2)[0]

@@ -243,7 +243,7 @@ def test_criterion_nine_power_rows_unchanged():
     # the triangle-free subcubic dual: K1 + K2 raised to the 3-truncated
     # K5-power; the row digest was recorded before the power was rebuilt
     # on integer masks
-    U, _ = disjoint_union([complete_graph(1), complete_graph(2)])
+    U = disjoint_union([complete_graph(1), complete_graph(2)])
     D = truncated_power(U, complete_graph(5), 3).D
     assert (D.n, D.edge_count()) == (3645, 58320)
     h = hashlib.sha256()
@@ -424,8 +424,8 @@ def test_representatives_unchanged():
 
 def test_build_dual_degenerate():
     build = build_dual([complete_graph(1)], [complete_graph(2)])
-    assert build.p == 2
-    assert build.base.n == 1  # only K1 avoids an edge
+    assert build.power.p == 2
+    assert build.power.base.n == 1  # only K1 avoids an edge
     assert build.provenance["template_size"] == 2
     assert build.D.n == 2 and build.D.edge_count() == 0
 
@@ -448,7 +448,7 @@ def test_build_dual_checks_power_cap_before_template(monkeypatch):
 def test_build_dual_rejects_bad_forbidden_sets():
     with pytest.raises(GraphError):
         build_dual([complete_graph(1)], [])
-    disconnected, _ = disjoint_union([path_graph(2), path_graph(2)])
+    disconnected = disjoint_union([path_graph(2), path_graph(2)])
     with pytest.raises(GraphError):
         build_dual([complete_graph(1)], [disconnected])
 
@@ -457,7 +457,7 @@ def test_build_dual_triangle_free_small():
     corpus = [path_graph(n) for n in range(1, 5)] + [cycle_graph(4), cycle_graph(5)]
     f_set = [complete_graph(3)]
     build = build_dual(corpus, f_set)
-    assert build.p == 3
+    assert build.power.p == 3
     assert find_homomorphism(complete_graph(3), build.D).status == "absent"
     report = verify_duality(corpus, f_set, build.D)
     assert report.verdict and all(report.forbidden_ok)

@@ -145,7 +145,7 @@ def test_parse_graph6_dual_decodes_in_small_memory():
     """The 3,645-vertex criterion-9 dual (830 KB of adjacency bits) decodes
     under a 10 MB allocation peak: the payload is read as one integer, not
     as a string of one character per bit."""
-    U, _ = disjoint_union([complete_graph(1), complete_graph(2)])
+    U = disjoint_union([complete_graph(1), complete_graph(2)])
     D = truncated_power(U, complete_graph(5), 3).D
     line = to_graph6(D)
     tracemalloc.start()
@@ -274,12 +274,36 @@ def test_generate_connected_counts():
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
 
 
-def test_generate_filters_match_post_filter(catalog5):
-    tf = generate_all_graphs(5, GraphFilters(triangle_free=True))
-    assert len(tf) == sum(1 for G in catalog5
-                          if not any(G.rows[u] & G.rows[v] for u, v in G.edges()))
-    deg2 = generate_all_graphs(5, GraphFilters(max_degree=2))
-    assert len(deg2) == sum(1 for G in catalog5 if G.max_degree() <= 2)
+def _max_degree_triangle_connected(rows):
+    """(maximum degree, has a triangle, is connected and nonempty) of the
+    graph with these row bitmasks."""
+    n = len(rows)
+    triangle = any(rows[u] & rows[v] for u in range(n) for v in range(n) if rows[u] >> v & 1)
+    reach = 1
+    while True:
+        grown = reach
+        for v in range(n):
+            if reach >> v & 1:
+                grown |= rows[v]
+        if grown == reach:
+            break
+        reach = grown
+    return max((r.bit_count() for r in rows), default=0), triangle, n > 0 and reach == (1 << n) - 1
+
+
+def test_generate_filters_match_post_filter(catalog7):
+    """Every filtered catalog on at most 7 vertices is the unfiltered one
+    filtered afterwards, graph by graph and in order: generation prunes only
+    extensions the filters reject, and keeps the first graph of each class."""
+    facts = [_max_degree_triangle_connected(G.rows) for G in catalog7]
+    for max_degree in (None, 2, 3):
+        for connected in (False, True):
+            for triangle_free in (False, True):
+                want = [G for G, (deg, triangle, conn) in zip(catalog7, facts)
+                        if (max_degree is None or deg <= max_degree)
+                        and (conn or not connected) and not (triangle and triangle_free)]
+                got = generate_all_graphs(7, GraphFilters(max_degree, connected, triangle_free))
+                assert got == want, (max_degree, connected, triangle_free)
 
 
 def test_generate_size_cap():
@@ -410,7 +434,7 @@ def test_cli_lowtd_find_threshold_above_order(tmp_path, capsys):
     code, doc = run_cli(["lowtd-find", "--in", str(path), "--p", "13"], capsys)
     assert code == 0
     results = doc["results"]
-    assert results["found"] and results["k"] == 12 and not results["exhaustive"]
+    assert results["k"] == 12 and not results["exhaustive"]
     c = make_coloring(path_graph(12), results["colors"])
     assert verify_low_td(path_graph(12), c, 13) == (True, None)
 

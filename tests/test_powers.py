@@ -52,7 +52,7 @@ def test_exact_distance_examples():
         6, [(0, 3), (1, 4), (2, 5)])
     assert exact_distance_graph(path_graph(4), 1) == path_graph(4)
     # unreachable pairs never meet
-    G, _ = disjoint_union([path_graph(2), path_graph(2)])
+    G = disjoint_union([path_graph(2), path_graph(2)])
     assert exact_distance_graph(G, 2) == empty_graph(4)
 
 
@@ -96,12 +96,12 @@ def test_odd_girth():
     assert odd_girth(cycle_graph(6)) == INFINITY
     assert odd_girth(empty_graph(3)) == INFINITY
     assert odd_girth(petersen()) == 5
-    G, _ = disjoint_union([cycle_graph(6), cycle_graph(7)])
+    G = disjoint_union([cycle_graph(6), cycle_graph(7)])
     assert odd_girth(G) == 7
 
 
 def test_odd_girth_matches_brute_odd_girth(catalog6, seeded_graphs):
-    long_odd = [cycle_graph(15), disjoint_union([cycle_graph(8), cycle_graph(11)])[0]]
+    long_odd = [cycle_graph(15), disjoint_union([cycle_graph(8), cycle_graph(11)])]
     for G in catalog6 + seeded_graphs + long_odd:
         assert odd_girth(G) == brute_odd_girth(G), G.rows
 

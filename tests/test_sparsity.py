@@ -123,7 +123,7 @@ def test_tree_depth_known_values():
     assert tree_depth(cycle_graph(6)).value == 4
     assert tree_depth(empty_graph(0)).value == 0
     assert tree_depth(empty_graph(5)).value == 1
-    G, _ = disjoint_union([complete_graph(3), path_graph(2)])
+    G = disjoint_union([complete_graph(3), path_graph(2)])
     assert tree_depth(G).value == 3  # max over components
 
 
@@ -375,7 +375,7 @@ def test_grad_greedy_runs_one_densest_flow(monkeypatch):
     densest = sp._densest_subgraph_mask
     monkeypatch.setattr(sp, "_densest_subgraph_mask",
                         lambda G: calls.append(G) or densest(G))
-    G, _ = disjoint_union([complete_graph(5), empty_graph(10)])
+    G = disjoint_union([complete_graph(5), empty_graph(10)])
     res = grad_r(G, 1)  # 15 vertices: greedy, and the flow bound wins
     assert res.value == 2 == _grad_ceiling(G)
     assert res.exact  # it meets the ceiling, which bounds every rank

@@ -39,6 +39,27 @@ def test_src_imports_only_the_standard_library():
     assert list(SRC.glob("*.py")) and not found, found
 
 
+def test_src_imports_are_used():
+    """Every name a library module imports is read in it. The package
+    ``__init__`` is left out, since it imports to re-export, and so is
+    ``from __future__ import annotations``, which switches a feature on."""
+    found = []
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in read]
+    assert modules and not found, found
+
+
 def test_readme_size_limits_match_constants():
     """Every cap in README "Size limits" is named as `module.NAME` = value,
     and the value is the constant's; every module-level *_LIMIT or *_CAP
