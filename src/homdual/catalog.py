@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import SizeLimitError
 from .graphs import Graph, bits, connected_components, empty_graph, mask_of
@@ -30,19 +30,29 @@ def _invariant(G: Graph) -> tuple:
     return (G.n, G.edge_count(), tuple(degs), tuple(nbr_degs), tri)
 
 
-def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None) -> list[Graph]:
+def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,
+                        keep: Optional[Callable[[Graph], bool]] = None) -> list[Graph]:
     """All graphs with at most n_max vertices, one per isomorphism class.
 
     Incremental vertex extension with invariant bucketing plus exact
     isomorphism checks. The monotone filters (degree, triangle-free) hold
     on every base, so they prune the new vertex's neighbour set before a
     graph is built; connectivity applies at the end.
+
+    ``keep`` must be an isomorphism-invariant predicate closed under
+    induced subgraphs. A new class whose first graph fails it stays in its
+    bucket, so later copies are still refused, but is neither output nor
+    extended. Every graph extends its base, an induced subgraph, so no
+    passing graph comes from a failing base, and the result is the
+    catalog without ``keep`` filtered afterwards: the same graphs in the
+    same order.
     """
     if n_max > GENERATE_LIMIT:
         raise SizeLimitError(f"graph generation capped at {GENERATE_LIMIT} vertices")
     f = filters or GraphFilters()
     cap, triangle_free = f.max_degree, f.triangle_free
-    levels: list[list[Graph]] = [[empty_graph(0)]]
+    E = empty_graph(0)
+    levels: list[list[Graph]] = [[E] if keep is None or keep(E) else []]
     for n in range(1, n_max + 1):
         buckets: dict[tuple, list[Graph]] = {}
         accepted: list[Graph] = []
@@ -62,7 +72,8 @@ def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None) -> l
                 if any(is_isomorphic(G, other) for other in bucket):
                     continue
                 bucket.append(G)
-                accepted.append(G)
+                if keep is None or keep(G):
+                    accepted.append(G)
         levels.append(accepted)
     out: list[Graph] = []
     for n in range(n_max + 1):

@@ -182,11 +182,44 @@ def find_low_td_coloring(G: Graph, p: int) -> LowTdColoring:
         return LowTdColoring(Coloring(G, (), 0), True)
     if G.n > LOWTD_EXHAUSTIVE_LIMIT:
         return _greedy_low_td(G, p)
-    for k in range(1, G.n + 1):
+    return LowTdColoring(_first_passing(G, p, 1), True)
+
+
+def _first_passing(G: Graph, p: int, k_min: int) -> Coloring:
+    """The first passing coloring over k = k_min, k_min + 1, ... colors; one
+    with |V(G)| colors (every class one vertex) always passes."""
+    for k in range(k_min, G.n + 1):
         c = _exhaustive_low_td(G, p, k)
         if c is not None:
-            return LowTdColoring(c, True)
+            return c
     raise InternalCheckError(f"no low tree-depth coloring of {G.n} vertices with {G.n} colors")
+
+
+def max_low_td_colors(corpus: Iterable[Graph], p: int) -> int:
+    """``max(1, max(find_low_td_coloring(G, p).coloring.k for G in corpus))``,
+    in fewer rounds.
+
+    Splitting a class of a passing coloring keeps it passing: any i classes
+    of the finer coloring lie inside at most i classes of the coarser one,
+    and tree-depth is monotone under subgraphs. So for M <= |V(G)|, G has a
+    passing coloring with at most M colors exactly when it has one with
+    exactly M. With M the running maximum, a graph on at most M vertices
+    cannot raise it, and any other graph up to ``LOWTD_EXHAUSTIVE_LIMIT``
+    vertices tries exactly k = M, M + 1, ... colors until a round passes:
+    the first k is M if the graph needs at most M colors, and its own least
+    count otherwise. Larger graphs count their greedy coloring, as
+    ``find_low_td_coloring`` does.
+    """
+    _check_p(p)
+    best = 1
+    for G in corpus:
+        if G.n <= best:
+            continue
+        if G.n > LOWTD_EXHAUSTIVE_LIMIT:
+            best = max(best, _greedy_low_td(G, p).coloring.k)
+        else:
+            best = _first_passing(G, p, best).k
+    return best
 
 
 def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:

@@ -32,7 +32,7 @@ from .homs import (
 )
 from .catalog import generate_all_graphs
 from .sparsity import tree_depth_value
-from .coloring import Coloring, class_unions, find_low_td_coloring, verify_low_td
+from .coloring import Coloring, class_unions, max_low_td_colors, verify_low_td
 
 POWER_ORDER_CAP = 100_000
 DEFAULT_REP_ORDER = 6
@@ -271,15 +271,23 @@ def locbound_equivalence(G: Graph, U: Graph, H: Graph, p: int) -> tuple[bool, bo
     return lhs, rhs
 
 
-def representatives(p: int, n_max: int = DEFAULT_REP_ORDER) -> list[Graph]:
-    """Cores of all graphs up to n_max vertices with tree-depth <= p: the
-    catalog graphs that are their own cores. A core is a subgraph, so it
-    lies in the same range, and the catalog holds one graph per
-    isomorphism class. Desk-scale stand-in for the finite representative
-    set of bounded tree-depth classes.
+def representatives(p: int, n_max: int = DEFAULT_REP_ORDER,
+                    f_set: Sequence[Graph] = ()) -> list[Graph]:
+    """Cores of all graphs up to n_max vertices with tree-depth <= p into
+    which no member of ``f_set`` maps: the catalog graphs that are their own
+    cores. A core is a subgraph, so it lies in the same range, and the
+    catalog holds one graph per isomorphism class. Desk-scale stand-in for
+    the finite representative set of bounded tree-depth classes.
+
+    Both conditions hold on every induced subgraph of a graph that meets
+    them (tree-depth is monotone under subgraphs, and a map into a subgraph
+    is a map into the graph), so the catalog prunes by them as it grows and
+    only the survivors are tested for being cores. The result is
+    ``representatives(p, n_max)`` filtered by ``forb_member`` afterwards.
     """
-    reps = [G for G in generate_all_graphs(n_max)
-            if G.n and tree_depth_value(G) <= p and len(core(G)[1]) == G.n]
+    catalog = generate_all_graphs(
+        n_max, keep=lambda G: tree_depth_value(G) <= p and forb_member(G, f_set))
+    reps = [G for G in catalog if G.n and len(core(G)[1]) == G.n]
     reps.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
     return reps
 
@@ -294,9 +302,11 @@ class DualBuild:
 def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
     """Construct a dual graph for the forbidden family over a finite corpus.
 
-    Pipeline: threshold from the largest forbidden graph, low tree-depth
-    colorings of the corpus fix the template size, the filtered
-    representative union is the base, and the truncated power is the dual.
+    Pipeline: threshold p from the largest forbidden graph; the template
+    size is the most colors a low tree-depth coloring of a corpus graph
+    needs at p (``max_low_td_colors``); the base is the union of the
+    representatives that avoid the forbidden family, pruned while the
+    catalog is generated; and the truncated power is the dual.
     """
     if not f_set:
         raise GraphError("forbidden family must be nonempty")
@@ -304,10 +314,8 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
         if not is_connected(F):
             raise GraphError("forbidden graphs must be connected")
     p = max(F.n for F in f_set)
-    n_colors = 1
-    for G in corpus:
-        n_colors = max(n_colors, find_low_td_coloring(G, p).coloring.k)
-    reps = [R for R in representatives(p, DEFAULT_REP_ORDER) if forb_member(R, f_set)]
+    n_colors = max_low_td_colors(corpus, p)
+    reps = representatives(p, DEFAULT_REP_ORDER, f_set)
     if not reps:
         raise GraphError("no representative avoids the forbidden family")
     U = disjoint_union(reps)

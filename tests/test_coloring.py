@@ -14,6 +14,7 @@ from homdual.coloring import (
     centered_from_td,
     find_low_td_coloring,
     make_coloring,
+    max_low_td_colors,
     product_centered,
     verify_low_td,
     verify_p_centered,
@@ -323,6 +324,39 @@ def test_exhaustive_rounds_try_exactly_k_colors(monkeypatch, subcubic7):
         res = find_low_td_coloring(G, 3)
         assert res.exhaustive and verify(G, res.coloring, 3)[0]
     assert tried and all(k == used for k, used in tried)
+
+
+def test_refinement_makes_color_counts_upward_closed(catalog6):
+    """A passing coloring with exactly k colors exists for every k from the
+    least passing count up to |V(G)| (splitting a class keeps a coloring
+    passing) and for no smaller k; the least count is the oracle's."""
+    for G in catalog6:
+        for p in (1, 2, 3):
+            least = len(set(brute_low_td_coloring(G, p)))
+            for k in range(1, G.n + 1):
+                c = coloring._exhaustive_low_td(G, p, k)
+                assert (c is not None) == (k >= least), (G, p, k)
+                assert c is None or c.k == k
+
+
+def test_max_low_td_colors_matches_per_graph_maximum(subcubic7):
+    """The running-maximum count equals the maximum of the per-graph least
+    counts in any corpus order, and counts a graph above the exhaustive
+    limit by its greedy coloring."""
+    rng = random.Random(20)
+    shuffled = list(subcubic7)
+    rng.shuffle(shuffled)
+    twelve = build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                              if rng.random() < 0.3])
+    assert twelve.n > coloring.LOWTD_EXHAUSTIVE_LIMIT
+    mixed = shuffled[:40] + [twelve] + shuffled[40:]
+    for corpus in (subcubic7, subcubic7[::-1], shuffled, [twelve], mixed):
+        for p in (1, 2, 3, 4):
+            want = max([1] + [find_low_td_coloring(G, p).coloring.k for G in corpus])
+            assert max_low_td_colors(corpus, p) == want, (len(corpus), p)
+    assert max_low_td_colors([], 3) == 1
+    with pytest.raises(GraphError):
+        max_low_td_colors([], 0)
 
 
 def test_exhaustive_low_td_colorings_pinned(subcubic7, catalog6):

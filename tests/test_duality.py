@@ -42,6 +42,7 @@ from homdual.homs import (
     _find_within,
     check_homomorphism,
     find_homomorphism,
+    forb_member,
     is_isomorphic,
 )
 
@@ -420,6 +421,18 @@ def test_representatives_unchanged():
                 h.update(f"{p} {n} {R.n} {list(R.rows)}\n".encode())
     assert h.hexdigest() == \
         "3532bfbdaddfbb01ba82757a21563e1c633892bc07921f755c5cfaa3d2ba997b"
+
+
+def test_representatives_prune_forbidden_family():
+    """Passing the forbidden family prunes the catalog as it grows and gives
+    the representatives filtered by ``forb_member`` afterwards."""
+    K3, C5, K4 = complete_graph(3), cycle_graph(5), complete_graph(4)
+    for p in range(1, 5):
+        for n in range(7):
+            reps = representatives(p, n)
+            for f_set in ((K3,), (C5,), (K4,), (K3, C5)):
+                assert representatives(p, n, f_set) == \
+                    [R for R in reps if forb_member(R, f_set)], (p, n, f_set)
 
 
 def test_build_dual_degenerate():

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -37,7 +38,7 @@ from homdual.graphs import (
 )
 from homdual.homs import is_isomorphic
 
-from oracles import naive_graph6
+from oracles import brute_homomorphism, brute_tree_depth, naive_graph6
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -274,21 +275,26 @@ def test_generate_connected_counts():
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
 
 
+def _reach_of_0(rows):
+    """The vertex mask of vertex 0's component, grown edge by edge."""
+    reach = 1
+    while True:
+        grown = reach
+        for v in range(len(rows)):
+            if reach >> v & 1:
+                grown |= rows[v]
+        if grown == reach:
+            return reach
+        reach = grown
+
+
 def _max_degree_triangle_connected(rows):
     """(maximum degree, has a triangle, is connected and nonempty) of the
     graph with these row bitmasks."""
     n = len(rows)
     triangle = any(rows[u] & rows[v] for u in range(n) for v in range(n) if rows[u] >> v & 1)
-    reach = 1
-    while True:
-        grown = reach
-        for v in range(n):
-            if reach >> v & 1:
-                grown |= rows[v]
-        if grown == reach:
-            break
-        reach = grown
-    return max((r.bit_count() for r in rows), default=0), triangle, n > 0 and reach == (1 << n) - 1
+    connected = n > 0 and _reach_of_0(rows) == (1 << n) - 1
+    return max((r.bit_count() for r in rows), default=0), triangle, connected
 
 
 def test_generate_filters_match_post_filter(catalog7):
@@ -304,6 +310,49 @@ def test_generate_filters_match_post_filter(catalog7):
                         and (conn or not connected) and not (triangle and triangle_free)]
                 got = generate_all_graphs(7, GraphFilters(max_degree, connected, triangle_free))
                 assert got == want, (max_degree, connected, triangle_free)
+
+
+def _induced_rows(rows, S):
+    """The rows of the subgraph induced on the vertex mask S, relabelled 0, 1, ..."""
+    idx = [v for v in range(len(rows)) if S >> v & 1]
+    return tuple(sum(1 << j for j, u in enumerate(idx) if rows[v] >> u & 1) for v in idx)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_tree_depth(rows):
+    """Tree-depth by its recursive definition over ``brute_tree_depth``'s
+    rooted-forest scan on at most 4 vertices: the deepest component of a
+    disconnected graph, and 1 + the least over v of G - v on a connected one."""
+    n = len(rows)
+    if n <= 4:
+        return brute_tree_depth(Graph(n, rows))
+    full, reach = (1 << n) - 1, _reach_of_0(rows)
+    if reach != full:
+        return max(_oracle_tree_depth(_induced_rows(rows, reach)),
+                   _oracle_tree_depth(_induced_rows(rows, full ^ reach)))
+    return 1 + min(_oracle_tree_depth(_induced_rows(rows, full ^ 1 << v)) for v in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_maps(F, G):
+    """F -> G by exhaustive map search; C5 maps to K3, so a graph with a
+    triangle takes C5 without the 7^5-map scan."""
+    if F == cycle_graph(5) and _oracle_maps(complete_graph(3), G):
+        return True
+    return brute_homomorphism(F, G) is not None
+
+
+def test_generate_keep_matches_post_filter(catalog7):
+    """Pruning by a predicate closed under induced subgraphs gives the
+    catalog filtered afterwards, graph by graph and in order, with every
+    filter setting; the predicates come from the brute-force oracles."""
+    keeps = [lambda G, p=p: _oracle_tree_depth(G.rows) <= p for p in range(1, 5)]
+    keeps += [lambda G, F=F: not _oracle_maps(F, G)
+              for F in (complete_graph(3), cycle_graph(5), complete_graph(4))]
+    for filters in (None, GraphFilters(connected=True), GraphFilters(max_degree=3)):
+        full = catalog7 if filters is None else generate_all_graphs(7, filters)
+        for keep in keeps:
+            assert generate_all_graphs(7, filters, keep) == [G for G in full if keep(G)]
 
 
 def test_generate_size_cap():
