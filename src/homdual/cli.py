@@ -1,6 +1,7 @@
 """Command dispatch, corpus management and JSON run reports.
 
-Exit codes: 0 verdict pass, 1 verdict fail, 2 error.
+Exit codes: 0 verdict pass, 1 verdict fail, 2 error (a search stopped at
+its node budget is one).
 """
 
 from __future__ import annotations
@@ -238,6 +239,13 @@ def _cmd_regular_partition(args):
                    rep["ok"], args)
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {n})")
+    return n
+
+
 def _add_common(sp):
     sp.add_argument("--in", dest="infile", help="input graph file")
     sp.add_argument("--format", choices=("g6", "edges"), default="g6")
@@ -304,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen(sp)
     sp.add_argument("--forbid", required=True)
     sp.add_argument("--dual", help="graph6 file with the dual (default: rebuild)")
-    sp.add_argument("--limit-nodes", dest="limit_nodes", type=int, default=None,
-                    help="search-node budget per homomorphism question")
+    sp.add_argument("--limit-nodes", dest="limit_nodes", type=_positive, default=None,
+                    help="search-node budget per homomorphism question; a search "
+                         "stopped by it is an error (exit 2)")
     sp.set_defaults(func=_cmd_dual_verify)
 
     sp = sub.add_parser("exact-power", help="exact path/distance power")

@@ -18,9 +18,6 @@ from .graphs import (
     is_connected,
 )
 from .homs import (
-    ABSENT,
-    BUDGET,
-    PRESENT,
     VertexMap,
     _find_within,
     check_homomorphism,
@@ -57,8 +54,7 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int,
     values = sorted(classes)
     sizes = (min(p, len(values)),) if values else ()
     for J, pre in class_unions([classes[a] for a in values], sizes):
-        status, _ = _find_within(G, pre, U)
-        if status == ABSENT:
+        if _find_within(G, pre, U) is None:
             return False, frozenset(values[j] for j in J)
     return True, None
 
@@ -221,8 +217,8 @@ def local_hom_witnesses(G: Graph, gamma: VertexMap, p: int, U: Graph) -> dict:
     for I, pre in class_unions(masks, (p,)):
         if pre == 0:
             continue
-        status, image = _find_within(G, pre, U)
-        if status != PRESENT:
+        image = _find_within(G, pre, U)
+        if image is None:
             raise GraphError(f"missing local witness for subset {I}")
         out[I] = {v: image[v] for v in bits(pre)}
     return out
@@ -356,35 +352,41 @@ class DualityReport:
         }
 
 
+_STAGES = ("forbidden graph {} into the dual", "forbidden graphs into corpus graph {}",
+           "corpus graph {} into the dual")
+
+
 def verify_duality(corpus: Sequence[Graph], f_set: Sequence[Graph], D: Graph,
                    budget: Optional[int] = None) -> DualityReport:
     """Check the duality contract on a corpus: no forbidden graph maps to the
     dual, and membership in the forbidden-free class coincides with mapping
     into the dual. Witness maps are recorded where they exist.
+
+    A search stopped at ``budget`` decides neither side, so it raises
+    ``SizeLimitError``, prefixed with the stage it stopped in.
     """
     forbidden_ok = []
-    ok = True
-    for F in f_set:
-        r = find_homomorphism(F, D, budget=budget)
-        good = r.status == ABSENT
-        forbidden_ok.append(good)
-        ok = ok and good
     items = []
-    for idx, G in enumerate(corpus):
-        member = forb_member(G, f_set, budget=budget)
-        r = find_homomorphism(G, D, budget=budget)
-        hom = None if r.status == BUDGET else r.present
-        item = {
-            "index": idx,
-            "forb_member": member,
-            "hom_to_dual": hom,
-            "witness": list(r.map.image) if r.map is not None else None,
-        }
-        consistent = member is not None and hom is not None and member == hom
-        item["consistent"] = consistent
-        ok = ok and consistent
-        items.append(item)
-    return DualityReport(ok, tuple(forbidden_ok), tuple(items))
+    stage = i = 0  # an index into _STAGES, and the graph index it names
+    try:
+        for i, F in enumerate(f_set):
+            forbidden_ok.append(not find_homomorphism(F, D, budget).present)
+        for i, G in enumerate(corpus):
+            stage = 1
+            member = forb_member(G, f_set, budget)
+            stage = 2
+            r = find_homomorphism(G, D, budget)
+            items.append({
+                "index": i,
+                "forb_member": member,
+                "hom_to_dual": r.present,
+                "witness": list(r.map.image) if r.present else None,
+                "consistent": member == r.present,
+            })
+    except SizeLimitError as exc:
+        raise SizeLimitError(f"{_STAGES[stage].format(i)}: {exc}") from exc
+    verdict = all(forbidden_ok) and all(item["consistent"] for item in items)
+    return DualityReport(verdict, tuple(forbidden_ok), tuple(items))
 
 
 def regular_partition_report(G: Graph, c: Coloring, p: int,

@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import GraphError
+from .errors import GraphError, SizeLimitError
 from .graphs import Graph, _triangle_mask, bits, induced_subgraph
 
 PRESENT = "present"
 ABSENT = "absent"
-BUDGET = "budget"
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,11 @@ def check_homomorphism(f: VertexMap) -> bool:
     return True
 
 
-def compose(f: VertexMap, g: VertexMap) -> VertexMap:
-    """g after f: source of f into target of g."""
-    if f.target != g.source:
-        raise GraphError("the maps do not compose: f's target is not g's source")
-    return VertexMap(f.source, g.target, tuple(g.image[a] for a in f.image))
-
-
 @dataclass(frozen=True)
 class HomResult:
-    """Three-valued search outcome so a budget stop is never read as 'no hom'."""
+    """Search outcome: a map, or none."""
 
-    status: str  # PRESENT | ABSENT | BUDGET
+    status: str  # PRESENT | ABSENT
     map: Optional[VertexMap] = None
 
     @property
@@ -150,7 +142,7 @@ def _start_domains(G: Graph, H: Graph, in_triangle: int) -> Optional[list[int]]:
 def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
             rows: Sequence[int], budget: Optional[int] = None,
             reject: Optional[Callable[[int, list[int]], bool]] = None,
-            lookahead: bool = False) -> Iterator[Optional[list[int]]]:
+            lookahead: bool = False) -> Iterator[list[int]]:
     """The one backtracking loop, on an explicit stack.
 
     Depth i assigns ``order[i]`` each image left in its domain (a bitmask),
@@ -164,7 +156,8 @@ def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
     may still refute a on the images placed so far; once it returns False
     the search descends from a (or yields). Yields the image list (indexed
     by vertex and reused between yields) at each solution. Every assignment
-    tried counts one node; past ``budget`` nodes it yields None and stops.
+    tried counts one node; past ``budget`` nodes it raises
+    ``SizeLimitError``.
 
     The look-ahead removes only images that no solution extending the
     images placed uses, so it keeps every solution and their order, and
@@ -197,8 +190,7 @@ def _search(order: Sequence[int], domains: list[int], table: Sequence[int],
         todo[i] = rest ^ low
         nodes += 1
         if budget is not None and nodes > budget:
-            yield None
-            return
+            raise SizeLimitError(f"search stopped at its budget of {budget} nodes")
         a = low.bit_length() - 1
         image[order[i]] = a
         new, ok = doms[i], True
@@ -248,47 +240,46 @@ def find_homomorphism(G: Graph, H: Graph, budget: Optional[int] = None) -> HomRe
     """Decide G -> H by backtracking with forward checking.
 
     Deterministic: fixed assignment order, images tried in increasing index.
-    ``budget`` bounds the number of assignments tried; exceeding it yields
-    the explicit BUDGET status.
+    ``budget`` bounds the number of assignments tried; exceeding it raises
+    ``SizeLimitError``, so a stop is never read as "no homomorphism".
 
     Twins of H (vertices with equal rows, never adjacent) are
     interchangeable, and every start domain and forward-check row is a union
     of twin classes. So the first map found uses only the lowest vertex of
     each class, and the search tries only those: it reaches the same first
     map along a subset of the nodes, in the same order. The look-ahead
-    round of ``_search`` after each forward check does the same, so a
-    budget stop can only become a decision.
+    round of ``_search`` after each forward check does the same, so any
+    budget that lets the search without it decide lets this one decide too.
     """
-    status, image = _find_within(G, G.full_mask, H, budget)
-    return HomResult(status, None if image is None else VertexMap(G, H, tuple(image)))
+    image = _find_within(G, G.full_mask, H, budget)
+    if image is None:
+        return HomResult(ABSENT)
+    return HomResult(PRESENT, VertexMap(G, H, tuple(image)))
 
 
 def _find_within(G: Graph, within: int, H: Graph,
-                 budget: Optional[int] = None) -> tuple[str, Optional[list[int]]]:
+                 budget: Optional[int] = None) -> Optional[list[int]]:
     """The search of ``find_homomorphism``, run on the induced subgraph
-    G[within] in place: (status, image list indexed by G's vertices, set on
-    ``within``). Every helper restricts degrees, triangles and forward
-    checks to the mask and breaks ties by index, so the search visits the
-    nodes it visits on ``induced_subgraph(G, within)``, relabelled: the
-    same first map, after the same number of nodes."""
+    G[within] in place: the image list indexed by G's vertices, set on
+    ``within``, or None if there is no map. Every helper restricts degrees,
+    triangles and forward checks to the mask and breaks ties by index, so
+    the search visits the nodes it visits on ``induced_subgraph(G,
+    within)``, relabelled: the same first map, after the same number of
+    nodes."""
     if not within:
-        return PRESENT, [0] * G.n
+        return [0] * G.n
     if H.n == 0:
-        return ABSENT, None
+        return None
     in_triangle = _triangles_within(G, within)
     domains = _start_domains(G, H, in_triangle)
     if domains is None:
-        return ABSENT, None
+        return None
     twins = H.twin_representatives()
     if twins != H.full_mask:
         domains = [d & twins for d in domains]
     clique = _max_clique_mask(G, within, in_triangle)
     order = _search_order(G, clique, within)
-    for image in _search(order, domains, H.rows, G.rows, budget, lookahead=True):
-        if image is None:
-            return BUDGET, None
-        return PRESENT, image
-    return ABSENT, None
+    return next(_search(order, domains, H.rows, G.rows, budget, lookahead=True), None)
 
 
 def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
@@ -300,16 +291,9 @@ def enumerate_homomorphisms(G: Graph, H: Graph) -> Iterator[VertexMap]:
         yield VertexMap(G, H, tuple(image))
 
 
-def forb_member(G: Graph, f_set: Sequence[Graph], budget: Optional[int] = None) -> Optional[bool]:
-    """True iff no member of ``f_set`` maps into G; None if a budget ran out."""
-    unknown = False
-    for F in f_set:
-        r = find_homomorphism(F, G, budget=budget)
-        if r.status == PRESENT:
-            return False
-        if r.status == BUDGET:
-            unknown = True
-    return None if unknown else True
+def forb_member(G: Graph, f_set: Sequence[Graph], budget: Optional[int] = None) -> bool:
+    """True iff no member of ``f_set`` maps into G."""
+    return not any(find_homomorphism(F, G, budget).present for F in f_set)
 
 
 def hom_equivalent(G: Graph, H: Graph) -> bool:

@@ -36,8 +36,6 @@ from homdual.graphs import (
     path_graph,
 )
 from homdual.homs import (
-    ABSENT,
-    BUDGET,
     VertexMap,
     _find_within,
     check_homomorphism,
@@ -78,6 +76,17 @@ def value_sets(phi, p):
     return [tuple(values)] if values else []
 
 
+STOPPED = "stopped"  # a search stopped at its budget
+
+
+def or_stopped(search, *args):
+    """``search(*args)``, or STOPPED if the search stopped at its budget."""
+    try:
+        return search(*args)
+    except SizeLimitError:
+        return STOPPED
+
+
 def per_subset_route(G, phi, p, U):
     """``local_hom_check`` as one ``find_homomorphism`` per induced
     subgraph: the result, and per preimage tried (mask, vertices, result,
@@ -87,10 +96,10 @@ def per_subset_route(G, phi, p, U):
         pre = mask_of(v for v in range(G.n) if phi[v] in I)
         sub, old = induced_subgraph(G, pre)
         need = 0
-        while (r := find_homomorphism(sub, U, budget=need)).status == BUDGET:
+        while (r := or_stopped(find_homomorphism, sub, U, need)) is STOPPED:
             need += 1
         tried.append((pre, old, r, need))
-        if r.status == ABSENT:
+        if not r.present:
             return (False, frozenset(I)), tried
     return (True, None), tried
 
@@ -119,12 +128,12 @@ def test_local_hom_check_matches_per_subset_route(catalog5):
                     want, tried = per_subset_route(G, phi, p, U)
                     assert local_hom_check(G, phi, p, U) == want
                     for pre, old, r, need in tried:
-                        status, image = _find_within(G, pre, U, need)
-                        assert status == r.status
-                        if r.map is not None:
+                        image = _find_within(G, pre, U, need)
+                        assert (image is not None) == r.present
+                        if r.present:
                             assert tuple(image[v] for v in old) == r.map.image
                         if need:
-                            assert _find_within(G, pre, U, need - 1)[0] == BUDGET
+                            assert or_stopped(_find_within, G, pre, U, need - 1) is STOPPED
                     if want[0] and G.n:
                         wit = local_hom_witnesses(G, VertexMap(G, K3, phi), p, U)
                         for I, g in wit.items():
@@ -484,6 +493,22 @@ def test_verify_duality_catches_bad_dual():
     assert not report.verdict
     assert report.forbidden_ok == (False,)
     assert report.to_dict()["verdict"] == "fail"
+
+
+def test_verify_duality_budget_stop_names_stage():
+    """A search stopped at its budget decides neither side of the duality,
+    so ``verify_duality`` raises and names the stage it stopped in; with
+    room to finish, the same calls return a report."""
+    C5, C7, K3 = cycle_graph(5), cycle_graph(7), complete_graph(3)
+    corpus = [complete_graph(1), C7]
+    for f_set, D, budget, stage in [
+            ([C5], K3, 4, "forbidden graph 0 into the dual"),  # C5 -> K3: 5 nodes
+            ([C5], C5, 10, "forbidden graphs into corpus graph 1"),  # C5 -> C7: 21
+            ([K3], C5, 5, "corpus graph 1 into the dual")]:  # C7 -> C5: 8
+        with pytest.raises(SizeLimitError,
+                           match=f"^{stage}: search stopped at its budget of {budget} nodes$"):
+            verify_duality(corpus, f_set, D, budget)
+        assert verify_duality(corpus, f_set, D, budget * 10) == verify_duality(corpus, f_set, D)
 
 
 def test_verify_duality_flags_inconsistent_member():

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from homdual.catalog import GraphFilters, generate_all_graphs
 from homdual import cli, formats
 from homdual.cli import main
 from homdual.coloring import make_coloring, verify_low_td
-from homdual.duality import POWER_ORDER_CAP, truncated_power
+from homdual.duality import POWER_ORDER_CAP, build_dual, truncated_power, verify_duality
 from homdual.errors import GraphError, SizeLimitError
 from homdual.formats import (
     ParseError,
@@ -547,15 +548,60 @@ def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
 
 
 def test_cli_limit_nodes_only_on_dual_verify(tmp_path, p4_file, capsys):
-    """Only dual-verify reads a search budget, so only it takes one."""
+    """Only dual-verify reads a search budget, so only it takes one, and
+    only a positive one."""
     assert main(["td", "--in", p4_file, "--limit-nodes", "5"]) == 2
     capsys.readouterr()
     forbid = tmp_path / "k3.g6"
     forbid.write_text(to_graph6(complete_graph(3)) + "\n")
-    code, doc = run_cli(["dual-verify", "--gen", "--n-max", "4", "--connected",
-                         "--forbid", str(forbid), "--limit-nodes", "100000"], capsys)
+    argv = ["dual-verify", "--gen", "--n-max", "4", "--connected", "--forbid", str(forbid)]
+    code, doc = run_cli(argv + ["--limit-nodes", "100000"], capsys)
     assert code == 0
     assert doc["provenance"]["limit_nodes"] == 100000
+    for bad in ("-3", "0"):
+        assert main(argv + ["--limit-nodes", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--limit-nodes" in captured.err
+
+
+def test_cli_budget_stop_exits_2_never_1(tmp_path, capsys, subcubic7):
+    """A search stopped at its node budget decides nothing, so on the
+    criterion-9 corpus dual-verify exits 2 with one ``error:`` line that
+    names the stage and the budget, or exits 0 with the results of the run
+    without a budget; never 1. At library level, ``verify_duality`` raises
+    ``SizeLimitError`` or returns the report of the run without a budget."""
+    f_set = [complete_graph(3)]
+    D = build_dual(subcubic7, f_set).D
+    forbid = tmp_path / "k3.g6"
+    forbid.write_text(to_graph6(complete_graph(3)) + "\n")
+    dual = tmp_path / "dual.g6"
+    dual.write_text(to_graph6(D) + "\n")
+    argv = ["dual-verify", "--gen", "--n-max", "7", "--max-degree", "3", "--connected",
+            "--forbid", str(forbid), "--dual", str(dual)]
+    code, doc = run_cli(argv, capsys)
+    full = verify_duality(subcubic7, f_set, D)
+    assert code == 0 and doc["results"] == full.to_dict()
+    stage = r"(forbidden graph \d+ into the dual|forbidden graphs into corpus graph \d+" \
+            r"|corpus graph \d+ into the dual)"
+    codes = set()
+    for budget in (1, 2, 5, 10, 20, 50, 100):
+        code = main(argv + ["--limit-nodes", str(budget)])
+        captured = capsys.readouterr()
+        codes.add(code)
+        if code == 2:
+            assert captured.out == ""
+            assert re.fullmatch(f"error: {stage}: search stopped at its budget of "
+                                f"{budget} nodes\n", captured.err), (budget, captured.err)
+        else:
+            assert code == 0, budget
+            assert json.loads(captured.out)["results"] == doc["results"], budget
+        try:
+            report = verify_duality(subcubic7, f_set, D, budget)
+        except SizeLimitError:
+            assert code == 2, budget
+        else:
+            assert code == 0 and report == full, budget
+    assert codes == {0, 2}
 
 
 def test_cli_regular_partition(p4_file, capsys):
