@@ -21,13 +21,13 @@ from .homs import (
     VertexMap,
     _find_within,
     check_homomorphism,
-    core,
     enumerate_homomorphisms,
     find_homomorphism,
     forb_member,
     hom_equivalent,
+    is_core,
 )
-from .catalog import generate_all_graphs
+from .catalog import GraphFilters, generate_all_graphs
 from .sparsity import tree_depth_value
 from .coloring import Coloring, class_unions, max_low_td_colors, verify_low_td
 
@@ -278,12 +278,16 @@ def representatives(p: int, n_max: int = DEFAULT_REP_ORDER,
     Both conditions hold on every induced subgraph of a graph that meets
     them (tree-depth is monotone under subgraphs, and a map into a subgraph
     is a map into the graph), so the catalog prunes by them as it grows and
-    only the survivors are tested for being cores. The result is
-    ``representatives(p, n_max)`` filtered by ``forb_member`` afterwards.
+    only the survivors are tested for being cores. When some member of
+    ``f_set`` maps to K3 it maps into every graph with a triangle, so the
+    catalog skips those graphs before building them: the same graphs in
+    the same order. The result is ``representatives(p, n_max)`` filtered
+    by ``forb_member`` afterwards.
     """
     catalog = generate_all_graphs(
-        n_max, keep=lambda G: tree_depth_value(G) <= p and forb_member(G, f_set))
-    reps = [G for G in catalog if G.n and len(core(G)[1]) == G.n]
+        n_max, GraphFilters(triangle_free=not forb_member(complete_graph(3), f_set)),
+        keep=lambda G: tree_depth_value(G) <= p and forb_member(G, f_set))
+    reps = [G for G in catalog if G.n and is_core(G)]
     reps.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
     return reps
 

@@ -41,9 +41,13 @@ class Graph:
         if len(rows) != n:
             raise GraphError("row count does not match vertex count")
         full = (1 << n) - 1
-        # every upper bit has its mirror, and the bits split evenly between
-        # upper and lower triangle, so every lower bit is a mirror too
-        total = upper = 0
+        # one walk over each vertex's upper neighbours keeps the AND and the
+        # OR of their rows. v lies in the AND iff every upper bit has its
+        # mirror, and the bits split evenly between upper and lower triangle,
+        # so then every lower bit is a mirror too. A neighbour of v in the OR
+        # closes a triangle with v and an upper neighbour, and every vertex
+        # of a triangle is found so from its lowest vertex or the middle one.
+        total = upper = triangles = 0
         symmetric = True
         for v, row in enumerate(rows):
             if row & ~full:
@@ -53,13 +57,17 @@ class Graph:
             above, u = row >> (v + 1), v
             total += row.bit_count()
             upper += above.bit_count()
+            meet, reach = full, 0
             while above:  # bits(above), inlined and shifting: a hot loop
                 step = (above & -above).bit_length()
                 u += step
-                if not rows[u] >> v & 1:
-                    symmetric = False
-                    break
+                near = rows[u]
+                meet &= near
+                reach |= near
                 above >>= step
+            if not meet >> v & 1:
+                symmetric = False
+            triangles |= reach & row
         if not symmetric or 2 * upper != total:
             for v in range(n):
                 for u in bits(rows[v]):
@@ -68,7 +76,7 @@ class Graph:
         self.n = n
         self.rows = rows
         self._hash = hash((n, rows))
-        self._triangles = None
+        self._triangles = triangles
         self._twins = None
 
     @property
@@ -96,15 +104,14 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def triangle_mask(self) -> int:
-        """Bitmask of the vertices on a triangle; computed once, kept on the
-        instance, and no part of equality or hashing."""
-        if self._triangles is None:
-            self._triangles = _triangle_mask(self.rows, enumerate(self.rows))
+        """Bitmask of the vertices on a triangle, found by the constructor's
+        walk and no part of equality or hashing."""
         return self._triangles
 
     def twin_representatives(self) -> int:
         """Bitmask of the vertices whose row no lower-index vertex shares: the
-        lowest vertex of each twin class. Cached like ``triangle_mask``."""
+        lowest vertex of each twin class; computed once, kept on the
+        instance, and no part of equality or hashing."""
         if self._twins is None:
             first: dict[int, int] = {}
             for v, row in enumerate(self.rows):
@@ -122,23 +129,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
-
-
-def _triangle_mask(rows: Sequence[int], vertex_rows: Iterable[tuple[int, int]]) -> int:
-    """Bitmask of the vertices on a triangle of the subgraph induced by some
-    vertices: ``vertex_rows`` gives each of them with its row restricted to
-    them."""
-    # a vertex is on a triangle iff it is a common neighbour of the ends of
-    # the opposite edge, so the edges' common neighbourhoods cover the mask
-    mask = 0
-    for v, row in vertex_rows:
-        above, u = row >> (v + 1), v
-        while above:  # bits(above), inlined and shifting as in Graph.__init__
-            step = (above & -above).bit_length()
-            u += step
-            mask |= rows[u] & row
-            above >>= step
-    return mask
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
-from .graphs import Graph, _triangle_mask, bits, induced_subgraph
+from .graphs import Graph, bits, induced_subgraph
 
 PRESENT = "present"
 ABSENT = "absent"
@@ -116,11 +116,24 @@ def _search_order(G: Graph, clique: int, within: int) -> list[int]:
 
 
 def _triangles_within(G: Graph, within: int) -> int:
-    """Bitmask of the vertices on a triangle of G[within]."""
+    """Bitmask of the vertices on a triangle of G[within]: G's own mask on
+    the whole graph, else the walk of ``Graph.__init__`` on the rows
+    restricted to the mask (a neighbour of v that neighbours an upper
+    neighbour of v closes a triangle with v)."""
     in_triangle = G.triangle_mask() & within
-    if in_triangle and within != G.full_mask:
-        rows = G.rows
-        in_triangle = _triangle_mask(rows, ((v, rows[v] & within) for v in bits(within)))
+    if not in_triangle or within == G.full_mask:
+        return in_triangle
+    rows = G.rows
+    in_triangle = 0
+    for v in bits(within):
+        row = rows[v] & within
+        above, u, reach = row >> (v + 1), v, 0
+        while above:  # bits(above), inlined and shifting as in Graph.__init__
+            step = (above & -above).bit_length()
+            u += step
+            reach |= rows[u]
+            above >>= step
+        in_triangle |= reach & row
     return in_triangle
 
 
@@ -317,6 +330,22 @@ def core(G: Graph) -> tuple[Graph, list[int]]:
             S &= ~(1 << v)
             K = sub
     return K, list(bits(S))
+
+
+def is_core(G: Graph) -> bool:
+    """Whether G is its own core, as ``len(core(G)[1]) == G.n`` says.
+
+    A fold, a vertex u whose neighbourhood lies inside that of a vertex w
+    not adjacent to it, answers False at once: sending u to w and fixing
+    the rest maps G into G - u. Otherwise ``core``'s retraction pass
+    decides.
+    """
+    rows = G.rows
+    for u, row in enumerate(rows):
+        for w in bits(G.full_mask & ~row & ~(1 << u)):
+            if not row & ~rows[w]:
+                return False
+    return len(core(G)[1]) == G.n
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:

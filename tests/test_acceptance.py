@@ -212,6 +212,15 @@ def test_criterion_09_dual_pinned(dual_pipeline):
         "4de8bb5c5a8d215962da7c741afccc0d8090252b565b0069975248b46bc36d55"
 
 
+def test_criterion_09_dual_triangle_mask_is_empty(dual_pipeline):
+    """The constructor's walk finds no triangle in the criterion-9 dual, and
+    indeed no edge's ends share a neighbour."""
+    _, build = dual_pipeline
+    D = build.D
+    assert D.triangle_mask() == 0
+    assert not any(D.rows[u] & D.rows[v] for u, v in D.edges())
+
+
 def test_criterion_09_witnesses_pinned(dual_pipeline):
     """The whole verify report (verdicts and witness maps) as one digest,
     and the two members that need the most search nodes, decided within a

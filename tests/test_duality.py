@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homdual import duality
-from homdual.catalog import generate_all_graphs
+from homdual.catalog import GraphFilters, generate_all_graphs
 from homdual.duality import (
+    DEFAULT_REP_ORDER,
     DualBuild,
     TruncatedPower,
     build_dual,
@@ -41,8 +42,10 @@ from homdual.homs import (
     check_homomorphism,
     find_homomorphism,
     forb_member,
+    is_core,
     is_isomorphic,
 )
+from homdual.sparsity import tree_depth_value
 
 from oracles import brute_homomorphism, brute_truncated_power
 
@@ -434,14 +437,48 @@ def test_representatives_unchanged():
 
 def test_representatives_prune_forbidden_family():
     """Passing the forbidden family prunes the catalog as it grows and gives
-    the representatives filtered by ``forb_member`` afterwards."""
+    the representatives filtered by ``forb_member`` afterwards. A family
+    with a member that maps to K3 turns the triangle prefilter on (all here
+    but K4 and the wheel on 6 vertices, which are not 3-colourable), and the
+    prefilter drops only graphs that ``keep`` refuses."""
     K3, C5, K4 = complete_graph(3), cycle_graph(5), complete_graph(4)
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    wheel = build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
+    families = [(K3,), (C5,), (K4,), (K3, C5), (complete_graph(2),), (path_graph(3),),
+                (star,), (wheel,)]
+    prefilter = [not forb_member(K3, f_set) for f_set in families]
+    assert prefilter == [True, True, False, True, True, True, True, False]
     for p in range(1, 5):
         for n in range(7):
             reps = representatives(p, n)
-            for f_set in ((K3,), (C5,), (K4,), (K3, C5)):
+            for f_set, on in zip(families, prefilter):
                 assert representatives(p, n, f_set) == \
                     [R for R in reps if forb_member(R, f_set)], (p, n, f_set)
+                if on:
+                    def keep(G):
+                        return tree_depth_value(G) <= p and forb_member(G, f_set)
+                    assert generate_all_graphs(n, GraphFilters(triangle_free=True), keep) \
+                        == generate_all_graphs(n, keep=keep), (p, n, f_set)
+
+
+def test_representative_cap_leaves_c7_uncovered(subcubic7):
+    """Representatives stop at DEFAULT_REP_ORDER vertices, which breaks the
+    duality contract when a forbidden-free core is larger. With C5
+    forbidden, C7 is a C5-free core of tree-depth 4 on 7 vertices, within
+    p = 5 but above the cap, so the 15-vertex dual built over the connected
+    subcubic graphs on at most 7 vertices refuses it, and the check flags
+    that item alone."""
+    C5, C7 = cycle_graph(5), cycle_graph(7)
+    assert DEFAULT_REP_ORDER == 6
+    assert tree_depth_value(C7) == 4 and is_core(C7) and forb_member(C7, [C5])
+    build = build_dual(subcubic7, [C5])
+    assert build.provenance["p"] == 5 and build.D.n == 15
+    report = verify_duality(subcubic7, [C5], build.D)
+    assert report.forbidden_ok == (True,) and not report.verdict
+    bad = [item for item in report.items if not item["consistent"]]
+    assert [item["index"] for item in bad] == [89]
+    assert bad[0]["forb_member"] and not bad[0]["hom_to_dual"]
+    assert is_isomorphic(subcubic7[89], C7)
 
 
 def test_build_dual_degenerate():

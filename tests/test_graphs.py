@@ -59,6 +59,20 @@ def test_build_graph_rejects_bad_input():
         Graph(-1, [])
 
 
+def test_constructor_names_any_flipped_pair(catalog5, seeded_graphs):
+    """Setting or clearing one off-diagonal bit of a symmetric graph leaves
+    that pair alone unmirrored, and the constructor names it."""
+    for G in catalog5 + seeded_graphs:
+        for i in range(G.n):
+            for j in range(G.n):
+                if i == j:
+                    continue
+                rows = list(G.rows)
+                rows[i] ^= 1 << j
+                with pytest.raises(GraphError, match=rf"\{{({i},{j}|{j},{i})\}}"):
+                    Graph(G.n, rows)
+
+
 def test_constructors():
     assert complete_graph(4).edge_count() == 6
     assert cycle_graph(5).edge_count() == 5

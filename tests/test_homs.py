@@ -31,6 +31,7 @@ from homdual.homs import (
     find_homomorphism,
     forb_member,
     hom_equivalent,
+    is_core,
     is_isomorphic,
 )
 
@@ -227,11 +228,16 @@ def test_triangle_filter_refutes_before_branching(catalog5):
 
 
 def test_triangle_mask(catalog5):
+    """The mask the constructor's walk stores, on the small catalog and on
+    random graphs of up to 60 vertices, sparse to dense."""
     rng = random.Random(11)
     sparse = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if rng.random() < 3 / n])
               for n in (12, 20, 40) for _ in range(5)]
-    for G in catalog5 + triangle_free_targets() + sparse:
+    dense = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < density])
+             for n in (30, 45, 60) for density in (0.05, 0.1, 0.3, 0.6)]
+    for G in catalog5 + triangle_free_targets() + sparse + dense:
         assert G.triangle_mask() == brute_triangle_mask(G), G
     paw = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert paw.triangle_mask() == 0b0111
@@ -379,6 +385,7 @@ def test_hom_equivalent():
 
 
 def test_core_examples():
+    assert is_core(petersen()) and not is_core(doubled_c5())
     assert is_isomorphic(core(cycle_graph(6))[0], complete_graph(2))
     assert is_isomorphic(core(path_graph(4))[0], complete_graph(2))
     G = disjoint_union([complete_graph(2), complete_graph(3)])
@@ -419,16 +426,19 @@ def test_core_matches_oracle(catalog6):
             continue
         (C, _), B = core(G), brute_core(G)
         assert C.n == B.n, G
+        assert is_core(G) == (B.n == G.n), G
         assert brute_homomorphism(C, B) is not None and brute_homomorphism(B, C) is not None
 
 
 def test_core_has_no_retraction_left(catalog7):
     """The result is the induced subgraph on its kept vertices, G maps into
-    it, and it maps into none of its one-vertex-deleted subgraphs."""
-    for G in catalog7:
+    it, and it maps into none of its one-vertex-deleted subgraphs. The fold
+    test of ``is_core`` answers only where the retraction pass agrees."""
+    for G in catalog7 + [petersen(), doubled_c5()]:
         if G.n == 0:
             continue
         C, kept = core(G)
+        assert is_core(G) == (len(kept) == G.n), G
         sub, old = induced_subgraph(G, mask_of(kept))
         assert old == kept and sub.rows == C.rows
         assert find_homomorphism(G, C).present
