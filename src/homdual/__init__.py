@@ -12,7 +12,6 @@ from .graphs import (
     induced_subgraph,
     path_graph,
     quotient,
-    radius_center,
 )
 from .homs import (
     HomResult,

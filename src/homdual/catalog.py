@@ -20,14 +20,17 @@ class GraphFilters:
 
 
 def _invariant(G: Graph) -> tuple:
-    """Cheap isomorphism-invariant bucket key."""
-    degs = sorted(G.degree(v) for v in range(G.n))
-    nbr_degs = sorted(
-        tuple(sorted(G.degree(u) for u in bits(G.rows[v])))
-        for v in range(G.n)
-    )
-    tri = sum(1 for u, v in G.edges() if G.rows[u] & G.rows[v])
-    return (G.n, G.edge_count(), tuple(degs), tuple(nbr_degs), tri)
+    """Cheap isomorphism-invariant bucket key: order, size, the sorted
+    degrees, the sorted neighbour-degree lists, and the number of edges on
+    a triangle. Both ends of such an edge are in the constructor's triangle
+    mask, so only those rows are walked."""
+    rows = G.rows
+    degs = [row.bit_count() for row in rows]
+    nbr_degs = sorted(tuple(sorted(degs[u] for u in bits(row))) for row in rows)
+    tmask = G.triangle_mask()
+    tri = sum(1 for v in bits(tmask) for u in bits((rows[v] & tmask) >> (v + 1) << (v + 1))
+              if rows[u] & rows[v])
+    return (G.n, sum(degs) // 2, tuple(sorted(degs)), tuple(nbr_degs), tri)
 
 
 def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,

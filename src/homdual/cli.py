@@ -44,18 +44,17 @@ from .sparsity import (
 SCHEMA = "sd-report/1"
 
 
-def _read_text(path: str) -> str:
+def _read_graphs(path: str, fmt: str = "g6") -> list[Graph]:
+    """The graphs in a file: an edge list is one graph, graph6 one per line."""
     with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        text = fh.read()
+    return [parse_edge_list(text)] if fmt == "edges" else parse_graph_lines(text)
 
 
 def _load_graph(path: Optional[str], fmt: str) -> Graph:
     if not path:
         raise GraphError("provide an input graph with --in")
-    text = _read_text(path)
-    if fmt == "edges":
-        return parse_edge_list(text)
-    graphs = parse_graph_lines(text)
+    graphs = _read_graphs(path, fmt)
     if len(graphs) != 1:
         raise GraphError(f"{path} holds {len(graphs)} graphs, expected one")
     return graphs[0]
@@ -71,9 +70,7 @@ def _load_corpus(args) -> list[Graph]:
         return generate_all_graphs(args.n_max, filters)
     if not args.infile:
         raise GraphError("provide --in or --gen")
-    if args.format == "edges":
-        return [parse_edge_list(_read_text(args.infile))]
-    return parse_graph_lines(_read_text(args.infile))
+    return _read_graphs(args.infile, args.format)
 
 
 def _frac(x: Fraction) -> str:
@@ -180,7 +177,7 @@ def _cmd_power(args):
 
 def _cmd_dual_build(args):
     corpus = _load_corpus(args)
-    f_set = parse_graph_lines(_read_text(args.forbid))
+    f_set = _read_graphs(args.forbid)
     build = build_dual(corpus, f_set)
     results = {
         "provenance": build.provenance,
@@ -195,7 +192,7 @@ def _cmd_dual_build(args):
 
 def _cmd_dual_verify(args):
     corpus = _load_corpus(args)
-    f_set = parse_graph_lines(_read_text(args.forbid))
+    f_set = _read_graphs(args.forbid)
     D = _load_graph(args.dual, "g6") if args.dual else build_dual(corpus, f_set).D
     report = verify_duality(corpus, f_set, D, budget=args.limit_nodes)
     results = report.to_dict()
@@ -231,7 +228,7 @@ def _cmd_regular_partition(args):
     G = _load_graph(args.infile, args.format)
     c = _coloring_arg(G, args.coloring)
     if args.reps:
-        reps = parse_graph_lines(_read_text(args.reps))
+        reps = _read_graphs(args.reps)
     else:
         reps = representatives(args.p, args.n_rep)
     rep = regular_partition_report(G, c, args.p, reps)

@@ -203,47 +203,29 @@ def power_local_property(TP: TruncatedPower) -> bool:
     return True
 
 
-def local_hom_witnesses(G: Graph, gamma: VertexMap, p: int, U: Graph) -> dict:
-    """Per-subset homomorphisms of the gamma-preimages into the base, each
-    searched in place as in ``local_hom_check``, over the p-subsets of
-    gamma's target with a nonempty preimage.
-
-    Keys are subsets (tuples); values map original G-vertices to U-vertices.
-    """
-    masks = [0] * gamma.target.n
-    for v, a in enumerate(gamma.image):
-        masks[a] |= 1 << v
-    out = {}
-    for I, pre in class_unions(masks, (p,)):
-        if pre == 0:
-            continue
-        image = _find_within(G, pre, U)
-        if image is None:
-            raise GraphError(f"missing local witness for subset {I}")
-        out[I] = {v: image[v] for v in bits(pre)}
-    return out
-
-
 def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexMap:
-    """Lift gamma: G -> H to a homomorphism into the power, coordinatewise
-    from the per-subset local witnesses; the projection composes back to gamma.
+    """Lift gamma: G -> H to a homomorphism into the power, coordinatewise.
+    The p-subsets of V(H) come in lexicographic order, the order of every
+    ``TP.through[v]``; each nonempty gamma-preimage is searched in place as
+    in ``local_hom_check``, and its map gives every vertex of the preimage
+    its next digit. The projection composes back to gamma.
     """
     if gamma.source != G or gamma.target != TP.template:
         raise GraphError("gamma must map G into the power's template")
     if not check_homomorphism(gamma):
         raise GraphError("gamma is not a homomorphism")
-    witnesses = local_hom_witnesses(G, gamma, TP.p, TP.base)
-    image = []
-    for x in range(G.n):
-        v = gamma.image[x]
-        digits = []
-        for I in TP.through[v]:
-            g = witnesses.get(I)
-            if g is None or x not in g:
-                raise GraphError(f"missing local witness for subset {I}")
-            digits.append(g[x])
-        image.append(TP.encode(v, digits))
-    f = VertexMap(G, TP.D, tuple(image))
+    masks = [0] * TP.template.n
+    for x, v in enumerate(gamma.image):
+        masks[v] |= 1 << x
+    digits: list[list[int]] = [[] for _ in range(G.n)]
+    for I, pre in class_unions(masks, (TP.p,)):
+        if pre:
+            image = _find_within(G, pre, TP.base)
+            if image is None:
+                raise GraphError(f"the preimage of subset {I} does not map to the base")
+            for x in bits(pre):
+                digits[x].append(image[x])
+    f = VertexMap(G, TP.D, tuple(TP.encode(v, digits[x]) for x, v in enumerate(gamma.image)))
     if not check_homomorphism(f):
         raise InternalCheckError("lifted map is not a homomorphism into the power")
     if any(TP.alpha.image[f.image[x]] != gamma.image[x] for x in range(G.n)):
@@ -258,12 +240,8 @@ def locbound_equivalence(G: Graph, U: Graph, H: Graph, p: int) -> tuple[bool, bo
     """
     TP = truncated_power(U, H, p)
     lhs = find_homomorphism(G, TP.D).present
-    rhs = False
-    for gamma in enumerate_homomorphisms(G, H):
-        ok, _ = local_hom_check(G, list(gamma.image), p, U)
-        if ok:
-            rhs = True
-            break
+    rhs = any(local_hom_check(G, gamma.image, p, U)[0]
+              for gamma in enumerate_homomorphisms(G, H))
     return lhs, rhs
 
 

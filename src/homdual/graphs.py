@@ -225,16 +225,6 @@ def layers(rows: Sequence[int], start: int, within: int, depth: int = -1) -> lis
     return out
 
 
-def radius_center(G: Graph, S: int) -> tuple[int, int]:
-    """Radius of G[S] and its smallest-index center.
-
-    Raises unless S is nonempty and induces a connected subgraph.
-    """
-    if S == 0 or not is_connected(G, S):
-        raise GraphError("not a ball: empty or disconnected vertex set")
-    return min((len(layers(G.rows, 1 << v, S)) - 1, v) for v in bits(S))
-
-
 @dataclass(frozen=True)
 class BallFamily:
     """Pairwise disjoint connected vertex sets of bounded radius."""
@@ -248,14 +238,18 @@ class BallFamily:
 
 
 def validate_ball_family(G: Graph, balls: Sequence[int], r: int) -> None:
+    """Refuse a family unless its balls lie in G, are pairwise disjoint and
+    each is a set of radius at most r, by the predicate ``enumerate_balls``
+    uses. No ball has a negative radius."""
     seen = 0
     for b in balls:
+        if b >> G.n:
+            raise GraphError("ball not within graph")
         if b & seen:
             raise GraphError("balls overlap")
         seen |= b
-        rad, _ = radius_center(G, b)  # raises if disconnected/empty
-        if rad > r:
-            raise GraphError(f"ball radius {rad} exceeds bound {r}")
+        if r < 0 or not _radius_at_most(G.rows, b, r):  # empty and disconnected fail
+            raise GraphError(f"not a ball of radius at most {r}")
 
 
 def quotient(G: Graph, P: BallFamily) -> Graph:

@@ -15,7 +15,6 @@ from homdual.duality import (
     build_dual,
     lift_homomorphism,
     local_hom_check,
-    local_hom_witnesses,
     locbound_equivalence,
     power_local_property,
     power_order,
@@ -116,16 +115,30 @@ def canonical_colourings(n, k):
     return out
 
 
+def lift_digits(TP, z):
+    """The coordinates of power vertex z, one per subset through its
+    template vertex, most significant first."""
+    i, out = z % TP.block, []
+    for _ in range(TP.coords):
+        i, d = divmod(i, TP.base.n)
+        out.append(d)
+    return out[::-1]
+
+
 def test_local_hom_check_matches_per_subset_route(catalog5):
     """The in-place search decides every preimage as the search on the
     induced subgraph does: the same status and first map, the same
-    smallest deciding budget, so the same result and failing set, and the
-    same local witnesses."""
+    smallest deciding budget, so the same result and failing set. Where
+    the colouring is a homomorphism to K3, the lift exists exactly when
+    the check passes, and each of its digits is the first map of the
+    preimage of that digit's subset."""
     targets = [complete_graph(1), complete_graph(2), complete_graph(3), path_graph(3),
                cycle_graph(5)]
     K3 = complete_graph(3)
+    powers = {(U, p): truncated_power(U, K3, p) for U in targets for p in (1, 2, 3)}
     for G in catalog5:
         for phi in canonical_colourings(G.n, 3):
+            gamma = VertexMap(G, K3, phi)
             for U in targets:
                 for p in (1, 2, 3):
                     want, tried = per_subset_route(G, phi, p, U)
@@ -137,13 +150,20 @@ def test_local_hom_check_matches_per_subset_route(catalog5):
                             assert tuple(image[v] for v in old) == r.map.image
                         if need:
                             assert or_stopped(_find_within, G, pre, U, need - 1) is STOPPED
-                    if want[0] and G.n:
-                        wit = local_hom_witnesses(G, VertexMap(G, K3, phi), p, U)
-                        for I, g in wit.items():
-                            pre = mask_of(v for v in range(G.n) if phi[v] in I)
-                            sub, old = induced_subgraph(G, pre)
-                            image = find_homomorphism(sub, U).map.image
-                            assert g == {old[i]: image[i] for i in range(sub.n)}
+                    if not check_homomorphism(gamma):
+                        continue
+                    TP = powers[U, p]
+                    if not want[0]:
+                        with pytest.raises(GraphError, match="does not map to the base"):
+                            lift_homomorphism(G, gamma, TP)
+                        continue
+                    digits = [lift_digits(TP, z) for z in lift_homomorphism(G, gamma, TP).image]
+                    for I in TP.subsets:
+                        pre = mask_of(v for v in range(G.n) if phi[v] in I)
+                        sub, old = induced_subgraph(G, pre)
+                        image = find_homomorphism(sub, U).map.image
+                        for i, x in enumerate(old):
+                            assert digits[x][TP.through[phi[x]].index(I)] == image[i]
 
 
 def test_local_hom_check_builds_no_graph_per_subset(monkeypatch):
@@ -372,15 +392,45 @@ def test_lift_homomorphism_self_checks_raise(monkeypatch):
         lift_homomorphism(C5, gamma, TP)
 
 
-def test_local_hom_witnesses():
-    C5, K3, K2 = cycle_graph(5), complete_graph(3), complete_graph(2)
+def test_lift_refuses_gamma_not_locally_homomorphic():
+    """A proper 3-colouring of C5 at p = 3 puts the whole odd cycle in one
+    preimage, which has no map to K2: the lift refuses and names the
+    subset."""
+    C5, K3 = cycle_graph(5), complete_graph(3)
+    TP = truncated_power(complete_graph(2), K3, 3)
     gamma = VertexMap(C5, K3, (0, 1, 0, 1, 2))
-    wit = local_hom_witnesses(C5, gamma, 2, K2)
-    assert list(wit) == [(0, 1), (0, 2), (1, 2)]
-    for I, g in wit.items():
-        for u, v in C5.edges():
-            if u in g and v in g:
-                assert K2.has_edge(g[u], g[v])
+    assert local_hom_check(C5, gamma.image, 3, complete_graph(2)) == \
+        (False, frozenset(range(3)))
+    with pytest.raises(GraphError, match=r"subset \(0, 1, 2\) does not map to the base"):
+        lift_homomorphism(C5, gamma, TP)
+
+
+# sha256 over every lift (or refusal) of a canonical homomorphism from the
+# <= 5-vertex catalog to K3 and K4, over the bases K1, K2, P3 and C5 at every
+# p, recorded when the lift read its digits from per-subset witness
+# dictionaries
+LIFT_DIGEST = "aa2d0443654ba1e4f40e2055ce7c34a15087c56daa8ab6c6f3825e3a7fb15a71"
+
+
+def test_lifts_unchanged(catalog5):
+    lines = []
+    for H in (complete_graph(3), complete_graph(4)):
+        for U in (complete_graph(1), complete_graph(2), path_graph(3), cycle_graph(5)):
+            for p in range(1, H.n + 1):
+                TP = truncated_power(U, H, p)
+                for G in catalog5:
+                    for phi in canonical_colourings(G.n, H.n):
+                        gamma = VertexMap(G, H, phi)
+                        if not check_homomorphism(gamma):
+                            continue
+                        try:
+                            image = lift_homomorphism(G, gamma, TP).image
+                        except GraphError:
+                            image = "refused"
+                        lines.append(f"{H.n} {U.rows} {p} {G.rows} {gamma.image} {image}")
+    assert sum(line.endswith("refused") for line in lines) == 2758
+    assert len(lines) == 8734 + 2758
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIFT_DIGEST
 
 
 # --- the power / local-homomorphism equivalence ---------------------------------
@@ -492,8 +542,8 @@ def test_build_dual_degenerate():
 def test_build_dual_checks_power_cap_before_template(monkeypatch):
     real = duality.complete_graph
 
-    def small_only(n):
-        if n > 1000:
+    def small_only(n):  # K3 is built for the representatives' prefilter
+        if n > 3:
             raise AssertionError(f"K_{n} built before the power cap was checked")
         return real(n)
 
@@ -502,11 +552,19 @@ def test_build_dual_checks_power_cap_before_template(monkeypatch):
     star = build_graph(1201, [(0, i) for i in range(1, 1201)])
     with pytest.raises(SizeLimitError, match="vastly exceeds any cap"):
         build_dual([star], [complete_graph(3)])
+    # K5 needs five colours at p = 3: the power over K1 + K2 has 5 * 3^6
+    # vertices, one above a lowered cap
+    monkeypatch.setattr(duality, "POWER_ORDER_CAP", 3644)
+    with pytest.raises(SizeLimitError, match="power order 3645 exceeds cap 3644"):
+        build_dual([complete_graph(5)], [complete_graph(3)])
 
 
 def test_build_dual_rejects_bad_forbidden_sets():
     with pytest.raises(GraphError):
         build_dual([complete_graph(1)], [])
+    # K1 maps into every nonempty graph, so no representative is left
+    with pytest.raises(GraphError, match="no representative avoids"):
+        build_dual([complete_graph(1)], [complete_graph(1)])
     disconnected = disjoint_union([path_graph(2), path_graph(2)])
     with pytest.raises(GraphError):
         build_dual([complete_graph(1)], [disconnected])

@@ -20,7 +20,13 @@ from homdual.catalog import GraphFilters, generate_all_graphs
 from homdual import cli, formats
 from homdual.cli import main
 from homdual.coloring import make_coloring, verify_low_td
-from homdual.duality import POWER_ORDER_CAP, build_dual, truncated_power, verify_duality
+from homdual.duality import (
+    POWER_ORDER_CAP,
+    build_dual,
+    representatives,
+    truncated_power,
+    verify_duality,
+)
 from homdual.errors import GraphError, SizeLimitError
 from homdual.formats import (
     ParseError,
@@ -38,6 +44,7 @@ from homdual.graphs import (
     path_graph,
 )
 from homdual.homs import is_isomorphic
+from homdual.powers import exact_power
 
 from oracles import brute_homomorphism, brute_tree_depth, naive_graph6
 
@@ -211,6 +218,8 @@ def test_parse_edge_list_errors():
     # a huge order is not allocated before the lines are read
     ("n 1000000000000\nbad\n", ParseError, "line 2: expected 'u v' (at 2)"),
     ("n 3\n0 1\nn 4\n", ParseError, "line 3: stray size header (at 3)"),
+    # a negative endpoint is refused where it stands, not read as out of range
+    ("n 3\n0 1\n2 -1\n0 5\n", ParseError, "line 3: negative endpoint (at 3)"),
 ])
 def test_parse_edge_list_error_precedence(text, error, message):
     with pytest.raises(GraphError) as exc:
@@ -631,6 +640,67 @@ def test_cli_experiment(capsys):
                          "--connected", "--p", "3", "--n-claim", "30"], capsys)
     assert code == 0
     assert doc["results"]["claim_holds"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual-build", "--forbid", "{k3}"],
+    ["dual-verify", "--forbid", "{k3}"],
+    ["experiment-odd-power", "--p", "3", "--n-claim", "30"],
+])
+def test_cli_corpus_from_file_matches_generator(tmp_path, capsys, argv):
+    """A corpus read with --in, as graph6 lines, gives the report the
+    generator gives for the same graphs; an edge list is a corpus of one
+    graph, as its graph6 line is."""
+    k3 = tmp_path / "k3.g6"
+    k3.write_text(to_graph6(complete_graph(3)) + "\n")
+    argv = [a.format(k3=k3) for a in argv]
+    corpus = generate_all_graphs(5, GraphFilters(connected=True))
+    g6 = tmp_path / "corpus.g6"
+    g6.write_text("# connected graphs on at most 5 vertices\n"
+                  + "".join(to_graph6(G) + "\n" for G in corpus))
+    want = run_cli(argv + ["--gen", "--n-max", "5", "--connected"], capsys)
+    assert run_cli(argv + ["--in", str(g6)], capsys) == want
+    assert want[1]["parameters"]["corpus"] == len(corpus)
+    C5 = cycle_graph(5)
+    edges = tmp_path / "c5.txt"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in C5.edges()))
+    one = tmp_path / "c5.g6"
+    one.write_text(to_graph6(C5) + "\n")
+    want = run_cli(argv + ["--in", str(one)], capsys)
+    assert run_cli(argv + ["--in", str(edges), "--format", "edges"], capsys) == want
+    assert want[1]["parameters"]["corpus"] == 1
+
+
+def test_cli_regular_partition_reads_reps(p4_file, tmp_path, capsys):
+    """--reps reads the representatives from a graph6 file in place of
+    generating them: the same ones give the same report."""
+    reps = tmp_path / "reps.g6"
+    reps.write_text("".join(to_graph6(R) + "\n" for R in representatives(2, 3)))
+    argv = ["regular-partition", "--in", p4_file, "--p", "2", "--coloring", "0,1,2,0"]
+    want = run_cli(argv + ["--n-rep", "3"], capsys)
+    assert want[0] == 0
+    assert run_cli(argv + ["--reps", str(reps)], capsys) == want
+    reps.write_text(to_graph6(complete_graph(1)) + "\n")  # K1 matches no edge
+    code, doc = run_cli(argv + ["--reps", str(reps)], capsys)
+    assert code == 1 and not doc["results"]["ok"] and doc["results"]["unmatched"]
+
+
+def test_cli_exact_power_defaults_to_path_kind(p4_file, capsys):
+    code, doc = run_cli(["exact-power", "--in", p4_file, "--p", "3"], capsys)
+    assert code == 0
+    assert doc["results"]["kind"] == "path"
+    assert parse_graph6(doc["results"]["graph6"]) == exact_power(path_graph(4), 3)
+
+
+@pytest.mark.parametrize("command", [
+    ["centered-verify", "--p", "2"],
+    ["regular-partition", "--p", "2", "--n-rep", "3"],
+])
+def test_cli_coloring_length_must_match_order(p4_file, capsys, command):
+    assert main(command + ["--in", p4_file, "--coloring", "0,1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coloring has 3 entries for 4 vertices\n"
 
 
 def test_cli_out_file(p4_file, tmp_path, capsys):

@@ -23,7 +23,6 @@ from homdual.graphs import (
     mask_of,
     path_graph,
     quotient,
-    radius_center,
 )
 from homdual.homs import is_isomorphic
 
@@ -141,27 +140,45 @@ def test_layers_match_brute_distances(catalog6, seeded_graphs):
                     assert layers(G.rows, start, within, depth) == want[:depth + 1]
 
 
-def test_radius_center_matches_brute_distances(catalog6, seeded_graphs):
-    """On every connected set of the small graphs, and on the set that a
-    vertex reaches inside a random mask of the larger ones."""
+# sha256 over the (rows, mask, bound) that BallFamily(G, (S,), r) accepts, for
+# the <= 6-vertex catalog, every mask S and r from -1 to 3, recorded when a
+# ball was checked by its radius and smallest centre, not by the predicate
+# of enumerate_balls
+BALL_ACCEPT_DIGEST = "c23f6549d721b341b5c13125e0f72e4ef9dc332dc97f42eb6c8f776a03b50cd4"
+
+
+def _accepts(G, S, r):
+    try:
+        BallFamily(G, (S,), r)
+    except GraphError:
+        return False
+    return True
+
+
+def test_ball_family_accepts_by_brute_radius(catalog6, seeded_graphs):
+    """A single set is a ball of radius at most r exactly when it is
+    nonempty, connected and, by the dict-and-queue oracle, of radius at
+    most r: on every mask of the small graphs, and on the set that a vertex
+    reaches inside a random mask of the larger ones, at its radius and one
+    below."""
+    accepted = []
     for G in catalog6:
-        for S in enumerate_connected_sets(G):
-            assert radius_center(G, S) == _brute_radius_center(G, S), (G.rows, S)
+        for S in range(1 << G.n):
+            ball = brute_is_connected_subset(G, S)
+            radius = _brute_radius_center(G, S)[0] if ball else None
+            for r in range(-1, 4):
+                want = ball and radius <= r
+                assert _accepts(G, S, r) == want, (G.rows, S, r)
+                if want:
+                    accepted.append(f"{G.rows} {S} {r}")
+    assert len(accepted) == 19681
+    assert hashlib.sha256("\n".join(accepted).encode()).hexdigest() == BALL_ACCEPT_DIGEST
     rng = random.Random(9)
     for G in seeded_graphs:
         for v in range(G.n):
             S = sum(1 << u for u in brute_distances(G, v, rng.getrandbits(G.n) | 1 << v))
-            assert radius_center(G, S) == _brute_radius_center(G, S), (G.rows, S)
-
-
-def test_radius_center():
-    assert radius_center(complete_graph(1), 1) == (0, 0)
-    assert radius_center(path_graph(3), 0b111) == (1, 1)
-    assert radius_center(cycle_graph(5), cycle_graph(5).full_mask) == (2, 0)
-    with pytest.raises(GraphError):
-        radius_center(path_graph(3), 0)
-    with pytest.raises(GraphError):
-        radius_center(path_graph(3), mask_of([0, 2]))
+            radius = _brute_radius_center(G, S)[0]
+            assert _accepts(G, S, radius) and not _accepts(G, S, radius - 1), (G.rows, S)
 
 
 def test_ball_family_validation():
@@ -173,6 +190,14 @@ def test_ball_family_validation():
         BallFamily(P4, (mask_of([0, 1, 2]), ), 0)  # radius too big
     with pytest.raises(GraphError):
         BallFamily(P4, (mask_of([0, 2]), ), 2)  # disconnected ball
+    with pytest.raises(GraphError, match="not within graph"):
+        BallFamily(path_graph(3), (1 << 5,), 1)  # a vertex the graph lacks
+    with pytest.raises(GraphError, match="not within graph"):
+        BallFamily(P4, (mask_of([0, 1]), 1 << 4), 1)
+    # a negative bound refuses every ball, even a single vertex
+    for b in (1, mask_of([0, 1]), P4.full_mask):
+        with pytest.raises(GraphError, match="radius at most -1"):
+            BallFamily(P4, (b,), -1)
 
 
 def test_quotient():
