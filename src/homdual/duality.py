@@ -15,6 +15,7 @@ from .graphs import (
     connected_components,
     disjoint_union,
     induced_subgraph,
+    is_bipartite,
     is_connected,
 )
 from .homs import (
@@ -41,9 +42,10 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int,
 
     It suffices to check the preimage of each p-subset of the range, since
     any qualifying set sits inside one of those. Each preimage is a union
-    of phi's class masks, searched in place on G's rows: the search
-    ``find_homomorphism`` runs on the induced subgraph, with the same nodes
-    and no graph built per subset.
+    of phi's class masks. When U has an edge, a preimage inducing a
+    bipartite graph maps onto its two ends and needs no search; any other is
+    searched in place on G's rows: the search ``find_homomorphism`` runs on
+    the induced subgraph, with the same nodes and no graph built per subset.
     Returns (True, None) or (False, failing value set).
     """
     if len(phi) != G.n:
@@ -53,7 +55,10 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int,
         classes[a] = classes.get(a, 0) | 1 << v
     values = sorted(classes)
     sizes = (min(p, len(values)),) if values else ()
+    has_edge = any(U.rows)
     for J, pre in class_unions([classes[a] for a in values], sizes):
+        if has_edge and is_bipartite(G, pre):
+            continue
         if _find_within(G, pre, U) is None:
             return False, frozenset(values[j] for j in J)
     return True, None
@@ -207,7 +212,7 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
     """Lift gamma: G -> H to a homomorphism into the power, coordinatewise.
     The p-subsets of V(H) come in lexicographic order, the order of every
     ``TP.through[v]``; each nonempty gamma-preimage is searched in place as
-    in ``local_hom_check``, and its map gives every vertex of the preimage
+    ``local_hom_check`` searches, and its map gives every vertex of the preimage
     its next digit. The projection composes back to gamma.
     """
     if gamma.source != G or gamma.target != TP.template:

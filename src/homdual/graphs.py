@@ -40,24 +40,30 @@ class Graph:
         rows = tuple(rows)
         if len(rows) != n:
             raise GraphError("row count does not match vertex count")
-        full = (1 << n) - 1
         # one walk over each vertex's upper neighbours keeps the AND and the
         # OR of their rows. v lies in the AND iff every upper bit has its
         # mirror, and the bits split evenly between upper and lower triangle,
         # so then every lower bit is a mirror too. A neighbour of v in the OR
         # closes a triangle with v and an upper neighbour, and every vertex
         # of a triangle is found so from its lowest vertex or the middle one.
+        # No test here costs n bits for a sparse row: range by a shift, and
+        # the AND starts from the first upper neighbour's row.
         total = upper = triangles = 0
         symmetric = True
         for v, row in enumerate(rows):
-            if row & ~full:
+            if row >> n:  # a negative row shifts to -1
                 raise GraphError(f"row {v} has out-of-range neighbors")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-            above, u = row >> (v + 1), v
             total += row.bit_count()
+            above = row >> (v + 1)
+            if not above:
+                continue
             upper += above.bit_count()
-            meet, reach = full, 0
+            step = (above & -above).bit_length()
+            u = v + step
+            meet = reach = rows[u]
+            above >>= step
             while above:  # bits(above), inlined and shifting: a hot loop
                 step = (above & -above).bit_length()
                 u += step
@@ -203,6 +209,21 @@ def is_connected(G: Graph, within: Optional[int] = None) -> bool:
     return connected_components(G, mask)[0] == mask
 
 
+def is_bipartite(G: Graph, within: Optional[int] = None) -> bool:
+    """Whether G (optionally G[within]) has no odd cycle. Per component, an
+    edge inside a breadth-first layer closes an odd cycle, and without one
+    the layers' parity is a 2-colouring."""
+    rows = G.rows
+    rest = G.full_mask if within is None else within
+    while rest:
+        for ring in layers(rows, rest & -rest, rest):
+            rest ^= ring
+            for v in bits(ring):
+                if rows[v] & ring:
+                    return False
+    return True
+
+
 def layers(rows: Sequence[int], start: int, within: int, depth: int = -1) -> list[int]:
     """Breadth-first frontier masks from the vertex mask ``start`` inside
     ``within``: layer d holds the vertices at distance d from ``start``, and
@@ -248,7 +269,7 @@ def validate_ball_family(G: Graph, balls: Sequence[int], r: int) -> None:
         if b & seen:
             raise GraphError("balls overlap")
         seen |= b
-        if r < 0 or not _radius_at_most(G.rows, b, r):  # empty and disconnected fail
+        if r < 0 or not _radius_at_most(G.rows, b, r, b):  # empty and disconnected fail
             raise GraphError(f"not a ball of radius at most {r}")
 
 
@@ -286,37 +307,10 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph(total, rows)
 
 
-def enumerate_connected_sets(G: Graph) -> Iterator[int]:
-    """All nonempty vertex masks inducing connected subgraphs, each once.
-
-    Depth first from each start vertex v, with the vertices before v banned:
-    a set S is followed by the sets grown from S + u for each boundary vertex
-    u in increasing order, and the u already tried are banned for the later
-    ones.
-    """
-    rows = G.rows
-    banned = 0
-    for v in range(G.n):
-        S = 1 << v
-        yield S
-        # frames: (set, its neighbourhood, boundary vertices left to try, banned)
-        stack = [(S, rows[v], rows[v] & ~S & ~banned, banned)]
-        while stack:
-            S, near, todo, b = stack.pop()
-            if not todo:
-                continue
-            low = todo & -todo
-            stack.append((S, near, todo ^ low, b | low))
-            S |= low
-            near |= rows[low.bit_length() - 1]
-            yield S
-            stack.append((S, near, near & ~S & ~b, b))
-        banned |= 1 << v
-
-
-def _radius_at_most(rows: Sequence[int], S: int, r: int) -> bool:
-    """Whether some vertex of S reaches all of S within r steps inside S."""
-    rest = S
+def _radius_at_most(rows: Sequence[int], S: int, r: int, centres: int) -> bool:
+    """Whether some vertex of S & ``centres`` reaches all of S within r steps
+    inside S."""
+    rest = S & centres
     while rest:
         low = rest & -rest
         if sum(layers(rows, low, S, r)) == S:
@@ -327,13 +321,51 @@ def _radius_at_most(rows: Sequence[int], S: int, r: int) -> bool:
 
 def enumerate_balls(G: Graph, r: int) -> list[int]:
     """All vertex masks that are balls of radius at most ``r``, in the order
-    of ``enumerate_connected_sets``."""
+    of a walk over the connected sets: depth first from each start vertex v,
+    with the vertices before v banned, a set S is followed by the sets grown
+    from S + u for each boundary vertex u in increasing order, and the u
+    already tried are banned for the later ones.
+
+    Each set carries its candidate centres, the vertices whose closed r-ball
+    in G holds all of it. A centre of a ball S is one, and the candidates
+    only shrink as S grows, so the walk drops a set without candidates and
+    everything grown from it. A set is a ball when a candidate inside it
+    reaches all of it inside it, which at r = 1 it does in one step.
+    """
     if r < 0:
         return []
     if r == 0:
         return [1 << v for v in range(G.n)]
     rows = G.rows
-    return [S for S in enumerate_connected_sets(G) if _radius_at_most(rows, S, r)]
+    full = G.full_mask
+    reach = [sum(layers(rows, 1 << v, full, r)) for v in range(G.n)]
+    out = []
+    banned = 0
+    for v in range(G.n):
+        out.append(1 << v)
+        # frames: (set, its neighbourhood, boundary vertices left to try,
+        # never none, banned, candidate centres)
+        todo = rows[v] & ~banned
+        stack = [(1 << v, rows[v], todo, banned, reach[v])] if todo else []
+        while stack:
+            S, near, todo, b, cand = stack.pop()
+            low = todo & -todo
+            if todo ^ low:
+                stack.append((S, near, todo ^ low, b | low, cand))
+            u = low.bit_length() - 1
+            cand &= reach[u]
+            if not cand:
+                continue
+            S |= low
+            near |= rows[u]
+            inside = cand & S
+            if inside and (r == 1 or _radius_at_most(rows, S, r, inside)):
+                out.append(S)
+            todo = near & ~S & ~b
+            if todo:
+                stack.append((S, near, todo, b, cand))
+        banned |= 1 << v
+    return out
 
 
 def _disjoint_later(G: Graph, balls: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -6,7 +6,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, SizeLimitError
-from .graphs import Graph, bits, layers
+from .graphs import Graph, bits, is_bipartite, layers
 from .homs import _max_clique_mask, _search, _search_order
 
 EXACT_POWER_LIMIT = 7
@@ -53,10 +53,14 @@ def exact_distance_graph(G: Graph, p: int) -> Graph:
 def odd_girth(G: Graph):
     """Length of the shortest odd cycle; math.inf if bipartite.
 
-    An edge inside breadth-first layer d of a root closes an odd walk of
-    length 2d + 1, and the shortest odd cycle gives one from each of its
-    vertices; each root walks only the layers that could beat the best so far.
+    A bipartite graph is told by one breadth-first walk per component.
+    Otherwise an edge inside breadth-first layer d of a root closes an odd
+    walk of length 2d + 1, and the shortest odd cycle gives one from each of
+    its vertices; each root walks only the layers that could beat the best
+    so far.
     """
+    if is_bipartite(G):
+        return INFINITY
     best = INFINITY
     for root in range(G.n):
         depth = -1 if best == INFINITY else (best - 3) // 2

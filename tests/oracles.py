@@ -12,6 +12,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from homdual.graphs import Graph, bits
 
@@ -332,6 +333,35 @@ def brute_is_connected_subset(G: Graph, S: int) -> bool:
                 reach.add(v)
                 changed = True
     return len(reach) == len(verts)
+
+
+def enumerate_connected_sets(G: Graph) -> Iterator[int]:
+    """All nonempty vertex masks inducing connected subgraphs, each once, in
+    the order of ``enumerate_balls``' walk, which filters this one.
+
+    Depth first from each start vertex v, with the vertices before v banned:
+    a set S is followed by the sets grown from S + u for each boundary vertex
+    u in increasing order, and the u already tried are banned for the later
+    ones.
+    """
+    rows = G.rows
+    banned = 0
+    for v in range(G.n):
+        S = 1 << v
+        yield S
+        # frames: (set, its neighbourhood, boundary vertices left to try, banned)
+        stack = [(S, rows[v], rows[v] & ~S & ~banned, banned)]
+        while stack:
+            S, near, todo, b = stack.pop()
+            if not todo:
+                continue
+            low = todo & -todo
+            stack.append((S, near, todo ^ low, b | low))
+            S |= low
+            near |= rows[low.bit_length() - 1]
+            yield S
+            stack.append((S, near, near & ~S & ~b, b))
+        banned |= 1 << v
 
 
 def brute_p_centered(G: Graph, colors, p: int):

@@ -166,6 +166,28 @@ def test_local_hom_check_matches_per_subset_route(catalog5):
                             assert digits[x][TP.through[phi[x]].index(I)] == image[i]
 
 
+# sha256 over (rows, p, base rows, verdict, failing value set) of
+# local_hom_check on the <= 7-vertex catalog with the identity colouring,
+# p = 1..7 and the bases K1, 2K1, K2, K3, C5, recorded when every preimage
+# was searched, before bipartite ones were settled without a search
+LOCAL_CHECK_DIGEST = "361c1d29756e2bc061cd12e11030655ff830321c22140c4c30fe660b552a77a1"
+
+
+def test_local_hom_check_unchanged(catalog7):
+    bases = [complete_graph(1), empty_graph(2), complete_graph(2), complete_graph(3),
+             cycle_graph(5)]
+    h = hashlib.sha256()
+    refused = 0
+    for G in catalog7:
+        for p in range(1, 8):
+            for U in bases:
+                ok, bad = local_hom_check(G, list(range(G.n)), p, U)
+                refused += not ok
+                h.update(f"{G.rows} {p} {U.rows} {ok} {sorted(bad) if bad else None}\n".encode())
+    assert refused == 27442
+    assert h.hexdigest() == LOCAL_CHECK_DIGEST
+
+
 def test_local_hom_check_builds_no_graph_per_subset(monkeypatch):
     G, K2 = cycle_graph(7), complete_graph(2)
 

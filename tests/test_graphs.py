@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 
@@ -16,8 +17,8 @@ from homdual.graphs import (
     disjoint_union,
     empty_graph,
     enumerate_balls,
-    enumerate_connected_sets,
     induced_subgraph,
+    is_bipartite,
     is_connected,
     layers,
     mask_of,
@@ -26,7 +27,12 @@ from homdual.graphs import (
 )
 from homdual.homs import is_isomorphic
 
-from oracles import brute_distances, brute_is_connected_subset
+from oracles import (
+    brute_distances,
+    brute_is_connected_subset,
+    brute_odd_girth,
+    enumerate_connected_sets,
+)
 
 
 def test_build_graph_basic():
@@ -56,6 +62,14 @@ def test_build_graph_rejects_bad_input():
         Graph(1, [1])  # loop bit
     with pytest.raises(GraphError):
         Graph(-1, [])
+    with pytest.raises(GraphError, match="row 0 has out-of-range"):
+        Graph(2, [0b100, 0])  # a neighbour the graph lacks
+    with pytest.raises(GraphError, match="row 0 has out-of-range"):
+        Graph(2, [-1, 0])  # a negative row
+    with pytest.raises(GraphError, match="row 1 has out-of-range"):
+        Graph(2, [0b10, -1])  # a negative row behind an upper neighbour
+    with pytest.raises(GraphError, match="loop at vertex 1"):
+        Graph(3, [0, 0b010, 0])  # a loop on a vertex with no upper neighbour
 
 
 def test_constructor_names_any_flipped_pair(catalog5, seeded_graphs):
@@ -98,6 +112,16 @@ def test_connected_components():
     assert not is_connected(G)
     assert is_connected(G, within=mask_of([0, 1, 2]))
     assert not is_connected(G, within=0)
+
+
+def test_is_bipartite_matches_brute_odd_girth(catalog6):
+    """On every vertex mask: G[S] is bipartite exactly when, by the
+    adjacency-power oracle, it has no odd closed walk."""
+    for G in catalog6:
+        assert is_bipartite(G) == (brute_odd_girth(G) == math.inf), G.rows
+        for S in range(1 << G.n):
+            sub, _ = induced_subgraph(G, S)
+            assert is_bipartite(G, S) == (brute_odd_girth(sub) == math.inf), (G.rows, S)
 
 
 def test_layers():
@@ -294,13 +318,18 @@ def test_enumerate_balls():
     assert all(b.bit_count() <= 3 for b in enumerate_balls(cycle_graph(6), 1))
 
 
-def test_enumerate_balls_match_brute_radius(catalog5):
-    """The balls are exactly the connected sets whose radius, by the
-    dict-and-queue oracle, is at most r."""
-    for G in catalog5:
-        sets = list(enumerate_connected_sets(G))
-        for r in (1, 2, 3, 4):
-            assert enumerate_balls(G, r) == \
-                [S for S in sets if _brute_radius_center(G, S)[0] <= r], (G.rows, r)
-
-
+def test_enumerate_balls_match_brute_radius(catalog7):
+    """The balls are exactly the connected sets of the oracle walk whose
+    radius, by the dict-and-queue oracle, is at most r, in the walk's
+    order: on the <= 7-vertex catalog and on seeded 9-12-vertex graphs."""
+    rng = random.Random(21)
+    seeded = []
+    for density in (0.2, 0.3, 0.45) * 2:
+        n = rng.randint(9, 12)
+        seeded.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                      if rng.random() < density]))
+    for G in catalog7 + seeded:
+        sets = [(S, _brute_radius_center(G, S)[0]) for S in enumerate_connected_sets(G)]
+        for r in (1, 2, 3):
+            assert enumerate_balls(G, r) == [S for S, radius in sets if radius <= r], \
+                (G.rows, r)
