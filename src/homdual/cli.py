@@ -19,13 +19,14 @@ from .coloring import find_low_td_coloring, make_coloring, verify_p_centered
 from .duality import (
     DEFAULT_REP_ORDER,
     build_dual,
+    power_local_property,
     regular_partition_report,
     representatives,
     truncated_power,
     verify_duality,
 )
-from .errors import GraphError
-from .formats import parse_edge_list, parse_graph_lines, to_graph6
+from .errors import GraphError, InternalCheckError
+from .formats import graph6_pieces, parse_edge_list, parse_graph_lines, to_graph6
 from .graphs import Graph, bits
 from .powers import (
     INFINITY,
@@ -167,6 +168,8 @@ def _cmd_power(args):
     U = _load_graph(args.infile, args.format)
     H = _load_graph(args.template, args.format)
     TP = truncated_power(U, H, args.p)
+    if not power_local_property(TP):
+        raise InternalCheckError("the truncated power fails the local property")
     results = {
         "order": TP.D.n,
         "edges": TP.D.edge_count(),
@@ -179,13 +182,13 @@ def _cmd_dual_build(args):
     corpus = _load_corpus(args)
     f_set = _read_graphs(args.forbid)
     build = build_dual(corpus, f_set)
-    results = {
-        "provenance": build.provenance,
-        "dual_graph6": to_graph6(build.D) if build.D.n <= args.emit_limit else None,
-    }
-    if args.dual_out:
+    emit = build.D.n <= args.emit_limit
+    pieces = graph6_pieces(build.D) if emit or args.dual_out else []
+    results = {"provenance": build.provenance,
+               "dual_graph6": "".join(pieces) if emit else None}
+    if args.dual_out:  # piece by piece: no copy of the whole string
         with open(args.dual_out, "w", encoding="ascii") as fh:
-            fh.write(to_graph6(build.D) + "\n")
+            fh.writelines(pieces + ["\n"])
     return _report("dual-build", {"corpus": len(corpus), "forbid": len(f_set)},
                    results, True, args)
 

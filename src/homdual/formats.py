@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+from typing import Iterator
 
 from .errors import GraphError, SizeLimitError
 from .graphs import Graph, bits
@@ -49,6 +50,27 @@ _TO_G6 = bytes.maketrans(_B64_CHARS, _G6_CHARS)
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+_BLOCK_BITS = 1 << 18  # one block up to 769 vertices, a few dozen KB of temporaries
+
+
+def _column_blocks(n: int) -> Iterator[tuple[int, int]]:
+    """Ranges lo..hi-1 of whole columns that cut the upper-triangle stream
+    into blocks of at least ``_BLOCK_BITS`` bits (the last may hold fewer).
+
+    Column j holds the bits of pairs (0, j), ..., (j - 1, j), at stream
+    offset j(j-1)/2. Each block starts at a column j = 1 (mod 48), whose
+    offset is a multiple of 24 bits, four graph6 characters, so the blocks
+    are coded one at a time with no temporaries the size of the stream.
+    """
+    lo = 1
+    while lo < n:
+        hi = lo + 48
+        while hi < n and (hi * (hi - 1) - lo * (lo - 1)) // 2 < _BLOCK_BITS:
+            hi += 48
+        yield lo, min(hi, n)
+        lo = hi
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (optional '>>graph6<<' prefix tolerated)."""
     s = line.strip()
@@ -59,41 +81,41 @@ def parse_graph6(line: str) -> Graph:
     except UnicodeEncodeError as exc:
         raise ParseError(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     n, pos = _read_g6_size(data)
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    body = data[pos:]
-    if len(body) != need:
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - pos != need:
         raise ParseError(
-            f"expected {need} payload bytes for n={n}, got {len(body)}", pos)
-    bad = body.lstrip(_G6_CHARS)
+            f"expected {need} payload bytes for n={n}, got {len(data) - pos}", pos)
+    bad = data.lstrip(_G6_CHARS)  # the size header is in the alphabet too
     if bad:
-        raise ParseError(f"invalid payload byte {bad[0]}",
-                         pos + len(body) - len(bad))
-    b64 = body.translate(_FROM_G6) + b"A" * (-len(body) % 4)
-    raw = base64.b64decode(b64).translate(_BIT_REVERSED)
-    packed = int.from_bytes(raw, "little")  # stream bit k is bit k
-    if packed >> nbits:
-        raise ParseError("nonzero padding bits", pos + len(body) - 1)
-    # Column j holds the bits of pairs (0, j), ..., (j - 1, j), at stream
-    # offset j(j-1)/2; split the stream into columns in halves, the inverse
-    # of to_graph6's join, so that each bit is shifted O(log n) times.
+        raise ParseError(f"invalid payload byte {bad[0]}", len(data) - len(bad))
     rows = [0] * n
-    stack = [(packed, 1, n)] if n > 1 else []  # (columns lo..hi-1, lo, hi)
-    while stack:
-        part, lo, hi = stack.pop()
-        if hi - lo == 1:
-            rows[lo] |= part
-            for i in bits(part):
-                rows[i] |= 1 << lo
-            continue
-        mid = (lo + hi) // 2
-        width = (mid * (mid - 1) - lo * (lo - 1)) // 2
-        stack.append((part & ((1 << width) - 1), lo, mid))
-        stack.append((part >> width, mid, hi))
+    for a, b in _column_blocks(n):
+        first, stop = a * (a - 1) // 2, b * (b - 1) // 2  # the block's stream bits
+        chunk = data[pos + first // 6:pos + (stop + 5) // 6].translate(_FROM_G6)
+        raw = base64.b64decode(chunk + b"A" * (-len(chunk) % 4)).translate(_BIT_REVERSED)
+        packed = int.from_bytes(raw, "little")  # block bit k is bit k
+        if packed >> (stop - first):
+            raise ParseError("nonzero padding bits", len(data) - 1)
+        # split the block into columns in halves, the inverse of the
+        # writer's join, so that each bit is shifted O(log n) times
+        stack = [(packed, a, b)]  # (columns lo..hi-1, lo, hi)
+        while stack:
+            part, lo, hi = stack.pop()
+            if hi - lo == 1:
+                rows[lo] |= part
+                for i in bits(part):
+                    rows[i] |= 1 << lo
+                continue
+            mid = (lo + hi) // 2
+            width = (mid * (mid - 1) - lo * (lo - 1)) // 2
+            stack.append((part & ((1 << width) - 1), lo, mid))
+            stack.append((part >> width, mid, hi))
     return Graph(n, rows)
 
 
-def to_graph6(G: Graph) -> str:
+def graph6_pieces(G: Graph) -> list[str]:
+    """G's graph6 string in pieces: the size header, then one per column
+    block (see ``_column_blocks``); ``to_graph6`` joins them."""
     n = G.n
     if n <= 62:
         header = bytes([n + 63])
@@ -101,19 +123,24 @@ def to_graph6(G: Graph) -> str:
         header = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         header = bytes([126, 126] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)])
-    # Column j holds the bits of pairs (0, j), ..., (j - 1, j), at stream
-    # offset j(j-1)/2; pack stream bit k as bit k of one integer, joining
-    # the columns pairwise so that each bit is shifted O(log n) times.
-    parts = [(G.rows[j] & ((1 << j) - 1), j) for j in range(1, n)]
-    while len(parts) > 1:
-        joined = [(a | b << wa, wa + wb)
-                  for (a, wa), (b, wb) in zip(parts[::2], parts[1::2])]
-        parts = joined + parts[2 * len(joined):]
-    nbits = n * (n - 1) // 2
-    packed = parts[0][0] if parts else 0
-    raw = packed.to_bytes((nbits + 23) // 24 * 3, "little").translate(_BIT_REVERSED)
-    body = base64.b64encode(raw).translate(_TO_G6)[:(nbits + 5) // 6]
-    return (header + body).decode("ascii")
+    pieces = [header.decode("ascii")]
+    for lo, hi in _column_blocks(n):
+        # pack block bit k as bit k of one integer, joining the columns
+        # pairwise so that each bit is shifted O(log n) times
+        parts = [(G.rows[j] & ((1 << j) - 1), j) for j in range(lo, hi)]
+        while len(parts) > 1:
+            joined = [(a | b << wa, wa + wb)
+                      for (a, wa), (b, wb) in zip(parts[::2], parts[1::2])]
+            parts = joined + parts[2 * len(joined):]
+        packed, nbits = parts[0]
+        raw = packed.to_bytes((nbits + 23) // 24 * 3, "little").translate(_BIT_REVERSED)
+        body = base64.b64encode(raw).translate(_TO_G6)[:(nbits + 5) // 6]
+        pieces.append(body.decode("ascii"))
+    return pieces
+
+
+def to_graph6(G: Graph) -> str:
+    return "".join(graph6_pieces(G))
 
 
 def parse_edge_list(text: str) -> Graph:

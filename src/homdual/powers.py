@@ -6,7 +6,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, SizeLimitError
-from .graphs import Graph, bits, is_bipartite, layers
+from .graphs import Graph, bits, layers
 from .homs import _max_clique_mask, _search, _search_order
 
 EXACT_POWER_LIMIT = 7
@@ -53,21 +53,27 @@ def exact_distance_graph(G: Graph, p: int) -> Graph:
 def odd_girth(G: Graph):
     """Length of the shortest odd cycle; math.inf if bipartite.
 
-    A bipartite graph is told by one breadth-first walk per component.
-    Otherwise an edge inside breadth-first layer d of a root closes an odd
-    walk of length 2d + 1, and the shortest odd cycle gives one from each of
-    its vertices; each root walks only the layers that could beat the best
-    so far.
+    An edge inside breadth-first layer d of a root closes an odd walk of
+    length 2d + 1, and the shortest odd cycle gives one from each of its
+    vertices; each root walks only the layers that could beat the best so
+    far. A walk without a depth limit that finds no such edge proves the
+    root's component bipartite, so its other roots are skipped and a
+    bipartite graph costs one walk per component.
     """
-    if is_bipartite(G):
-        return INFINITY
     best = INFINITY
+    bipartite = 0  # the components proven bipartite
     for root in range(G.n):
+        if bipartite >> root & 1:
+            continue
         depth = -1 if best == INFINITY else (best - 3) // 2
-        for d, ring in enumerate(layers(G.rows, 1 << root, G.full_mask, depth)):
+        rings = layers(G.rows, 1 << root, G.full_mask, depth)
+        for d, ring in enumerate(rings):
             if any(G.rows[v] & ring for v in bits(ring)):
                 best = 2 * d + 1
                 break
+        else:
+            if depth < 0:
+                bipartite |= sum(rings)
     return best
 
 

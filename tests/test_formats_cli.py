@@ -94,8 +94,11 @@ def test_parse_graph6_rejects_malformed():
         parse_graph6("A\u00e9")  # non-ASCII, not a UnicodeEncodeError
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 62, 63, 64, 300, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 47, 48, 49, 62, 63, 64, 96, 97, 98,
+                               300, 769, 770, 1000, 1057, 1058])
 def test_graph6_roundtrip_sizes(n):
+    """Around the 48-column steps, and on each side of the first and
+    second column-block boundaries (columns 769 and 1057)."""
     rng = random.Random(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     sparse = build_graph(n, [e for e in pairs if rng.random() < 0.05])
@@ -153,10 +156,17 @@ def test_parse_graph6_error_offsets(line, message, offset):
 def test_parse_graph6_dual_decodes_in_small_memory():
     """The 3,645-vertex criterion-9 dual (830 KB of adjacency bits) decodes
     under a 10 MB allocation peak: the payload is read as one integer, not
-    as a string of one character per bit."""
+    as a string of one character per bit. Coded block by block, writing
+    it peaks under 3.5 MB (5.15 MB as one stream) and reading it under
+    4 MB (6.62 MB as one stream)."""
     U = disjoint_union([complete_graph(1), complete_graph(2)])
     D = truncated_power(U, complete_graph(5), 3).D
-    line = to_graph6(D)
+    tracemalloc.start()
+    try:
+        line = to_graph6(D)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     tracemalloc.start()
     try:
         G = parse_graph6(line)
@@ -165,6 +175,8 @@ def test_parse_graph6_dual_decodes_in_small_memory():
         tracemalloc.stop()
     assert G == D
     assert peak < 10_000_000, peak
+    assert write_peak < 3_500_000, write_peak
+    assert peak < 4_000_000, peak
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -510,6 +522,20 @@ def test_cli_power(tmp_path, capsys):
     assert parse_graph6(doc["results"]["graph6"]).n == 12
 
 
+def test_cli_power_checks_local_property(tmp_path, capsys, monkeypatch):
+    """A power that fails the local property is an internal error (exit 2,
+    one ``error:`` line), not a report."""
+    u = tmp_path / "u.g6"
+    u.write_text(to_graph6(complete_graph(2)) + "\n")
+    h = tmp_path / "h.g6"
+    h.write_text(to_graph6(complete_graph(3)) + "\n")
+    monkeypatch.setattr(cli, "power_local_property", lambda TP: False)
+    code = main(["power", "--in", str(u), "--template", str(h), "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: the truncated power fails the local property\n"
+
+
 def test_cli_exact_power(p4_file, capsys):
     code, doc = run_cli(["exact-power", "--in", p4_file, "--p", "2",
                          "--kind", "distance"], capsys)
@@ -535,10 +561,11 @@ def test_cli_dual_build_and_verify(tmp_path, capsys):
     assert doc["results"]["verdict"] == "pass"
 
 
-def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
+def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys, subcubic7):
     """The 3,645-vertex dual of the connected subcubic graphs on at most 7
     vertices survives a graph6 round trip through the CLI, and verifies
-    within 100 search nodes per question."""
+    within 100 search nodes per question. The dual file, written block by
+    block, is to_graph6's string and a newline."""
     forbid = tmp_path / "k3.g6"
     forbid.write_text(to_graph6(complete_graph(3)) + "\n")
     dual = tmp_path / "dual.g6"
@@ -547,6 +574,8 @@ def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys):
     code, doc = run_cli(["dual-build", *corpus, "--dual-out", str(dual)], capsys)
     assert code == 0
     assert doc["results"]["provenance"]["dual_order"] == 3645
+    D = build_dual(subcubic7, [complete_graph(3)]).D
+    assert dual.read_bytes() == (to_graph6(D) + "\n").encode("ascii")
     code, doc = run_cli(["dual-verify", *corpus, "--dual", str(dual)], capsys)
     assert code == 0
     assert doc["results"]["verdict"] == "pass"

@@ -13,6 +13,7 @@ from homdual.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    layers,
     path_graph,
 )
 from homdual.homs import is_isomorphic
@@ -98,6 +99,26 @@ def test_odd_girth():
     assert odd_girth(petersen()) == 5
     G = disjoint_union([cycle_graph(6), cycle_graph(7)])
     assert odd_girth(G) == 7
+    assert odd_girth(disjoint_union([cycle_graph(7), cycle_graph(6)])) == 7
+
+
+def test_odd_girth_walks_a_bipartite_component_once(monkeypatch):
+    """A walk without a depth limit that finds no odd edge settles its
+    whole component; each root of a non-bipartite one still walks."""
+    walks = []
+
+    def counting_layers(*args):
+        walks.append(args)
+        return layers(*args)
+
+    monkeypatch.setattr(powers, "layers", counting_layers)
+    G = disjoint_union([cycle_graph(6), path_graph(4), empty_graph(3)])
+    assert odd_girth(G) == INFINITY
+    assert len(walks) == 5
+    walks.clear()
+    G = disjoint_union([cycle_graph(5), cycle_graph(6)])
+    assert odd_girth(G) == 5
+    assert len(walks) == 11  # the C6 roots walk too, once a bound exists
 
 
 def test_odd_girth_matches_brute_odd_girth(catalog6, seeded_graphs):
