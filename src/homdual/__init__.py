@@ -21,7 +21,6 @@ from .homs import (
     find_homomorphism,
     forb_member,
     hom_equivalent,
-    is_core,
     is_isomorphic,
 )
 from .sparsity import (

@@ -182,13 +182,12 @@ def _cmd_dual_build(args):
     corpus = _load_corpus(args)
     f_set = _read_graphs(args.forbid)
     build = build_dual(corpus, f_set)
-    emit = build.D.n <= args.emit_limit
-    pieces = graph6_pieces(build.D) if emit or args.dual_out else []
-    results = {"provenance": build.provenance,
-               "dual_graph6": "".join(pieces) if emit else None}
+    text = to_graph6(build.D) if build.D.n <= args.emit_limit else None
+    results = {"provenance": build.provenance, "dual_graph6": text}
     if args.dual_out:  # piece by piece: no copy of the whole string
         with open(args.dual_out, "w", encoding="ascii") as fh:
-            fh.writelines(pieces + ["\n"])
+            fh.writelines(graph6_pieces(build.D))
+            fh.write("\n")
     return _report("dual-build", {"corpus": len(corpus), "forbid": len(f_set)},
                    results, True, args)
 
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--reps", help="graph6 file of representatives")
-    sp.add_argument("--n-rep", dest="n_rep", type=int, default=DEFAULT_REP_ORDER)
+    sp.add_argument("--n-rep", dest="n_rep", type=_positive, default=DEFAULT_REP_ORDER)
     sp.set_defaults(func=_cmd_regular_partition)
 
     return ap

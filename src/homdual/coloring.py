@@ -85,7 +85,7 @@ def _capped_unions(masks: list[int], sizes: Sequence[int], p: int,
         sets += math.comb(len(masks), size)
         if sets > CLASS_SET_LIMIT:
             raise SizeLimitError(
-                f"{what} verification capped at {CLASS_SET_LIMIT} color sets "
+                f"{what} capped at {CLASS_SET_LIMIT} color sets "
                 f"(k = {len(masks)} colors at p = {p} give more)")
     return class_unions(masks, sizes)
 
@@ -105,7 +105,7 @@ def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int
     _check_p(p)
     size = min(p - 1, c.k)
     masks = c.class_masks()
-    for classes, S in _capped_unions(masks, (size,), p, "centered"):
+    for classes, S in _capped_unions(masks, (size,), p, "centered verification"):
         stack = connected_components(G, S)
         while stack:
             K = stack.pop()
@@ -147,7 +147,7 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdVi
     """
     _check_p(p)
     for classes, S in _capped_unions(c.class_masks(), range(1, min(p, c.k) + 1), p,
-                                  "low tree-depth"):
+                                  "low tree-depth verification"):
         i = len(classes)
         for comp in connected_components(G, S):
             if comp.bit_count() <= i:
@@ -195,31 +195,34 @@ def _first_passing(G: Graph, p: int, k_min: int) -> Coloring:
     raise InternalCheckError(f"no low tree-depth coloring of {G.n} vertices with {G.n} colors")
 
 
-def max_low_td_colors(corpus: Iterable[Graph], p: int) -> int:
+def max_low_td_colors(corpus: Iterable[Graph], p: int) -> tuple[int, list[Coloring]]:
     """``max(1, max(find_low_td_coloring(G, p).coloring.k for G in corpus))``,
-    in fewer rounds.
+    in fewer rounds, and a passing coloring per graph with at most that many colors.
 
     Splitting a class of a passing coloring keeps it passing: any i classes
     of the finer coloring lie inside at most i classes of the coarser one,
     and tree-depth is monotone under subgraphs. So for M <= |V(G)|, G has a
     passing coloring with at most M colors exactly when it has one with
     exactly M. With M the running maximum, a graph on at most M vertices
-    cannot raise it, and any other graph up to ``LOWTD_EXHAUSTIVE_LIMIT``
-    vertices tries exactly k = M, M + 1, ... colors until a round passes:
-    the first k is M if the graph needs at most M colors, and its own least
-    count otherwise. Larger graphs count their greedy coloring, as
-    ``find_low_td_coloring`` does.
+    cannot raise it and takes one color per vertex, and any other graph up
+    to ``LOWTD_EXHAUSTIVE_LIMIT`` vertices tries exactly k = M, M + 1, ...
+    colors until a round passes: the first k is M if the graph needs at
+    most M colors, and its own least count otherwise. Larger graphs take
+    their greedy coloring, as ``find_low_td_coloring`` does.
     """
     _check_p(p)
     best = 1
+    colorings = []
     for G in corpus:
         if G.n <= best:
-            continue
-        if G.n > LOWTD_EXHAUSTIVE_LIMIT:
-            best = max(best, _greedy_low_td(G, p).coloring.k)
+            c = Coloring(G, tuple(range(G.n)), G.n)
+        elif G.n > LOWTD_EXHAUSTIVE_LIMIT:
+            c = _greedy_low_td(G, p).coloring
         else:
-            best = _first_passing(G, p, best).k
-    return best
+            c = _first_passing(G, p, best)
+        best = max(best, c.k)
+        colorings.append(c)
+    return best, colorings
 
 
 def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:

@@ -22,15 +22,16 @@ from .homs import (
     VertexMap,
     _find_within,
     check_homomorphism,
+    core,
     enumerate_homomorphisms,
     find_homomorphism,
     forb_member,
     hom_equivalent,
-    is_core,
+    is_isomorphic,
 )
-from .catalog import GraphFilters, generate_all_graphs
+from .catalog import generate_all_graphs
 from .sparsity import tree_depth_value
-from .coloring import Coloring, class_unions, max_low_td_colors, verify_low_td
+from .coloring import Coloring, _capped_unions, class_unions, max_low_td_colors, verify_low_td
 
 POWER_ORDER_CAP = 100_000
 DEFAULT_REP_ORDER = 6
@@ -250,29 +251,44 @@ def locbound_equivalence(G: Graph, U: Graph, H: Graph, p: int) -> tuple[bool, bo
     return lhs, rhs
 
 
-def representatives(p: int, n_max: int = DEFAULT_REP_ORDER,
-                    f_set: Sequence[Graph] = ()) -> list[Graph]:
-    """Cores of all graphs up to n_max vertices with tree-depth <= p into
-    which no member of ``f_set`` maps: the catalog graphs that are their own
-    cores. A core is a subgraph, so it lies in the same range, and the
-    catalog holds one graph per isomorphism class. Desk-scale stand-in for
-    the finite representative set of bounded tree-depth classes.
-
-    Both conditions hold on every induced subgraph of a graph that meets
-    them (tree-depth is monotone under subgraphs, and a map into a subgraph
-    is a map into the graph), so the catalog prunes by them as it grows and
-    only the survivors are tested for being cores. When some member of
-    ``f_set`` maps to K3 it maps into every graph with a triangle, so the
-    catalog skips those graphs before building them: the same graphs in
-    the same order. The result is ``representatives(p, n_max)`` filtered
-    by ``forb_member`` afterwards.
+def representatives(p: int, n_max: int = DEFAULT_REP_ORDER) -> list[Graph]:
+    """Cores of all graphs up to n_max vertices with tree-depth <= p: the
+    catalog graphs that are their own cores. A core is a subgraph, so it
+    lies in the same range, and the catalog holds one graph per isomorphism
+    class. Desk-scale stand-in for the finite representative set of bounded
+    tree-depth classes. Tree-depth is monotone under subgraphs, so the
+    catalog prunes by it as it grows and only the survivors are tested for
+    being cores.
     """
-    catalog = generate_all_graphs(
-        n_max, GraphFilters(triangle_free=not forb_member(complete_graph(3), f_set)),
-        keep=lambda G: tree_depth_value(G) <= p and forb_member(G, f_set))
-    reps = [G for G in catalog if G.n and is_core(G)]
+    catalog = generate_all_graphs(n_max, keep=lambda G: tree_depth_value(G) <= p)
+    reps = [G for G in catalog if G.n and len(core(G)[1]) == G.n]
     reps.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
     return reps
+
+
+def _corpus_base(corpus: Sequence[Graph], colorings: Sequence[Coloring],
+                 f_set: Sequence[Graph], p: int) -> list[Graph]:
+    """The cores, one per isomorphism class, of the components of every
+    union of min(p, k) classes of each member's k-coloring, sorted as
+    ``representatives`` sorts; ``CLASS_SET_LIMIT`` caps the unions walked.
+
+    A member lifts into the power over them along its coloring: each
+    p-subset's preimage lies in one such union, so its components map into
+    these cores. A connected F on at most p vertices that mapped into them
+    would map into one core, a subgraph of a member, and so into the member.
+    """
+    comps: dict[Graph, None] = {}  # an ordered set: labelled copies are cored once
+    for G, c in zip(corpus, colorings):
+        if forb_member(G, f_set):
+            for _, S in _capped_unions(c.class_masks(), (min(p, c.k),), p, "the base walk"):
+                for comp in connected_components(G, S):
+                    comps[induced_subgraph(G, comp)[0]] = None
+    parts: list[Graph] = []
+    for K, _ in map(core, comps):
+        if not any(is_isomorphic(K, R) for R in parts):
+            parts.append(K)
+    parts.sort(key=lambda g: (g.n, g.edge_count(), g.rows))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -287,9 +303,9 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
 
     Pipeline: threshold p from the largest forbidden graph; the template
     size is the most colors a low tree-depth coloring of a corpus graph
-    needs at p (``max_low_td_colors``); the base is the union of the
-    representatives that avoid the forbidden family, pruned while the
-    catalog is generated; and the truncated power is the dual.
+    needs at p (``max_low_td_colors``); the base is the union of the cores
+    that the members' own colorings need (``_corpus_base``); and the
+    truncated power is the dual.
     """
     if not f_set:
         raise GraphError("forbidden family must be nonempty")
@@ -297,8 +313,8 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
         if not is_connected(F):
             raise GraphError("forbidden graphs must be connected")
     p = max(F.n for F in f_set)
-    n_colors = max_low_td_colors(corpus, p)
-    reps = representatives(p, DEFAULT_REP_ORDER, f_set)
+    n_colors, colorings = max_low_td_colors(corpus, p)
+    reps = _corpus_base(corpus, colorings, f_set, p)
     if not reps:
         raise GraphError("no representative avoids the forbidden family")
     U = disjoint_union(reps)
@@ -316,7 +332,6 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
         "p": p,
         "n_colors": n_colors,
         "template_size": template_size,
-        "n_rep": DEFAULT_REP_ORDER,
         "base_order": U.n,
         "base_parts": len(reps),
         "dual_order": TP.D.n,

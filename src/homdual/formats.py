@@ -113,9 +113,9 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, rows)
 
 
-def graph6_pieces(G: Graph) -> list[str]:
-    """G's graph6 string in pieces: the size header, then one per column
-    block (see ``_column_blocks``); ``to_graph6`` joins them."""
+def graph6_pieces(G: Graph) -> Iterator[str]:
+    """G's graph6 string in pieces, one at a time: the size header, then
+    one per column block (see ``_column_blocks``); ``to_graph6`` joins them."""
     n = G.n
     if n <= 62:
         header = bytes([n + 63])
@@ -123,7 +123,7 @@ def graph6_pieces(G: Graph) -> list[str]:
         header = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         header = bytes([126, 126] + [(n >> (6 * k) & 63) + 63 for k in range(5, -1, -1)])
-    pieces = [header.decode("ascii")]
+    yield header.decode("ascii")
     for lo, hi in _column_blocks(n):
         # pack block bit k as bit k of one integer, joining the columns
         # pairwise so that each bit is shifted O(log n) times
@@ -135,8 +135,7 @@ def graph6_pieces(G: Graph) -> list[str]:
         packed, nbits = parts[0]
         raw = packed.to_bytes((nbits + 23) // 24 * 3, "little").translate(_BIT_REVERSED)
         body = base64.b64encode(raw).translate(_TO_G6)[:(nbits + 5) // 6]
-        pieces.append(body.decode("ascii"))
-    return pieces
+        yield body.decode("ascii")
 
 
 def to_graph6(G: Graph) -> str:

@@ -332,22 +332,6 @@ def core(G: Graph) -> tuple[Graph, list[int]]:
     return K, list(bits(S))
 
 
-def is_core(G: Graph) -> bool:
-    """Whether G is its own core, as ``len(core(G)[1]) == G.n`` says.
-
-    A fold, a vertex u whose neighbourhood lies inside that of a vertex w
-    not adjacent to it, answers False at once: sending u to w and fixing
-    the rest maps G into G - u. Otherwise ``core``'s retraction pass
-    decides.
-    """
-    rows = G.rows
-    for u, row in enumerate(rows):
-        for w in bits(G.full_mask & ~row & ~(1 << u)):
-            if not row & ~rows[w]:
-                return False
-    return len(core(G)[1]) == G.n
-
-
 def is_isomorphic(G: Graph, H: Graph) -> bool:
     """Exact isomorphism: an injective homomorphism between graphs of equal
     order and edge count is a bijection that sends the edges onto the

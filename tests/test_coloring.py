@@ -353,8 +353,8 @@ def test_max_low_td_colors_matches_per_graph_maximum(subcubic7):
     for corpus in (subcubic7, subcubic7[::-1], shuffled, [twelve], mixed):
         for p in (1, 2, 3, 4):
             want = max([1] + [find_low_td_coloring(G, p).coloring.k for G in corpus])
-            assert max_low_td_colors(corpus, p) == want, (len(corpus), p)
-    assert max_low_td_colors([], 3) == 1
+            assert max_low_td_colors(corpus, p)[0] == want, (len(corpus), p)
+    assert max_low_td_colors([], 3) == (1, [])
     with pytest.raises(GraphError):
         max_low_td_colors([], 0)
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homdual import duality
-from homdual.catalog import GraphFilters, generate_all_graphs
+from homdual.catalog import generate_all_graphs
+from homdual.coloring import find_low_td_coloring, max_low_td_colors
 from homdual.duality import (
-    DEFAULT_REP_ORDER,
     DualBuild,
     TruncatedPower,
     build_dual,
@@ -39,9 +39,9 @@ from homdual.homs import (
     VertexMap,
     _find_within,
     check_homomorphism,
+    core,
     find_homomorphism,
     forb_member,
-    is_core,
     is_isomorphic,
 )
 from homdual.sparsity import tree_depth_value
@@ -507,50 +507,44 @@ def test_representatives_unchanged():
         "3532bfbdaddfbb01ba82757a21563e1c633892bc07921f755c5cfaa3d2ba997b"
 
 
-def test_representatives_prune_forbidden_family():
-    """Passing the forbidden family prunes the catalog as it grows and gives
-    the representatives filtered by ``forb_member`` afterwards. A family
-    with a member that maps to K3 turns the triangle prefilter on (all here
-    but K4 and the wheel on 6 vertices, which are not 3-colourable), and the
-    prefilter drops only graphs that ``keep`` refuses."""
-    K3, C5, K4 = complete_graph(3), cycle_graph(5), complete_graph(4)
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    wheel = build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
-    families = [(K3,), (C5,), (K4,), (K3, C5), (complete_graph(2),), (path_graph(3),),
-                (star,), (wheel,)]
-    prefilter = [not forb_member(K3, f_set) for f_set in families]
-    assert prefilter == [True, True, False, True, True, True, True, False]
-    for p in range(1, 5):
-        for n in range(7):
-            reps = representatives(p, n)
-            for f_set, on in zip(families, prefilter):
-                assert representatives(p, n, f_set) == \
-                    [R for R in reps if forb_member(R, f_set)], (p, n, f_set)
-                if on:
-                    def keep(G):
-                        return tree_depth_value(G) <= p and forb_member(G, f_set)
-                    assert generate_all_graphs(n, GraphFilters(triangle_free=True), keep) \
-                        == generate_all_graphs(n, keep=keep), (p, n, f_set)
-
-
-def test_representative_cap_leaves_c7_uncovered(subcubic7):
-    """Representatives stop at DEFAULT_REP_ORDER vertices, which breaks the
-    duality contract when a forbidden-free core is larger. With C5
-    forbidden, C7 is a C5-free core of tree-depth 4 on 7 vertices, within
-    p = 5 but above the cap, so the 15-vertex dual built over the connected
-    subcubic graphs on at most 7 vertices refuses it, and the check flags
-    that item alone."""
+def test_corpus_base_covers_c7(subcubic7):
+    """The base holds the cores the members' colorings need, at any order.
+    With C5 forbidden (p = 5), C7 is a C5-free core of tree-depth 4 on 7
+    vertices: the base is K1 + K2 + C7, and the 50-vertex dual takes C7
+    (item 89) with every other item of the corpus."""
     C5, C7 = cycle_graph(5), cycle_graph(7)
-    assert DEFAULT_REP_ORDER == 6
-    assert tree_depth_value(C7) == 4 and is_core(C7) and forb_member(C7, [C5])
+    assert tree_depth_value(C7) == 4 and len(core(C7)[1]) == 7 and forb_member(C7, [C5])
     build = build_dual(subcubic7, [C5])
-    assert build.provenance["p"] == 5 and build.D.n == 15
+    assert build.provenance["p"] == 5 and build.D.n == 50
+    parts = (complete_graph(1), complete_graph(2), C7)
+    assert build.provenance["base_parts"] == 3
+    assert is_isomorphic(build.power.base, disjoint_union(parts))
     report = verify_duality(subcubic7, [C5], build.D)
-    assert report.forbidden_ok == (True,) and not report.verdict
-    bad = [item for item in report.items if not item["consistent"]]
-    assert [item["index"] for item in bad] == [89]
-    assert bad[0]["forb_member"] and not bad[0]["hom_to_dual"]
+    assert report.verdict and report.forbidden_ok == (True,)
+    item = report.items[89]
     assert is_isomorphic(subcubic7[89], C7)
+    assert item["forb_member"] and item["hom_to_dual"] and item["consistent"]
+
+
+def test_every_member_lifts_along_its_own_coloring(subcubic7):
+    """Every member of the corpus lifts into the dual along the coloring
+    the build sized its template with: K3 forbidden on the connected
+    subcubic graphs on at most 7 vertices, C5 on the same, and K4 on those
+    on at most 5."""
+    K3, C5, K4 = complete_graph(3), cycle_graph(5), complete_graph(4)
+    subcubic5 = [G for G in subcubic7 if G.n <= 5]
+    for f_set, corpus, members in [([K3], subcubic7, 54), ([C5], subcubic7, 41),
+                                   ([K4], subcubic5, 19)]:
+        TP = build_dual(corpus, f_set).power
+        n_colors, colorings = max_low_td_colors(corpus, TP.p)
+        assert n_colors <= TP.template.n
+        lifted = 0
+        for G, c in zip(corpus, colorings):
+            if forb_member(G, f_set):
+                f = lift_homomorphism(G, VertexMap(G, TP.template, c.colors), TP)
+                assert check_homomorphism(f), (f_set, G)
+                lifted += 1
+        assert lifted == members, f_set
 
 
 def test_build_dual_degenerate():
@@ -564,21 +558,25 @@ def test_build_dual_degenerate():
 def test_build_dual_checks_power_cap_before_template(monkeypatch):
     real = duality.complete_graph
 
-    def small_only(n):  # K3 is built for the representatives' prefilter
+    def small_only(n):  # K3 is built for the forbidden family
         if n > 3:
             raise AssertionError(f"K_{n} built before the power cap was checked")
         return real(n)
 
     monkeypatch.setattr(duality, "complete_graph", small_only)
-    # the greedy coloring of the star at p = 3 is a rainbow: 1,201 colors
+    # the greedy coloring of the star at p = 3 is a rainbow: 1,201 colors,
+    # whose C(1201, 3) class sets the base walk refuses to take
     star = build_graph(1201, [(0, i) for i in range(1, 1201)])
-    with pytest.raises(SizeLimitError, match="vastly exceeds any cap"):
+    with pytest.raises(SizeLimitError, match="the base walk capped at 65536 color sets"):
         build_dual([star], [complete_graph(3)])
-    # K5 needs five colours at p = 3: the power over K1 + K2 has 5 * 3^6
-    # vertices, one above a lowered cap
+    # a triangle-free subcubic graph on 7 vertices that needs five colours
+    # at p = 3: the power over its base K1 + K2 has 5 * 3^6 vertices, one
+    # above a lowered cap
+    G = build_graph(7, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 5), (2, 6), (3, 6)])
+    assert find_low_td_coloring(G, 3).coloring.k == 5
     monkeypatch.setattr(duality, "POWER_ORDER_CAP", 3644)
     with pytest.raises(SizeLimitError, match="power order 3645 exceeds cap 3644"):
-        build_dual([complete_graph(5)], [complete_graph(3)])
+        build_dual([G], [complete_graph(3)])
 
 
 def test_build_dual_rejects_bad_forbidden_sets():

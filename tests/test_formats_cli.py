@@ -561,6 +561,23 @@ def test_cli_dual_build_and_verify(tmp_path, capsys):
     assert doc["results"]["verdict"] == "pass"
 
 
+def test_cli_c5_dual_over_subcubic7(tmp_path, capsys):
+    """With C5 forbidden on the connected subcubic graphs on at most 7
+    vertices, both commands exit 0: the 50-vertex dual over K1 + K2 + C7
+    takes C7. A dual small enough to emit is written as the emitted
+    string and a newline."""
+    forbid = tmp_path / "c5.g6"
+    forbid.write_text(to_graph6(cycle_graph(5)) + "\n")
+    dual = tmp_path / "dual.g6"
+    corpus = ["--gen", "--n-max", "7", "--max-degree", "3", "--connected",
+              "--forbid", str(forbid)]
+    code, doc = run_cli(["dual-build", *corpus, "--dual-out", str(dual)], capsys)
+    assert code == 0 and doc["results"]["provenance"]["dual_order"] == 50
+    assert dual.read_text() == doc["results"]["dual_graph6"] + "\n"
+    code, doc = run_cli(["dual-verify", *corpus, "--dual", str(dual)], capsys)
+    assert code == 0 and doc["results"]["verdict"] == "pass"
+
+
 def test_cli_dual_verify_reads_criterion9_dual(tmp_path, capsys, subcubic7):
     """The 3,645-vertex dual of the connected subcubic graphs on at most 7
     vertices survives a graph6 round trip through the CLI, and verifies
@@ -647,6 +664,16 @@ def test_cli_regular_partition(p4_file, capsys):
                          "--coloring", "0,1,2,0", "--n-rep", "3"], capsys)
     assert code == 0
     assert doc["results"]["ok"]
+
+
+def test_cli_regular_partition_n_rep_must_be_positive(p4_file, capsys):
+    """An --n-rep below 1 leaves no representative to match, so it is a
+    usage error (exit 2), not a failed verdict."""
+    argv = ["regular-partition", "--in", p4_file, "--p", "2", "--coloring", "0,1,2,0"]
+    for bad in ("0", "-3"):
+        assert main(argv + ["--n-rep", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n-rep" in captured.err
 
 
 @pytest.mark.parametrize("n, colors, p, message", [

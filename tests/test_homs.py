@@ -31,7 +31,6 @@ from homdual.homs import (
     find_homomorphism,
     forb_member,
     hom_equivalent,
-    is_core,
     is_isomorphic,
 )
 
@@ -385,7 +384,7 @@ def test_hom_equivalent():
 
 
 def test_core_examples():
-    assert is_core(petersen()) and not is_core(doubled_c5())
+    assert len(core(petersen())[1]) == 10 and len(core(doubled_c5())[1]) < 10
     assert is_isomorphic(core(cycle_graph(6))[0], complete_graph(2))
     assert is_isomorphic(core(path_graph(4))[0], complete_graph(2))
     G = disjoint_union([complete_graph(2), complete_graph(3)])
@@ -426,19 +425,16 @@ def test_core_matches_oracle(catalog6):
             continue
         (C, _), B = core(G), brute_core(G)
         assert C.n == B.n, G
-        assert is_core(G) == (B.n == G.n), G
         assert brute_homomorphism(C, B) is not None and brute_homomorphism(B, C) is not None
 
 
 def test_core_has_no_retraction_left(catalog7):
     """The result is the induced subgraph on its kept vertices, G maps into
-    it, and it maps into none of its one-vertex-deleted subgraphs. The fold
-    test of ``is_core`` answers only where the retraction pass agrees."""
+    it, and it maps into none of its one-vertex-deleted subgraphs."""
     for G in catalog7 + [petersen(), doubled_c5()]:
         if G.n == 0:
             continue
         C, kept = core(G)
-        assert is_core(G) == (len(kept) == G.n), G
         sub, old = induced_subgraph(G, mask_of(kept))
         assert old == kept and sub.rows == C.rows
         assert find_homomorphism(G, C).present
