@@ -160,7 +160,11 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
                 if m:
                     rows[x * block + i] |= m << offset
 
-    D = Graph(order, rows)
+    # symmetric: each template edge is built both ways from the base's checked
+    # rows. At p >= 3 a triangle-free base gives a triangle-free power, since
+    # a triangle lies over three template vertices, and the coordinate at a
+    # p-subset holding them maps it onto a triangle of the base.
+    D = Graph._symmetric(order, rows, 0 if p >= 3 and not U.triangle_mask() else None)
     if D.n != order:
         raise InternalCheckError(f"power has {D.n} vertices, expected {order}")
     for v in range(h):

@@ -104,13 +104,13 @@ def parse_graph6(line: str) -> Graph:
             if hi - lo == 1:
                 rows[lo] |= part
                 for i in bits(part):
-                    rows[i] |= 1 << lo
+                    rows[i] |= 1 << lo  # every bit mirrored: the rows are symmetric
                 continue
             mid = (lo + hi) // 2
             width = (mid * (mid - 1) - lo * (lo - 1)) // 2
             stack.append((part & ((1 << width) - 1), lo, mid))
             stack.append((part >> width, mid, hi))
-    return Graph(n, rows)
+    return Graph._symmetric(n, rows)
 
 
 def graph6_pieces(G: Graph) -> Iterator[str]:
@@ -188,7 +188,7 @@ def parse_edge_list(text: str) -> Graph:
                 continue
             rows.extend([0] * (top + 1 - len(rows)))
         rows[u] |= 1 << v
-        rows[v] |= 1 << u
+        rows[v] |= 1 << u  # both bits of each edge: the rows are symmetric
     order = n if n is not None else max(len(rows), beyond)
     if order > EDGE_LIST_ORDER_CAP:
         raise SizeLimitError(f"edge list order {order} exceeds cap {EDGE_LIST_ORDER_CAP}")
@@ -197,7 +197,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"edge ({u},{v}) out of range for n={n}")
     if n is not None:
         rows.extend([0] * (n - len(rows)))
-    return Graph(len(rows), rows)
+    return Graph._symmetric(len(rows), rows)
 
 
 def parse_graph_lines(text: str) -> list[Graph]:

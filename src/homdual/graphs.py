@@ -43,11 +43,12 @@ class Graph:
         # one walk over each vertex's upper neighbours keeps the AND and the
         # OR of their rows. v lies in the AND iff every upper bit has its
         # mirror, and the bits split evenly between upper and lower triangle,
-        # so then every lower bit is a mirror too. A neighbour of v in the OR
-        # closes a triangle with v and an upper neighbour, and every vertex
-        # of a triangle is found so from its lowest vertex or the middle one.
-        # No test here costs n bits for a sparse row: range by a shift, and
-        # the AND starts from the first upper neighbour's row.
+        # so then every lower bit is a mirror too. The OR gives the triangle
+        # mask as in ``_triangle_walk``. No test here costs n bits for a
+        # sparse row: range by a shift, and the AND starts from the first
+        # upper neighbour's row. build_graph, parse_edge_list, parse_graph6
+        # and truncated_power set both bits of each edge themselves, each
+        # saying why where it does, and skip this walk through _symmetric.
         total = upper = triangles = 0
         symmetric = True
         for v, row in enumerate(rows):
@@ -85,6 +86,16 @@ class Graph:
         self._triangles = triangles
         self._twins = None
 
+    @classmethod
+    def _symmetric(cls, n: int, rows: Sequence[int], triangles: Optional[int] = None) -> "Graph":
+        """``Graph(n, rows)`` without its walk, for rows the caller made
+        symmetric, loop-free and within 0..n-1; ``triangles`` is the triangle
+        mask if the caller knows it, else ``triangle_mask`` finds it."""
+        G = cls.__new__(cls)
+        G.n, G.rows, G._triangles, G._twins = n, tuple(rows), triangles, None
+        G._hash = hash((n, G.rows))
+        return G
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -111,7 +122,9 @@ class Graph:
 
     def triangle_mask(self) -> int:
         """Bitmask of the vertices on a triangle, found by the constructor's
-        walk and no part of equality or hashing."""
+        walk or on the first call, and no part of equality or hashing."""
+        if self._triangles is None:
+            self._triangles = _triangle_walk(self.rows)
         return self._triangles
 
     def twin_representatives(self) -> int:
@@ -139,6 +152,8 @@ class Graph:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, rejecting loops and bad endpoints."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -146,8 +161,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows)
+        rows[v] |= 1 << u  # both bits of each edge: the rows are symmetric
+    return Graph._symmetric(n, rows)
 
 
 def complete_graph(n: int) -> Graph:
@@ -180,6 +195,24 @@ def induced_subgraph(G: Graph, S: int) -> tuple[Graph, list[int]]:
         for u in bits(G.rows[v] & S):
             rows[i] |= 1 << index[u]
     return Graph(len(verts), rows), verts
+
+
+def _triangle_walk(rows: Sequence[int], within: Optional[int] = None) -> int:
+    """Bitmask of the vertices on a triangle of the graph on ``rows`` (or
+    of its subgraph induced by ``within``): v's neighbours in the OR of its
+    upper neighbours' rows close triangles with v, and every vertex of a
+    triangle is found so from its lowest vertex or the middle one."""
+    found = 0
+    for v in range(len(rows)) if within is None else bits(within):
+        row = rows[v] if within is None else rows[v] & within
+        above, u, reach = row >> (v + 1), v, 0
+        while above:  # bits(above), inlined and shifting: a hot loop
+            step = (above & -above).bit_length()
+            u += step
+            reach |= rows[u]
+            above >>= step
+        found |= reach & row
+    return found
 
 
 def connected_components(G: Graph, within: Optional[int] = None) -> list[int]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GraphError, SizeLimitError
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import Graph, _triangle_walk, bits, induced_subgraph
 
 PRESENT = "present"
 ABSENT = "absent"
@@ -117,24 +117,11 @@ def _search_order(G: Graph, clique: int, within: int) -> list[int]:
 
 def _triangles_within(G: Graph, within: int) -> int:
     """Bitmask of the vertices on a triangle of G[within]: G's own mask on
-    the whole graph, else the walk of ``Graph.__init__`` on the rows
-    restricted to the mask (a neighbour of v that neighbours an upper
-    neighbour of v closes a triangle with v)."""
+    the whole graph, else the triangle walk on the rows inside the mask."""
     in_triangle = G.triangle_mask() & within
     if not in_triangle or within == G.full_mask:
         return in_triangle
-    rows = G.rows
-    in_triangle = 0
-    for v in bits(within):
-        row = rows[v] & within
-        above, u, reach = row >> (v + 1), v, 0
-        while above:  # bits(above), inlined and shifting as in Graph.__init__
-            step = (above & -above).bit_length()
-            u += step
-            reach |= rows[u]
-            above >>= step
-        in_triangle |= reach & row
-    return in_triangle
+    return _triangle_walk(G.rows, within)
 
 
 def _start_domains(G: Graph, H: Graph, in_triangle: int) -> Optional[list[int]]:

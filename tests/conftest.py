@@ -58,3 +58,17 @@ def seeded_graphs():
         out.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                    if rng.random() < density]))
     return out
+
+
+@pytest.fixture(scope="session")
+def mixed_density_graphs():
+    """Seeded random graphs: fifteen sparse ones on 12 to 40 vertices, then
+    one per order 30, 45, 60 and density 0.05, 0.1, 0.3, 0.6."""
+    rng = random.Random(11)
+    sparse = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < 3 / n])
+              for n in (12, 20, 40) for _ in range(5)]
+    dense = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < density])
+             for n in (30, 45, 60) for density in (0.05, 0.1, 0.3, 0.6)]
+    return sparse + dense

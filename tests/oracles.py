@@ -70,14 +70,24 @@ def brute_twin_representatives(G: Graph) -> int:
     return mask
 
 
+def matches_checked_constructor(G: Graph) -> bool:
+    """Whether a graph a builder took on trust is the one the checked
+    constructor makes from its rows: the same rows, hash and triangle mask."""
+    C = Graph(G.n, G.rows)
+    return G.rows == C.rows and hash(G) == hash(C) and G.triangle_mask() == C.triangle_mask()
+
+
 def naive_graph6(G: Graph) -> str:
-    """graph6 written one adjacency bit at a time, straight from the format's
-    definition (sizes up to 258,047 vertices)."""
+    """graph6 written straight from the format's definition (sizes up to
+    258,047 vertices): the bits of the pairs (i, j), i < j, column j by
+    column j and i ascending within one, padded to a multiple of six and
+    cut into six-bit characters, most significant bit first."""
     n = G.n
     head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
-    stream = [int(G.has_edge(i, j)) for j in range(1, n) for i in range(j)]
-    stream += [0] * (-len(stream) % 6)
-    body = [int("".join(map(str, stream[k:k + 6])), 2) for k in range(0, len(stream), 6)]
+    # column j: bit i of row j for i = 0..j-1, lowest i first
+    stream = "".join(format(G.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    stream += "0" * (-len(stream) % 6)
+    body = [int(stream[k:k + 6], 2) for k in range(0, len(stream), 6)]
     return "".join(chr(63 + x) for x in head + body)
 
 

@@ -46,7 +46,7 @@ from homdual.homs import (
 )
 from homdual.sparsity import tree_depth_value
 
-from oracles import brute_homomorphism, brute_truncated_power
+from oracles import brute_homomorphism, brute_truncated_power, matches_checked_constructor
 
 
 # --- local homomorphism checks ----------------------------------------------
@@ -278,9 +278,13 @@ def test_power_local_property():
 
 
 def test_truncated_power_matches_oracle():
-    # every nonempty base on at most 3 vertices, every p with order <= 5,000
+    # every nonempty base on at most 3 vertices, every p with order <= 5,000;
+    # the power skips the constructor's walk, so each must also be the graph
+    # the checked constructor makes, triangle mask included: known to be 0
+    # at p >= 3 over a triangle-free base, left lazy otherwise
     templates = [complete_graph(k) for k in range(1, 6)] + [path_graph(4), cycle_graph(5)]
     cases = 0
+    known = set()
     for U in generate_all_graphs(3):
         if U.n == 0:
             continue
@@ -290,8 +294,11 @@ def test_truncated_power_matches_oracle():
                     continue
                 TP = truncated_power(U, H, p)
                 assert list(TP.D.rows) == brute_truncated_power(U, H, p), (U, H, p)
+                known.add((TP.D._triangles is not None, p >= 3 and not U.triangle_mask()))
+                assert matches_checked_constructor(TP.D), (U, H, p)
                 cases += 1
     assert cases == 168
+    assert known == {(True, True), (False, False)}
 
 
 def test_criterion_nine_power_rows_unchanged():
@@ -301,6 +308,7 @@ def test_criterion_nine_power_rows_unchanged():
     U = disjoint_union([complete_graph(1), complete_graph(2)])
     D = truncated_power(U, complete_graph(5), 3).D
     assert (D.n, D.edge_count()) == (3645, 58320)
+    assert D._triangles == 0 and matches_checked_constructor(D)
     h = hashlib.sha256()
     for row in D.rows:
         h.update(row.to_bytes((D.n + 7) // 8, "little"))
@@ -341,16 +349,23 @@ def test_truncated_power_self_checks_raise(monkeypatch):
     K2, P3 = complete_graph(2), path_graph(3)
     real_graph, real_comb = duality.Graph, duality.math.comb
 
-    def crossing(n, rows):  # joins the blocks of the non-adjacent ends of P3
-        rows = list(rows)
-        rows[0] |= 1 << (n - 1)
-        rows[n - 1] |= 1
-        return real_graph(n, rows)
+    class Crossing:  # joins the blocks of the non-adjacent ends of P3
+        @staticmethod
+        def _symmetric(n, rows, triangles=None):
+            rows = list(rows)
+            rows[0] |= 1 << (n - 1)
+            rows[n - 1] |= 1
+            return real_graph._symmetric(n, rows, triangles)
 
-    monkeypatch.setattr(duality, "Graph", crossing)
+    class Padded:  # one vertex more than the power asked for
+        @staticmethod
+        def _symmetric(n, rows, triangles=None):
+            return real_graph._symmetric(n + 1, list(rows) + [0], triangles)
+
+    monkeypatch.setattr(duality, "Graph", Crossing)
     with pytest.raises(InternalCheckError, match="template neighbourhood"):
         truncated_power(K2, P3, 1)
-    monkeypatch.setattr(duality, "Graph", lambda n, rows: real_graph(n + 1, list(rows) + [0]))
+    monkeypatch.setattr(duality, "Graph", Padded)
     with pytest.raises(InternalCheckError, match="vertices"):
         truncated_power(K2, P3, 1)
     monkeypatch.undo()
@@ -545,6 +560,19 @@ def test_every_member_lifts_along_its_own_coloring(subcubic7):
                 assert check_homomorphism(f), (f_set, G)
                 lifted += 1
         assert lifted == members, f_set
+
+
+def test_k4_dual_matches_checked_constructor(subcubic7):
+    """The K4-forbidden dual on the connected subcubic graphs on at most 5
+    vertices: its base has a triangle, so the power's mask is found lazily,
+    and it must be the checked constructor's. The power is built afresh,
+    since the build's own checks have already asked for the mask."""
+    corpus = [G for G in subcubic7 if G.n <= 5]
+    built = build_dual(corpus, [complete_graph(4)]).power
+    D = truncated_power(built.base, built.template, built.p).D
+    assert D._triangles is None
+    assert matches_checked_constructor(D)
+    assert (D.n, D.triangle_mask().bit_count()) == (44, 12)
 
 
 def test_build_dual_degenerate():

@@ -46,7 +46,7 @@ from homdual.graphs import (
 from homdual.homs import is_isomorphic
 from homdual.powers import exact_power
 
-from oracles import brute_homomorphism, brute_tree_depth, naive_graph6
+from oracles import brute_homomorphism, brute_tree_depth, matches_checked_constructor, naive_graph6
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -202,6 +202,20 @@ def test_parse_edge_list_returns_graph_or_graph_error(text):
 
 
 # --- edge lists ------------------------------------------------------------------
+
+def test_parsers_and_build_graph_match_checked_constructor(catalog6, mixed_density_graphs):
+    """graph6, edge lists and ``build_graph`` set both bits of each edge
+    and skip the constructor's walk; each must give the graph the checked
+    constructor makes, triangle mask included."""
+    for G in catalog6 + mixed_density_graphs:
+        edges = G.edges()
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        for H in (parse_graph6(to_graph6(G)), parse_edge_list(f"n {G.n}\n{text}"),
+                  build_graph(G.n, edges)):
+            assert H == G and matches_checked_constructor(H), G
+        if edges and max(map(max, edges)) == G.n - 1:  # no header needed
+            assert matches_checked_constructor(parse_edge_list(text)), G
+
 
 def test_parse_edge_list():
     G = parse_edge_list("n 4\n0 1\n# middle\n1 2\n2 3\n")

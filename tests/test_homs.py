@@ -226,17 +226,11 @@ def test_triangle_filter_refutes_before_branching(catalog5):
                 assert r.present and check_homomorphism(r.map), (G, H)
 
 
-def test_triangle_mask(catalog5):
-    """The mask the constructor's walk stores, on the small catalog and on
-    random graphs of up to 60 vertices, sparse to dense."""
-    rng = random.Random(11)
-    sparse = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                              if rng.random() < 3 / n])
-              for n in (12, 20, 40) for _ in range(5)]
-    dense = [build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                             if rng.random() < density])
-             for n in (30, 45, 60) for density in (0.05, 0.1, 0.3, 0.6)]
-    for G in catalog5 + triangle_free_targets() + sparse + dense:
+def test_triangle_mask(catalog5, mixed_density_graphs):
+    """The triangle mask, on the small catalog and on random graphs of up
+    to 60 vertices, sparse to dense; ``build_graph`` leaves it to the first
+    call."""
+    for G in catalog5 + triangle_free_targets() + mixed_density_graphs:
         assert G.triangle_mask() == brute_triangle_mask(G), G
     paw = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert paw.triangle_mask() == 0b0111
