@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import base64
+import operator
+import re
 from typing import Iterator
 
 from .errors import GraphError, SizeLimitError
-from .graphs import Graph, bits
+from .graphs import Graph
 
 EDGE_LIST_ORDER_CAP = 100_000  # no less than duality.POWER_ORDER_CAP
 
 
 class ParseError(GraphError):
-    """Input rejected; ``offset`` is a byte offset (graph6) or line (edge lists)."""
+    """Input rejected; ``offset`` is a byte offset (one graph6 string) or a
+    line (edge lists, files of graph6 lines)."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at {offset})")
-        self.offset = offset
+        self.reason, self.offset = message, offset
 
 
 def _read_g6_size(data: bytes) -> tuple[int, int]:
@@ -103,8 +106,11 @@ def parse_graph6(line: str) -> Graph:
             part, lo, hi = stack.pop()
             if hi - lo == 1:
                 rows[lo] |= part
-                for i in bits(part):
-                    rows[i] |= 1 << lo  # every bit mirrored: the rows are symmetric
+                bit = 1 << lo  # every bit mirrored: the rows are symmetric
+                while part:
+                    low = part & -part
+                    rows[low.bit_length() - 1] |= bit
+                    part ^= low
                 continue
             mid = (lo + hi) // 2
             width = (mid * (mid - 1) - lo * (lo - 1)) // 2
@@ -142,6 +148,57 @@ def to_graph6(G: Graph) -> str:
     return "".join(graph6_pieces(G))
 
 
+_EDGE_WINDOW = 8192  # characters scanned at a time, so no split of the whole text
+_PLAIN_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_BEFORE_PLAIN_LINE = re.compile(r"\n(?=[0-9]+ [0-9]+\n)")
+
+
+def _edge_list_pieces(text: str) -> Iterator[tuple[str, bool]]:
+    """``text`` cut just after newlines into (piece, plain) pairs, in order.
+
+    The text is scanned in windows of about ``_EDGE_WINDOW`` characters,
+    each ending just after a newline. A plain piece is the longest run of
+    whole lines "u v\\n" of ASCII digits and one space at that point of its
+    window; any other piece runs from there to the window's next plain
+    line, so a file of CRLF lines or commented edges is cut once per
+    window, not once per line. Only newlines cut, so ``str.splitlines``
+    finds the same lines in the pieces as in the whole text.
+    """
+    pos, size = 0, len(text)
+    while pos < size:
+        stop = text.find("\n", pos + _EDGE_WINDOW) + 1 or size
+        while pos < stop:
+            end = _PLAIN_LINES.match(text, pos, stop).end()
+            if end > pos:
+                yield text[pos:end], True
+                pos = end
+            if pos < stop:
+                plain = _BEFORE_PLAIN_LINE.search(text, pos, stop)
+                end = plain.end() if plain else stop
+                yield text[pos:end], False
+                pos = end
+
+
+def _add_plain_edges(piece: str, rows: list[int], limit: int) -> bool:
+    """Add the edges of a plain piece to ``rows`` and return True; or return
+    False, leaving ``rows`` as it was, if some line holds a loop, an endpoint
+    at or above ``limit`` or more digits than ``int`` converts."""
+    try:
+        ends = list(map(int, piece.split()))
+    except ValueError:
+        return False
+    us, vs = ends[::2], ends[1::2]
+    top = max(ends)
+    if top >= limit or any(map(operator.eq, us, vs)):
+        return False
+    if top >= len(rows):
+        rows.extend([0] * (top + 1 - len(rows)))
+    for u, v in zip(us, vs):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u  # both bits of each edge: the rows are symmetric
+    return True
+
+
 def parse_edge_list(text: str) -> Graph:
     """Lines "u v"; an optional first line "n <count>" fixes the order.
 
@@ -149,46 +206,59 @@ def parse_edge_list(text: str) -> Graph:
     malformed line is reported before an edge outside 0..n-1, and an order
     above ``EDGE_LIST_ORDER_CAP`` (from the header or an endpoint) raises
     ``SizeLimitError`` before any row is allocated for it.
+
+    Runs of plain lines (see ``_edge_list_pieces``) are decoded in bulk
+    when every edge in them is in range and no loop; any other line, and
+    every line of a run that fails those checks, is read by the per-line
+    loop below, so errors and their line numbers are those it gives.
     """
     n = None
     rows: list[int] = []
     outside = None
     beyond = 0  # order asked for by endpoints at or above the cap
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if parts[0] == "n":
-            if n is not None or rows or beyond:
-                raise ParseError(f"line {lineno}: stray size header", lineno)
-            try:  # int() also refuses more digits than its conversion limit
-                if len(parts) != 2 or not parts[1].isdecimal():
-                    raise ValueError
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed size header", lineno) from None
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoint", lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative endpoint", lineno)
-        if u == v:
-            raise ParseError(f"line {lineno}: loop edge {u} {v}", lineno)
-        top = u if u > v else v
-        if n is not None and top >= n:
-            outside = outside or (u, v)
-            continue
-        if top >= len(rows):
-            if top >= EDGE_LIST_ORDER_CAP:
-                beyond = max(beyond, top + 1)
+    lineno = 0
+    for piece, plain in _edge_list_pieces(text):
+        if plain:
+            limit = EDGE_LIST_ORDER_CAP if n is None else min(n, EDGE_LIST_ORDER_CAP)
+            if _add_plain_edges(piece, rows, limit):
+                lineno += piece.count("\n")
                 continue
-            rows.extend([0] * (top + 1 - len(rows)))
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u  # both bits of each edge: the rows are symmetric
+        for raw in piece.splitlines():
+            lineno += 1
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if parts[0] == "n":
+                if n is not None or rows or beyond:
+                    raise ParseError(f"line {lineno}: stray size header", lineno)
+                try:  # int() also refuses more digits than its conversion limit
+                    if len(parts) != 2 or not parts[1].isdecimal():
+                        raise ValueError
+                    n = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: malformed size header", lineno) from None
+                continue
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'u v'", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer endpoint", lineno) from None
+            if u < 0 or v < 0:
+                raise ParseError(f"line {lineno}: negative endpoint", lineno)
+            if u == v:
+                raise ParseError(f"line {lineno}: loop edge {u} {v}", lineno)
+            top = u if u > v else v
+            if n is not None and top >= n:
+                outside = outside or (u, v)
+                continue
+            if top >= len(rows):
+                if top >= EDGE_LIST_ORDER_CAP:
+                    beyond = max(beyond, top + 1)
+                    continue
+                rows.extend([0] * (top + 1 - len(rows)))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u  # both bits of each edge: the rows are symmetric
     order = n if n is not None else max(len(rows), beyond)
     if order > EDGE_LIST_ORDER_CAP:
         raise SizeLimitError(f"edge list order {order} exceeds cap {EDGE_LIST_ORDER_CAP}")
@@ -201,10 +271,15 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_graph_lines(text: str) -> list[Graph]:
-    """One graph6 string per nonempty line."""
+    """One graph6 string per nonempty line; an error names its 1-based line
+    as the offset, and the byte of the stripped line in its message."""
     out = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            out.append(parse_graph6(line))
+            try:
+                out.append(parse_graph6(line))
+            except ParseError as exc:
+                raise ParseError(
+                    f"line {lineno}, byte {exc.offset}: {exc.reason}", lineno) from None
     return out

@@ -91,6 +91,79 @@ def naive_graph6(G: Graph) -> str:
     return "".join(chr(63 + x) for x in head + body)
 
 
+# The per-line edge-list reader, as the library had it before it decoded
+# runs of plain lines in bulk; it returns (n, rows) and raises these three
+# stand-ins, named as the library's exceptions, so it shares no code with it.
+EDGE_LIST_ORDER_CAP = 100_000
+
+
+class ParseError(Exception):
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at {offset})")
+        self.offset = offset
+
+
+class SizeLimitError(Exception):
+    pass
+
+
+class GraphError(Exception):
+    pass
+
+
+def per_line_edge_list(text: str) -> tuple[int, list[int]]:
+    """Lines "u v"; an optional first line "n <count>" fixes the order,
+    read one line at a time."""
+    n = None
+    rows: list[int] = []
+    outside = None
+    beyond = 0  # order asked for by endpoints at or above the cap
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == "n":
+            if n is not None or rows or beyond:
+                raise ParseError(f"line {lineno}: stray size header", lineno)
+            try:  # int() also refuses more digits than its conversion limit
+                if len(parts) != 2 or not parts[1].isdecimal():
+                    raise ValueError
+                n = int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed size header", lineno) from None
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v'", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer endpoint", lineno) from None
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative endpoint", lineno)
+        if u == v:
+            raise ParseError(f"line {lineno}: loop edge {u} {v}", lineno)
+        top = u if u > v else v
+        if n is not None and top >= n:
+            outside = outside or (u, v)
+            continue
+        if top >= len(rows):
+            if top >= EDGE_LIST_ORDER_CAP:
+                beyond = max(beyond, top + 1)
+                continue
+            rows.extend([0] * (top + 1 - len(rows)))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u  # both bits of each edge: the rows are symmetric
+    order = n if n is not None else max(len(rows), beyond)
+    if order > EDGE_LIST_ORDER_CAP:
+        raise SizeLimitError(f"edge list order {order} exceeds cap {EDGE_LIST_ORDER_CAP}")
+    if outside:
+        u, v = outside
+        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    if n is not None:
+        rows.extend([0] * (n - len(rows)))
+    return len(rows), rows
+
+
 @lru_cache(maxsize=8)
 def all_rooted_forests(n: int) -> list[tuple[tuple, int, int]]:
     """(parent tuple, height, closure edge bitmask) for every rooted forest

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -46,7 +47,14 @@ from homdual.graphs import (
 from homdual.homs import is_isomorphic
 from homdual.powers import exact_power
 
-from oracles import brute_homomorphism, brute_tree_depth, matches_checked_constructor, naive_graph6
+import oracles
+from oracles import (
+    brute_homomorphism,
+    brute_tree_depth,
+    matches_checked_constructor,
+    naive_graph6,
+    per_line_edge_list,
+)
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -203,6 +211,102 @@ def test_parse_edge_list_returns_graph_or_graph_error(text):
 
 # --- edge lists ------------------------------------------------------------------
 
+def _edge_list_outcome(parse, text):
+    """(n, rows) or (exception name, message) of one edge-list reader."""
+    try:
+        n, rows = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not raised
+        return type(exc).__name__, str(exc)
+    return n, list(rows)
+
+
+def _library_edge_list(text):
+    G = parse_edge_list(text)
+    return G.n, G.rows
+
+
+def _assert_matches_per_line(text):
+    assert _edge_list_outcome(_library_edge_list, text) \
+        == _edge_list_outcome(per_line_edge_list, text), text
+
+
+_ODD_LINES = ("# note\n", "\n", "3 4\r\n", "3 4\r5 6\n", "n 5\n", "7 7\n", "{n} 1\n",
+              "-1 3\n", "1 2 3\n", "+3 4\n", "\u0663 4\n", "1\t2\n", "1 2 \n", "  \n")
+
+
+_EDGE_LINE_TEXTS = st.tuples(
+    st.sampled_from(("", "n 10\n", "n 4\n")),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)).map("{0[0]} {0[1]}\n".format)
+             | st.sampled_from(_ODD_LINES).map(lambda line: line.format(n=10)), max_size=12),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(st.text(max_size=30) | st.text(alphabet="n 0123456789+-_#\n\t\u0663\u00b2x", max_size=30)
+       | _EDGE_LINE_TEXTS,
+       st.sampled_from((1, 2, 5, 16, formats._EDGE_WINDOW)))
+@example("n " + "1" * 5000, formats._EDGE_WINDOW)
+@example("1 " + "1" * 5000 + "\n", formats._EDGE_WINDOW)  # over int()'s digit limit
+def test_parse_edge_list_matches_per_line_reference(text, window):
+    """The windowed bulk decoder gives the per-line reader's graph, or its
+    exception type and message, on the hypothesis alphabets and on texts of
+    plain and odd lines, under windows down to one character, so that runs
+    and windows end anywhere."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_EDGE_WINDOW", window)
+        _assert_matches_per_line(text)
+
+
+def _plain_edge_lines(rng, n, count):
+    lines = []
+    while len(lines) < count:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            lines.append(f"{u} {v}\n")
+    return lines
+
+
+def _window_ends(lines, header):
+    """Indices i such that a scan window of the plain text ends just
+    before ``lines[i]``, found by the scan's own cut rule."""
+    text = header + "".join(lines)
+    starts = list(itertools.accumulate(map(len, lines), initial=len(header)))
+    ends, pos = [], 0
+    while True:
+        stop = text.find("\n", pos + formats._EDGE_WINDOW) + 1
+        if not stop:
+            return ends
+        ends.append(starts.index(stop))
+        pos = stop
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_parse_edge_list_odd_lines_at_window_ends(header):
+    """Seeded texts over at least three scan windows, with one odd line
+    (comment, blank, CRLF, lone CR, header, loop, endpoint >= n, negative,
+    three tokens, sign, non-ASCII digit, tab, trailing blanks) inserted at,
+    just before and just after each window end, and a few at once: the bulk
+    decoder agrees with the per-line reader on every text."""
+    rng = random.Random(28 + header)
+    n = 300
+    head = f"n {n}\n" if header else ""
+    lines = _plain_edge_lines(rng, n, 4000)
+    ends = _window_ends(lines, head)
+    assert len(ends) >= 3 and len(head + "".join(lines)) > 3 * formats._EDGE_WINDOW
+    _assert_matches_per_line(head + "".join(lines))
+    for odd in _ODD_LINES:
+        odd = odd.format(n=n)
+        for end in ends:
+            for at in (end - 1, end, end + 1):
+                _assert_matches_per_line(head + "".join(lines[:at] + [odd] + lines[at:]))
+    for _ in range(20):
+        mixed = list(lines)
+        for at in sorted(rng.sample(range(len(lines)), 4), reverse=True):
+            mixed.insert(at, rng.choice(_ODD_LINES).format(n=n))
+        _assert_matches_per_line(head + "".join(mixed))
+        _assert_matches_per_line(head + "".join(mixed).rstrip("\n"))
+
+
 def test_parsers_and_build_graph_match_checked_constructor(catalog6, mixed_density_graphs):
     """graph6, edge lists and ``build_graph`` set both bits of each edge
     and skip the constructor's walk; each must give the graph the checked
@@ -258,6 +362,7 @@ def test_parse_edge_list_order_cap(monkeypatch):
     """The order, from the header or the largest endpoint, may not pass the
     cap; a malformed line is still reported first."""
     assert formats.EDGE_LIST_ORDER_CAP >= POWER_ORDER_CAP  # built duals read back
+    assert oracles.EDGE_LIST_ORDER_CAP == formats.EDGE_LIST_ORDER_CAP  # the per-line reference's
     monkeypatch.setattr(formats, "EDGE_LIST_ORDER_CAP", 5)
     assert parse_edge_list("n 5\n0 4\n") == build_graph(5, [(0, 4)])
     assert parse_edge_list("3 4\n") == build_graph(5, [(3, 4)])
@@ -291,6 +396,30 @@ def test_parse_graph_lines():
     text = to_graph6(complete_graph(3)) + "\n\n" + to_graph6(path_graph(2)) + "\n"
     got = parse_graph_lines(text)
     assert got == [complete_graph(3), path_graph(2)]
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("Bw\nA_\nBx!\n", "line 3, byte 1: expected 1 payload bytes for n=3, got 2", 3),
+    ("# corpus\n\n  A`\n", "line 3, byte 1: nonzero padding bits", 3),
+    ("A_\n\x19\n", "line 2, byte 0: invalid header byte 25", 2),
+])
+def test_parse_graph_lines_names_the_line(text, message, line):
+    """A bad graph6 line is reported by its 1-based line, as in edge lists,
+    with parse_graph6's own message and byte offset in the line."""
+    with pytest.raises(ParseError) as exc:
+        parse_graph_lines(text)
+    assert str(exc.value) == f"{message} (at {line})"
+    assert exc.value.offset == line
+
+
+def test_cli_corpus_error_names_the_line(tmp_path, capsys):
+    path = tmp_path / "multi.g6"
+    path.write_text("Bw\nA_\nBx!\n")
+    assert main(["dual-verify", "--in", str(path), "--forbid", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: line 3, byte 1: expected 1 payload bytes for n=3, got 2 (at 3)\n"
 
 
 # --- catalog ----------------------------------------------------------------------
