@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import base64
+import json
 import operator
 import re
+import struct
+from itertools import chain, islice, repeat
 from typing import Iterator
 
 from .errors import GraphError, SizeLimitError
@@ -54,6 +57,7 @@ _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 _BLOCK_BITS = 1 << 18  # one block up to 769 vertices, a few dozen KB of temporaries
+_PEEL_COLUMNS = 16  # parts this narrow lose less to shifts than to splitting
 
 
 def _column_blocks(n: int) -> Iterator[tuple[int, int]]:
@@ -74,8 +78,86 @@ def _column_blocks(n: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _tile_bits(n: int) -> int:
+    """Side T of the square tiles in which ``_mirror_tiles`` transposes an
+    n-vertex graph: the power of two at or above n, from 8 to 256."""
+    return min(256, max(8, 1 << (n - 1).bit_length()))
+
+
+def _tiles_pay(n: int, edges: int) -> bool:
+    """Whether ``_mirror_tiles`` beats the per-edge mirror on an n-vertex
+    graph: above n^2/(2T) + 4n edges. Its n^2/(2T) strip rows and n
+    unpacked rows cost about what one and four edges cost the per-edge
+    walk, measured from 9 to 12,000 vertices."""
+    T = _tile_bits(n)
+    return 2 * T * edges > n * (n + 8 * T)
+
+
+def _transpose_rounds(T: int) -> list[tuple[int, int]]:
+    """(distance, mask) of each round of the mask-swap transpose of a T x T
+    bit matrix held as one integer, entry (r, c) at bit rT + c (Warren,
+    Hacker's Delight, 7-3). The round of width s swaps the upper right and
+    lower left s x s blocks of every 2s x 2s block: its mask marks the
+    entries with r & s = 0 and c & s != 0, and each one's partner, entry
+    (r + s, c - s), lies s(T - 1) bits above it."""
+    rounds = []
+    s = T // 2
+    while s:
+        row = int(("1" * s + "0" * s) * (T // (2 * s)), 2).to_bytes(T // 8, "little")
+        mask = (row * s + bytes(T // 8 * s)) * (T // (2 * s))
+        rounds.append((s * (T - 1), int.from_bytes(mask, "little")))
+        s //= 2
+    return rounds
+
+
+_TRANSPOSE_ROUNDS = {1 << k: _transpose_rounds(1 << k) for k in range(3, 9)}
+
+
+def _mirror_tiles(rows: list[int]) -> None:
+    """Add to each row its upper part, given every row's lower part, by
+    transposing the lower triangle in T x T tiles (T = ``_tile_bits(n)``),
+    a strip of T columns at a time.
+
+    The strip at column lo packs bits lo..lo+T-1 of rows lo, ..., n-1, T
+    bits a row, into whole tiles, and each tile is transposed in place by
+    the rounds of ``_transpose_rounds``. Row r of the transposed tile of
+    rows lo + JT.. then holds bits lo + JT.. of row lo + r's upper part, so
+    row r of every tile, joined, is that upper part from bit lo on. The
+    strip's T rows get it at once; later strips read only later rows,
+    which are still lower parts.
+    """
+    n = len(rows)
+    T = _tile_bits(n)
+    width, area = T // 8, T * T // 8  # bytes of a tile row, of a tile
+    rounds, low = _TRANSPOSE_ROUNDS[T], (1 << T) - 1
+    for lo in range(0, n, T):
+        tiles = -(-(n - lo) // T)
+        cut = map(operator.and_, map(operator.rshift, islice(rows, lo, None), repeat(lo)),
+                  repeat(low))
+        strip = bytearray().join(chain(map(int.to_bytes, cut, repeat(width), repeat("little")),
+                                       repeat(bytes(width), tiles * T - (n - lo))))
+        for at in range(0, len(strip), area):
+            x = int.from_bytes(strip[at:at + area], "little")
+            for d, m in rounds:
+                t = (x ^ x >> d) & m
+                x ^= t ^ t << d
+            strip[at:at + area] = x.to_bytes(area, "little")
+        # row r of every tile, read from byte r * width on
+        row = struct.Struct(f"{width}s{area - width}x" * (tiles - 1) + f"{width}s").unpack_from
+        hi = min(lo + T, n)
+        joined = map(b"".join, map(row, repeat(strip), range(0, (hi - lo) * width, width)))
+        upper = map(operator.lshift, map(int.from_bytes, joined, repeat("little")), repeat(lo))
+        rows[lo:hi] = map(operator.or_, rows[lo:hi], upper)
+
+
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line (optional '>>graph6<<' prefix tolerated)."""
+    """Decode one graph6 line (optional '>>graph6<<' prefix tolerated).
+
+    Each column j is placed as row j's lower part, bits i < j. A sparse
+    graph (see ``_tiles_pay``) mirrors each column's bits into the rows
+    above as it is placed, one set bit at a time; any other gets every
+    row's upper part from ``_mirror_tiles`` once all columns are placed.
+    """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -91,7 +173,7 @@ def parse_graph6(line: str) -> Graph:
     bad = data.lstrip(_G6_CHARS)  # the size header is in the alphabet too
     if bad:
         raise ParseError(f"invalid payload byte {bad[0]}", len(data) - len(bad))
-    rows = [0] * n
+    blocks, edges = [], 0
     for a, b in _column_blocks(n):
         first, stop = a * (a - 1) // 2, b * (b - 1) // 2  # the block's stream bits
         chunk = data[pos + first // 6:pos + (stop + 5) // 6].translate(_FROM_G6)
@@ -99,23 +181,39 @@ def parse_graph6(line: str) -> Graph:
         packed = int.from_bytes(raw, "little")  # block bit k is bit k
         if packed >> (stop - first):
             raise ParseError("nonzero padding bits", len(data) - 1)
-        # split the block into columns in halves, the inverse of the
-        # writer's join, so that each bit is shifted O(log n) times
-        stack = [(packed, a, b)]  # (columns lo..hi-1, lo, hi)
+        blocks.append((packed, a, b))
+        edges += packed.bit_count()
+    del data  # the blocks hold the payload now
+    tiles = edges > 4 * n and _tiles_pay(n, edges)  # no call for fewer: they never pay
+    rows = [0] * n
+    for block in blocks:
+        # split the block in halves, the inverse of the writer's join, so
+        # that each bit is shifted O(log n) times, down to parts of at most
+        # _PEEL_COLUMNS columns, which are peeled off one shift at a time
+        stack = [block]  # (columns lo..hi-1, lo, hi)
         while stack:
             part, lo, hi = stack.pop()
-            if hi - lo == 1:
-                rows[lo] |= part
-                bit = 1 << lo  # every bit mirrored: the rows are symmetric
-                while part:
-                    low = part & -part
-                    rows[low.bit_length() - 1] |= bit
-                    part ^= low
+            if hi - lo > _PEEL_COLUMNS:
+                mid = (lo + hi) // 2
+                width = (mid * (mid - 1) - lo * (lo - 1)) // 2
+                stack.append((part & ((1 << width) - 1), lo, mid))
+                stack.append((part >> width, mid, hi))
                 continue
-            mid = (lo + hi) // 2
-            width = (mid * (mid - 1) - lo * (lo - 1)) // 2
-            stack.append((part & ((1 << width) - 1), lo, mid))
-            stack.append((part >> width, mid, hi))
+            for j in range(lo, hi):
+                column = part
+                if j + 1 < hi:  # peel column j off; the last is what is left
+                    column &= (1 << j) - 1
+                    part >>= j
+                rows[j] |= column  # column j is row j's lower part
+                if not tiles:  # mirror it one set bit at a time
+                    bit = 1 << j
+                    while column:
+                        low = column & -column
+                        rows[low.bit_length() - 1] |= bit
+                        column ^= low
+    del blocks  # the rows hold them now
+    if tiles:
+        _mirror_tiles(rows)
     return Graph._symmetric(n, rows)
 
 
@@ -149,8 +247,10 @@ def to_graph6(G: Graph) -> str:
 
 
 _EDGE_WINDOW = 8192  # characters scanned at a time, so no split of the whole text
-_PLAIN_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
-_BEFORE_PLAIN_LINE = re.compile(r"\n(?=[0-9]+ [0-9]+\n)")
+# a JSON integer: ASCII digits, no leading zero (a lookahead, faster in re than 0|[1-9][0-9]*)
+_JSON_INT = r"(?!0[0-9])[0-9]+"
+_PLAIN_LINES = re.compile(rf"(?:{_JSON_INT} {_JSON_INT}\r?\n)*")
+_BEFORE_PLAIN_LINE = re.compile(rf"\n(?={_JSON_INT} {_JSON_INT}\r?\n)")
 
 
 def _edge_list_pieces(text: str) -> Iterator[tuple[str, bool]]:
@@ -158,11 +258,12 @@ def _edge_list_pieces(text: str) -> Iterator[tuple[str, bool]]:
 
     The text is scanned in windows of about ``_EDGE_WINDOW`` characters,
     each ending just after a newline. A plain piece is the longest run of
-    whole lines "u v\\n" of ASCII digits and one space at that point of its
-    window; any other piece runs from there to the window's next plain
-    line, so a file of CRLF lines or commented edges is cut once per
-    window, not once per line. Only newlines cut, so ``str.splitlines``
-    finds the same lines in the pieces as in the whole text.
+    whole lines "u v\\n" (or "u v\\r\\n") of two JSON integers, ASCII
+    digits with no leading zero, and one space at that point of its window;
+    any other piece runs from there to the window's next plain line, so a
+    file of commented edges is cut once per window, not once per line.
+    Only newlines cut, so ``str.splitlines`` finds the same lines in the
+    pieces as in the whole text.
     """
     pos, size = 0, len(text)
     while pos < size:
@@ -182,9 +283,14 @@ def _edge_list_pieces(text: str) -> Iterator[tuple[str, bool]]:
 def _add_plain_edges(piece: str, rows: list[int], limit: int) -> bool:
     """Add the edges of a plain piece to ``rows`` and return True; or return
     False, leaving ``rows`` as it was, if some line holds a loop, an endpoint
-    at or above ``limit`` or more digits than ``int`` converts."""
+    at or above ``limit`` or more digits than ``int`` converts.
+
+    The JSON scanner reads the piece's tokens as one array: its integers
+    are those of the plain lines, and it refuses an integer that ``int``
+    would refuse."""
+    array = piece.rstrip().replace("\r", "").replace(" ", ",").replace("\n", ",")
     try:
-        ends = list(map(int, piece.split()))
+        ends = json.loads(f"[{array}]")
     except ValueError:
         return False
     us, vs = ends[::2], ends[1::2]
@@ -207,8 +313,9 @@ def parse_edge_list(text: str) -> Graph:
     above ``EDGE_LIST_ORDER_CAP`` (from the header or an endpoint) raises
     ``SizeLimitError`` before any row is allocated for it.
 
-    Runs of plain lines (see ``_edge_list_pieces``) are decoded in bulk
-    when every edge in them is in range and no loop; any other line, and
+    Runs of plain lines (see ``_edge_list_pieces``) are decoded in bulk,
+    their integers read by the JSON scanner (``_add_plain_edges``), when
+    every edge in them is in range and no loop; any other line, and
     every line of a run that fails those checks, is read by the per-line
     loop below, so errors and their line numbers are those it gives.
     """

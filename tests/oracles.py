@@ -91,6 +91,17 @@ def naive_graph6(G: Graph) -> str:
     return "".join(chr(63 + x) for x in head + body)
 
 
+def naive_mirror(lower: list[int]) -> list[int]:
+    """The rows of the symmetric graph whose row j holds bits i < j as in
+    ``lower``: bit j of row i is set for each such bit, one pair at a time."""
+    rows = list(lower)
+    for j in range(len(lower)):
+        for i in range(j):
+            if lower[j] >> i & 1:
+                rows[i] |= 1 << j
+    return rows
+
+
 # The per-line edge-list reader, as the library had it before it decoded
 # runs of plain lines in bulk; it returns (n, rows) and raises these three
 # stand-ins, named as the library's exceptions, so it shares no code with it.

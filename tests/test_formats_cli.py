@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +54,7 @@ from oracles import (
     brute_tree_depth,
     matches_checked_constructor,
     naive_graph6,
+    naive_mirror,
     per_line_edge_list,
 )
 
@@ -103,10 +105,11 @@ def test_parse_graph6_rejects_malformed():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 47, 48, 49, 62, 63, 64, 96, 97, 98,
-                               300, 769, 770, 1000, 1057, 1058])
+                               255, 256, 257, 300, 512, 513, 769, 770, 1000, 1057, 1058])
 def test_graph6_roundtrip_sizes(n):
-    """Around the 48-column steps, and on each side of the first and
-    second column-block boundaries (columns 769 and 1057)."""
+    """Around the 48-column steps, on each side of the first and second
+    column-block boundaries (columns 769 and 1057), and of one and two
+    whole 256-bit mirror tiles."""
     rng = random.Random(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     sparse = build_graph(n, [e for e in pairs if rng.random() < 0.05])
@@ -115,6 +118,45 @@ def test_graph6_roundtrip_sizes(n):
         line = to_graph6(G)
         assert line == naive_graph6(G)
         assert parse_graph6(line) == G
+
+
+def test_graph6_roundtrip_wide_peeled_columns():
+    """Parts of formats._PEEL_COLUMNS columns of over 4,096 bits each, in
+    the 5,000-column blocks of a sparse graph, come back whole."""
+    n = 5000
+    G = build_graph(n, [(0, n - 1), (n - 2, n - 1), (1, 2), (5, n - 3), (4095, 4096)])
+    assert parse_graph6(to_graph6(G)) == G
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257,
+                               511, 512, 513])
+def test_graph6_mirror_matches_naive(n, monkeypatch):
+    """The tiled transpose, and parse_graph6 with whichever mirror it picks,
+    give the per-pair mirror of seeded lower triangles, at tile sides 8 to
+    256 with whole, partial and padded tiles. Empty and 1% graphs keep the
+    per-edge mirror; complete graphs from 15 vertices take the tiles."""
+    rng = random.Random(n)
+    taken = []
+    tiled = formats._mirror_tiles
+
+    def counted(rows):
+        taken.append(len(rows))
+        tiled(rows)
+
+    monkeypatch.setattr(formats, "_mirror_tiles", counted)
+    for density in (0, 0.01, 0.3, 1.0):
+        lower = [sum(1 << i for i in range(j) if rng.random() < density) for j in range(n)]
+        expected = naive_mirror(lower)
+        rows = list(lower)
+        tiled(rows)
+        assert rows == expected, density
+        taken.clear()
+        line = naive_graph6(types.SimpleNamespace(n=n, rows=lower))
+        assert list(parse_graph6(line).rows) == expected, density
+        if density < 0.1 or n < 15:
+            assert not taken, density
+        elif density == 1.0:
+            assert taken, density
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -231,7 +273,8 @@ def _assert_matches_per_line(text):
 
 
 _ODD_LINES = ("# note\n", "\n", "3 4\r\n", "3 4\r5 6\n", "n 5\n", "7 7\n", "{n} 1\n",
-              "-1 3\n", "1 2 3\n", "+3 4\n", "\u0663 4\n", "1\t2\n", "1 2 \n", "  \n")
+              "-1 3\n", "1 2 3\n", "+3 4\n", "\u0663 4\n", "1\t2\n", "1 2 \n", "  \n",
+              "007 3\n", "0 00\n")
 
 
 _EDGE_LINE_TEXTS = st.tuples(
@@ -247,6 +290,9 @@ _EDGE_LINE_TEXTS = st.tuples(
        st.sampled_from((1, 2, 5, 16, formats._EDGE_WINDOW)))
 @example("n " + "1" * 5000, formats._EDGE_WINDOW)
 @example("1 " + "1" * 5000 + "\n", formats._EDGE_WINDOW)  # over int()'s digit limit
+@example("n 10\n1 2\n007 3\n4 5\n", formats._EDGE_WINDOW)  # leading zeros: no JSON integer
+@example("1 2\n0 00\n", formats._EDGE_WINDOW)
+@example("n 10\r\n1 2\r\n3 4\r\n5 5\r\n", formats._EDGE_WINDOW)
 def test_parse_edge_list_matches_per_line_reference(text, window):
     """The windowed bulk decoder gives the per-line reader's graph, or its
     exception type and message, on the hypothesis alphabets and on texts of
@@ -284,9 +330,11 @@ def _window_ends(lines, header):
 def test_parse_edge_list_odd_lines_at_window_ends(header):
     """Seeded texts over at least three scan windows, with one odd line
     (comment, blank, CRLF, lone CR, header, loop, endpoint >= n, negative,
-    three tokens, sign, non-ASCII digit, tab, trailing blanks) inserted at,
-    just before and just after each window end, and a few at once: the bulk
-    decoder agrees with the per-line reader on every text."""
+    three tokens, sign, non-ASCII digit, tab, trailing blanks, leading
+    zeros) inserted at, just before and just after each window end, and a
+    few at once: the bulk decoder agrees with the per-line reader on every
+    text, and on the plain text with CRLF line ends, which it cuts into
+    plain runs only."""
     rng = random.Random(28 + header)
     n = 300
     head = f"n {n}\n" if header else ""
@@ -294,6 +342,9 @@ def test_parse_edge_list_odd_lines_at_window_ends(header):
     ends = _window_ends(lines, head)
     assert len(ends) >= 3 and len(head + "".join(lines)) > 3 * formats._EDGE_WINDOW
     _assert_matches_per_line(head + "".join(lines))
+    crlf = "".join(lines).replace("\n", "\r\n")
+    assert all(plain for _, plain in formats._edge_list_pieces(crlf))
+    _assert_matches_per_line(head.replace("\n", "\r\n") + crlf)
     for odd in _ODD_LINES:
         odd = odd.format(n=n)
         for end in ends:
