@@ -69,7 +69,7 @@ def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,
                     continue
                 rows = [base.rows[v] | ((nb >> v & 1) << (n - 1)) for v in range(n - 1)]
                 rows.append(nb)
-                G = Graph(n, rows)
+                G = Graph._symmetric(n, rows)
                 key = _invariant(G)
                 bucket = buckets.setdefault(key, [])
                 if any(is_isomorphic(G, other) for other in bucket):

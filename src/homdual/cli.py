@@ -43,6 +43,7 @@ from .sparsity import (
 )
 
 SCHEMA = "sd-report/1"
+EMIT_LIMIT = 500  # largest power or dual whose graph6 goes into the report
 
 
 def _read_graphs(path: str, fmt: str = "g6") -> list[Graph]:
@@ -173,7 +174,7 @@ def _cmd_power(args):
     results = {
         "order": TP.D.n,
         "edges": TP.D.edge_count(),
-        "graph6": to_graph6(TP.D) if TP.D.n <= args.emit_limit else None,
+        "graph6": to_graph6(TP.D) if TP.D.n <= EMIT_LIMIT else None,
     }
     return _report("power", {"u": U.n, "h": H.n, "p": args.p}, results, True, args)
 
@@ -182,7 +183,7 @@ def _cmd_dual_build(args):
     corpus = _load_corpus(args)
     f_set = _read_graphs(args.forbid)
     build = build_dual(corpus, f_set)
-    text = to_graph6(build.D) if build.D.n <= args.emit_limit else None
+    text = to_graph6(build.D) if build.D.n <= EMIT_LIMIT else None
     results = {"provenance": build.provenance, "dual_graph6": text}
     if args.dual_out:  # piece by piece: no copy of the whole string
         with open(args.dual_out, "w", encoding="ascii") as fh:
@@ -295,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--template", required=True, help="template graph file")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--emit-limit", dest="emit_limit", type=int, default=500)
     sp.set_defaults(func=_cmd_power)
 
     sp = sub.add_parser("dual-build", help="run the dual construction pipeline")
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen(sp)
     sp.add_argument("--forbid", required=True, help="graph6 file, one per line")
     sp.add_argument("--dual-out", dest="dual_out", help="write the dual as graph6")
-    sp.add_argument("--emit-limit", dest="emit_limit", type=int, default=500)
     sp.set_defaults(func=_cmd_dual_build)
 
     sp = sub.add_parser("dual-verify", help="verify a duality over a corpus")

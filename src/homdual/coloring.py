@@ -177,27 +177,13 @@ def find_low_td_coloring(G: Graph, p: int) -> LowTdColoring:
     larger graphs get a greedy distance-p coloring on degeneracy order,
     minimality not guaranteed.
     """
-    _check_p(p)
-    if G.n == 0:
-        return LowTdColoring(Coloring(G, (), 0), True)
-    if G.n > LOWTD_EXHAUSTIVE_LIMIT:
-        return _greedy_low_td(G, p)
-    return LowTdColoring(_first_passing(G, p, 1), True)
-
-
-def _first_passing(G: Graph, p: int, k_min: int) -> Coloring:
-    """The first passing coloring over k = k_min, k_min + 1, ... colors; one
-    with |V(G)| colors (every class one vertex) always passes."""
-    for k in range(k_min, G.n + 1):
-        c = _exhaustive_low_td(G, p, k)
-        if c is not None:
-            return c
-    raise InternalCheckError(f"no low tree-depth coloring of {G.n} vertices with {G.n} colors")
+    return LowTdColoring(max_low_td_colors([G], p)[1][0], G.n <= LOWTD_EXHAUSTIVE_LIMIT)
 
 
 def max_low_td_colors(corpus: Iterable[Graph], p: int) -> tuple[int, list[Coloring]]:
-    """``max(1, max(find_low_td_coloring(G, p).coloring.k for G in corpus))``,
-    in fewer rounds, and a passing coloring per graph with at most that many colors.
+    """(M, colorings): a passing coloring per graph with at most M colors, M
+    the least count at least 1 that every graph up to ``LOWTD_EXHAUSTIVE_LIMIT``
+    vertices can meet and every larger graph's greedy coloring meets.
 
     Splitting a class of a passing coloring keeps it passing: any i classes
     of the finer coloring lie inside at most i classes of the coarser one,
@@ -208,7 +194,7 @@ def max_low_td_colors(corpus: Iterable[Graph], p: int) -> tuple[int, list[Colori
     to ``LOWTD_EXHAUSTIVE_LIMIT`` vertices tries exactly k = M, M + 1, ...
     colors until a round passes: the first k is M if the graph needs at
     most M colors, and its own least count otherwise. Larger graphs take
-    their greedy coloring, as ``find_low_td_coloring`` does.
+    their greedy coloring.
     """
     _check_p(p)
     best = 1
@@ -219,7 +205,13 @@ def max_low_td_colors(corpus: Iterable[Graph], p: int) -> tuple[int, list[Colori
         elif G.n > LOWTD_EXHAUSTIVE_LIMIT:
             c = _greedy_low_td(G, p).coloring
         else:
-            c = _first_passing(G, p, best)
+            for k in range(best, G.n + 1):  # n colors, one vertex a class, always pass
+                c = _exhaustive_low_td(G, p, k)
+                if c is not None:
+                    break
+            else:
+                raise InternalCheckError(
+                    f"no low tree-depth coloring of {G.n} vertices with {G.n} colors")
         best = max(best, c.k)
         colorings.append(c)
     return best, colorings

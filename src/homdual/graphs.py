@@ -6,7 +6,10 @@ neighborhood intersections at one machine op per word.
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphError
@@ -29,6 +32,96 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _mirror(rows: list[int]) -> None:
+    """Complete each row, given only its lower part (the bits below its own
+    index), with its upper part: one set bit at a time, or by transposing
+    the lower triangle in tiles where ``_tiles_pay`` says that is cheaper."""
+    n = len(rows)
+    edges = sum(map(int.bit_count, rows))
+    if edges > 4 * n and _tiles_pay(n, edges):  # no call for fewer: tiles never pay
+        _mirror_tiles(rows)
+        return
+    for j, column in enumerate(rows):  # row j is still its lower part here
+        if column:
+            bit = 1 << j
+            while column:
+                low = column & -column
+                rows[low.bit_length() - 1] |= bit
+                column ^= low
+
+
+def _tile_bits(n: int) -> int:
+    """Side T of the square tiles in which ``_mirror_tiles`` transposes an
+    n-vertex graph: the power of two at or above n, from 8 to 256."""
+    return min(256, max(8, 1 << (n - 1).bit_length()))
+
+
+def _tiles_pay(n: int, edges: int) -> bool:
+    """Whether ``_mirror_tiles`` beats the per-edge mirror on an n-vertex
+    graph: above n^2/(2T) + 4n edges. Its n^2/(2T) strip rows and n
+    unpacked rows cost about what one and four edges cost the per-edge
+    walk, measured from 9 to 12,000 vertices."""
+    T = _tile_bits(n)
+    return 2 * T * edges > n * (n + 8 * T)
+
+
+def _transpose_rounds(T: int) -> list[tuple[int, int]]:
+    """(distance, mask) of each round of the mask-swap transpose of a T x T
+    bit matrix held as one integer, entry (r, c) at bit rT + c (Warren,
+    Hacker's Delight, 7-3). The round of width s swaps the upper right and
+    lower left s x s blocks of every 2s x 2s block: its mask marks the
+    entries with r & s = 0 and c & s != 0, and each one's partner, entry
+    (r + s, c - s), lies s(T - 1) bits above it."""
+    rounds = []
+    s = T // 2
+    while s:
+        row = int(("1" * s + "0" * s) * (T // (2 * s)), 2).to_bytes(T // 8, "little")
+        mask = (row * s + bytes(T // 8 * s)) * (T // (2 * s))
+        rounds.append((s * (T - 1), int.from_bytes(mask, "little")))
+        s //= 2
+    return rounds
+
+
+_TRANSPOSE_ROUNDS = {1 << k: _transpose_rounds(1 << k) for k in range(3, 9)}
+
+
+def _mirror_tiles(rows: list[int]) -> None:
+    """Add to each row its upper part, given every row's lower part, by
+    transposing the lower triangle in T x T tiles (T = ``_tile_bits(n)``),
+    a strip of T columns at a time.
+
+    The strip at column lo packs bits lo..lo+T-1 of rows lo, ..., n-1, T
+    bits a row, into whole tiles, and each tile is transposed in place by
+    the rounds of ``_transpose_rounds``. Row r of the transposed tile of
+    rows lo + JT.. then holds bits lo + JT.. of row lo + r's upper part, so
+    row r of every tile, joined, is that upper part from bit lo on. The
+    strip's T rows get it at once; later strips read only later rows,
+    which are still lower parts.
+    """
+    n = len(rows)
+    T = _tile_bits(n)
+    width, area = T // 8, T * T // 8  # bytes of a tile row, of a tile
+    rounds, low = _TRANSPOSE_ROUNDS[T], (1 << T) - 1
+    for lo in range(0, n, T):
+        tiles = -(-(n - lo) // T)
+        cut = map(operator.and_, map(operator.rshift, islice(rows, lo, None), repeat(lo)),
+                  repeat(low))
+        strip = bytearray().join(chain(map(int.to_bytes, cut, repeat(width), repeat("little")),
+                                       repeat(bytes(width), tiles * T - (n - lo))))
+        for at in range(0, len(strip), area):
+            x = int.from_bytes(strip[at:at + area], "little")
+            for d, m in rounds:
+                t = (x ^ x >> d) & m
+                x ^= t ^ t << d
+            strip[at:at + area] = x.to_bytes(area, "little")
+        # row r of every tile, read from byte r * width on
+        row = struct.Struct(f"{width}s{area - width}x" * (tiles - 1) + f"{width}s").unpack_from
+        hi = min(lo + T, n)
+        joined = map(b"".join, map(row, repeat(strip), range(0, (hi - lo) * width, width)))
+        upper = map(operator.lshift, map(int.from_bytes, joined, repeat("little")), repeat(lo))
+        rows[lo:hi] = map(operator.or_, rows[lo:hi], upper)
+
+
 class Graph:
     """Immutable simple graph: ``rows[v]`` is the neighbor bitmask of v."""
 
@@ -40,42 +133,16 @@ class Graph:
         rows = tuple(rows)
         if len(rows) != n:
             raise GraphError("row count does not match vertex count")
-        # one walk over each vertex's upper neighbours keeps the AND and the
-        # OR of their rows. v lies in the AND iff every upper bit has its
-        # mirror, and the bits split evenly between upper and lower triangle,
-        # so then every lower bit is a mirror too. The OR gives the triangle
-        # mask as in ``_triangle_walk``. No test here costs n bits for a
-        # sparse row: range by a shift, and the AND starts from the first
-        # upper neighbour's row. build_graph, parse_edge_list, parse_graph6
-        # and truncated_power set both bits of each edge themselves, each
-        # saying why where it does, and skip this walk through _symmetric.
-        total = upper = triangles = 0
-        symmetric = True
         for v, row in enumerate(rows):
             if row >> n:  # a negative row shifts to -1
                 raise GraphError(f"row {v} has out-of-range neighbors")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-            total += row.bit_count()
-            above = row >> (v + 1)
-            if not above:
-                continue
-            upper += above.bit_count()
-            step = (above & -above).bit_length()
-            u = v + step
-            meet = reach = rows[u]
-            above >>= step
-            while above:  # bits(above), inlined and shifting: a hot loop
-                step = (above & -above).bit_length()
-                u += step
-                near = rows[u]
-                meet &= near
-                reach |= near
-                above >>= step
-            if not meet >> v & 1:
-                symmetric = False
-            triangles |= reach & row
-        if not symmetric or 2 * upper != total:
+        # the rows are symmetric iff they are the mirror of their lower parts;
+        # a shift, not a mask, keeps a sparse row's lower part cheap
+        mirrored = [row ^ (row >> v << v) for v, row in enumerate(rows)]
+        _mirror(mirrored)
+        if mirrored != list(rows):
             for v in range(n):
                 for u in bits(rows[v]):
                     if not rows[u] >> v & 1:
@@ -83,12 +150,12 @@ class Graph:
         self.n = n
         self.rows = rows
         self._hash = hash((n, rows))
-        self._triangles = triangles
+        self._triangles = None
         self._twins = None
 
     @classmethod
     def _symmetric(cls, n: int, rows: Sequence[int], triangles: Optional[int] = None) -> "Graph":
-        """``Graph(n, rows)`` without its walk, for rows the caller made
+        """``Graph(n, rows)`` without its checks, for rows the library made
         symmetric, loop-free and within 0..n-1; ``triangles`` is the triangle
         mask if the caller knows it, else ``triangle_mask`` finds it."""
         G = cls.__new__(cls)
@@ -121,8 +188,8 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def triangle_mask(self) -> int:
-        """Bitmask of the vertices on a triangle, found by the constructor's
-        walk or on the first call, and no part of equality or hashing."""
+        """Bitmask of the vertices on a triangle, found on the first call, and
+        no part of equality or hashing."""
         if self._triangles is None:
             self._triangles = _triangle_walk(self.rows)
         return self._triangles
@@ -167,7 +234,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)])
+    return Graph._symmetric(n, [full ^ (1 << v) for v in range(n)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -181,7 +248,7 @@ def path_graph(n: int) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, [0] * n)
+    return Graph._symmetric(n, [0] * n)
 
 
 def induced_subgraph(G: Graph, S: int) -> tuple[Graph, list[int]]:
@@ -194,7 +261,7 @@ def induced_subgraph(G: Graph, S: int) -> tuple[Graph, list[int]]:
     for i, v in enumerate(verts):
         for u in bits(G.rows[v] & S):
             rows[i] |= 1 << index[u]
-    return Graph(len(verts), rows), verts
+    return Graph._symmetric(len(verts), rows), verts
 
 
 def _triangle_walk(rows: Sequence[int], within: Optional[int] = None) -> int:
@@ -327,7 +394,7 @@ def quotient(G: Graph, P: BallFamily) -> Graph:
             if owner[w] >= 0:
                 row |= 1 << owner[w]
         rows.append(row)
-    return Graph(len(P.balls), rows)
+    return Graph._symmetric(len(P.balls), rows)
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -337,7 +404,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     for g in graphs:
         rows += [row << total for row in g.rows]
         total += g.n
-    return Graph(total, rows)
+    return Graph._symmetric(total, rows)
 
 
 def _radius_at_most(rows: Sequence[int], S: int, r: int, centres: int) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import InternalCheckError, SizeLimitError
+from .errors import GraphError, InternalCheckError, SizeLimitError
 from .graphs import Graph, bits, layers
 from .homs import _max_clique_mask, _search, _search_order
 
@@ -18,11 +18,11 @@ INFINITY = math.inf  # sentinel for "no odd cycle"
 def exact_power(G: Graph, p: int) -> Graph:
     """Edge {x,y} iff some simple path of length exactly p joins x and y."""
     if p < 1:
-        raise ValueError("power must be >= 1")
+        raise GraphError("power must be >= 1")
     if p > EXACT_POWER_LIMIT:
         raise SizeLimitError(f"exact power capped at length {EXACT_POWER_LIMIT}")
     if p == 1:
-        return Graph(G.n, G.rows)
+        return G
     rows = [0] * G.n
     for x in range(G.n):
         # walk the simple paths of length p - 1 from x; the unvisited
@@ -35,19 +35,19 @@ def exact_power(G: Graph, p: int) -> Graph:
                 continue
             for u in bits(G.rows[v] & ~visited):
                 stack.append((u, visited | 1 << u, left - 1))
-    return Graph(G.n, rows)
+    return Graph._symmetric(G.n, rows)
 
 
 def exact_distance_graph(G: Graph, p: int) -> Graph:
     """Edge {x,y} iff the distance between x and y in G is exactly p."""
     if p < 1:
-        raise ValueError("distance must be >= 1")
+        raise GraphError("distance must be >= 1")
     rows = [0] * G.n
     for x in range(G.n):
         ring = layers(G.rows, 1 << x, G.full_mask, p)
         if len(ring) > p:
             rows[x] = ring[p]
-    return Graph(G.n, rows)
+    return Graph._symmetric(G.n, rows)
 
 
 def odd_girth(G: Graph):
@@ -107,7 +107,7 @@ def odd_power_experiment(corpus: Sequence[Graph], p: int,
     odd-girth above p; the hypothesis filter skips the rest.
     """
     if p % 2 == 0:
-        raise ValueError("the odd-power experiment needs odd p")
+        raise GraphError("the odd-power experiment needs odd p")
     items = []
     max_path = 0
     max_dist = 0

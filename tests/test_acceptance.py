@@ -214,8 +214,8 @@ def test_criterion_09_dual_pinned(dual_pipeline):
 
 
 def test_criterion_09_dual_triangle_mask_is_empty(dual_pipeline):
-    """The constructor's walk finds no triangle in the criterion-9 dual, and
-    indeed no edge's ends share a neighbour."""
+    """The criterion-9 dual's triangle mask is empty, and indeed no edge's
+    ends share a neighbour."""
     _, build = dual_pipeline
     D = build.D
     assert D.triangle_mask() == 0

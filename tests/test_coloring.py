@@ -383,7 +383,8 @@ def test_exhaustive_low_td_subcubic8_pinned(subcubic8):
 def test_star_cut_leaves_only_passing_candidates(monkeypatch, catalog6):
     """At p = 2 a coloring passes exactly when it is a star coloring, so
     once the search cuts two-colored paths on 4 vertices every candidate
-    that reaches the check passes it."""
+    that reaches the check passes it. A one-vertex graph takes its one
+    color without a search, so it reaches no check."""
     verdicts = []
     verify = coloring.verify_low_td
 
@@ -393,10 +394,10 @@ def test_star_cut_leaves_only_passing_candidates(monkeypatch, catalog6):
         return ok, violation
 
     monkeypatch.setattr(coloring, "verify_low_td", spy)
-    nonempty = [G for G in catalog6 if G.n]
-    for G in nonempty:
+    searched = [G for G in catalog6 if G.n > 1]
+    for G in catalog6:
         find_low_td_coloring(G, 2)
-    assert len(verdicts) == len(nonempty) and all(verdicts)
+    assert len(verdicts) == len(searched) and all(verdicts)
 
 
 def test_find_low_td_coloring_greedy_fallback():

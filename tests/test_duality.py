@@ -279,7 +279,7 @@ def test_power_local_property():
 
 def test_truncated_power_matches_oracle():
     # every nonempty base on at most 3 vertices, every p with order <= 5,000;
-    # the power skips the constructor's walk, so each must also be the graph
+    # the power skips the constructor's checks, so each must also be the graph
     # the checked constructor makes, triangle mask included: known to be 0
     # at p >= 3 over a triangle-free base, left lazy otherwise
     templates = [complete_graph(k) for k in range(1, 6)] + [path_graph(4), cycle_graph(5)]

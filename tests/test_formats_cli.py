@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homdual.catalog import GraphFilters, generate_all_graphs
-from homdual import cli, formats
+from homdual import cli, formats, graphs
 from homdual.cli import main
 from homdual.coloring import make_coloring, verify_low_td
 from homdual.duality import (
@@ -131,19 +131,20 @@ def test_graph6_roundtrip_wide_peeled_columns():
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257,
                                511, 512, 513])
 def test_graph6_mirror_matches_naive(n, monkeypatch):
-    """The tiled transpose, and parse_graph6 with whichever mirror it picks,
-    give the per-pair mirror of seeded lower triangles, at tile sides 8 to
-    256 with whole, partial and padded tiles. Empty and 1% graphs keep the
-    per-edge mirror; complete graphs from 15 vertices take the tiles."""
+    """The tiled transpose, ``graphs._mirror`` on whichever branch it picks,
+    and parse_graph6 through it give the per-pair mirror of seeded lower
+    triangles, at tile sides 8 to 256 with whole, partial and padded tiles.
+    Empty and 1% graphs keep the per-edge mirror; complete graphs from 15
+    vertices take the tiles."""
     rng = random.Random(n)
     taken = []
-    tiled = formats._mirror_tiles
+    tiled = graphs._mirror_tiles
 
     def counted(rows):
         taken.append(len(rows))
         tiled(rows)
 
-    monkeypatch.setattr(formats, "_mirror_tiles", counted)
+    monkeypatch.setattr(graphs, "_mirror_tiles", counted)
     for density in (0, 0.01, 0.3, 1.0):
         lower = [sum(1 << i for i in range(j) if rng.random() < density) for j in range(n)]
         expected = naive_mirror(lower)
@@ -151,12 +152,15 @@ def test_graph6_mirror_matches_naive(n, monkeypatch):
         tiled(rows)
         assert rows == expected, density
         taken.clear()
+        rows = list(lower)
+        graphs._mirror(rows)
+        assert rows == expected, density
         line = naive_graph6(types.SimpleNamespace(n=n, rows=lower))
         assert list(parse_graph6(line).rows) == expected, density
         if density < 0.1 or n < 15:
             assert not taken, density
         elif density == 1.0:
-            assert taken, density
+            assert taken == [n, n], density
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -360,7 +364,7 @@ def test_parse_edge_list_odd_lines_at_window_ends(header):
 
 def test_parsers_and_build_graph_match_checked_constructor(catalog6, mixed_density_graphs):
     """graph6, edge lists and ``build_graph`` set both bits of each edge
-    and skip the constructor's walk; each must give the graph the checked
+    and skip the constructor's checks; each must give the graph the checked
     constructor makes, triangle mask included."""
     for G in catalog6 + mixed_density_graphs:
         edges = G.edges()
@@ -940,6 +944,14 @@ def test_cli_exact_power_defaults_to_path_kind(p4_file, capsys):
     assert code == 0
     assert doc["results"]["kind"] == "path"
     assert parse_graph6(doc["results"]["graph6"]) == exact_power(path_graph(4), 3)
+
+
+@pytest.mark.parametrize("kind, message", [("path", "power"), ("distance", "distance")])
+def test_cli_exact_power_bad_p_is_an_error(p4_file, capsys, kind, message):
+    assert main(["exact-power", "--in", p4_file, "--p", "0", "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} must be >= 1\n"
 
 
 @pytest.mark.parametrize("command", [

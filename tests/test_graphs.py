@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from homdual import graphs
 from homdual.errors import GraphError
 from homdual.graphs import (
     BallFamily,
@@ -26,12 +27,14 @@ from homdual.graphs import (
     quotient,
 )
 from homdual.homs import is_isomorphic
+from homdual.powers import exact_distance_graph, exact_power
 
 from oracles import (
     brute_distances,
     brute_is_connected_subset,
     brute_odd_girth,
     enumerate_connected_sets,
+    matches_checked_constructor,
 )
 
 
@@ -84,6 +87,70 @@ def test_constructor_names_any_flipped_pair(catalog5, seeded_graphs):
                 rows[i] ^= 1 << j
                 with pytest.raises(GraphError, match=rf"\{{({i},{j}|{j},{i})\}}"):
                     Graph(G.n, rows)
+
+
+def test_constructor_names_flipped_pair_on_tiled_graph(monkeypatch):
+    """The flipped-pair message also comes when the symmetry check mirrors
+    the lower parts by tiles, as it does on a dense 40-vertex graph."""
+    rng = random.Random(40)
+    G = build_graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)
+                         if rng.random() < 0.6])
+    tiled = graphs._mirror_tiles
+    taken = []
+
+    def counted(rows):
+        taken.append(len(rows))
+        tiled(rows)
+
+    monkeypatch.setattr(graphs, "_mirror_tiles", counted)
+    pairs = [(i, j) for i in range(G.n) for j in range(G.n) if i != j]
+    for i, j in pairs:
+        rows = list(G.rows)
+        rows[i] ^= 1 << j
+        with pytest.raises(GraphError, match=rf"\{{({i},{j}|{j},{i})\}}"):
+            Graph(G.n, rows)
+    assert taken == [G.n] * len(pairs)
+
+
+def test_bad_rows_refused_before_any_mirror(monkeypatch):
+    """Range and loop checks run over every row before the symmetry check
+    mirrors anything, so an asymmetric pair never hides them."""
+    def no_mirror(rows):
+        raise AssertionError("mirror ran")
+
+    monkeypatch.setattr(graphs, "_mirror", no_mirror)
+    with pytest.raises(GraphError, match="row 1 has out-of-range"):
+        Graph(2, [0b10, -1])  # a negative row
+    with pytest.raises(GraphError, match="loop at vertex 2"):
+        Graph(3, [0b010, 0, 0b100])  # a loop behind an unmirrored pair
+
+
+def _radius_one_family(G: Graph) -> BallFamily:
+    """Every other ball of a greedy cover by closed neighbourhoods, so some
+    vertices lie in no ball."""
+    balls, used = [], 0
+    for v in range(G.n):
+        if not used >> v & 1:
+            ball = (G.rows[v] | 1 << v) & ~used
+            balls.append(ball)
+            used |= ball
+    return BallFamily(G, tuple(balls[::2]), 1)
+
+
+def test_library_builders_match_checked_constructor(catalog6, mixed_density_graphs):
+    """Every library builder takes its rows on trust; each must give the
+    graph the checked constructor makes from them, triangle mask included."""
+    rng = random.Random(6)
+    built = [complete_graph(n) for n in range(8)] + [empty_graph(n) for n in range(8)]
+    built += catalog6  # the catalog's extensions
+    for G in catalog6 + mixed_density_graphs:
+        built.append(induced_subgraph(G, rng.getrandbits(G.n))[0])
+        built.append(quotient(G, _radius_one_family(G)))
+        built.append(disjoint_union([G, G]))
+        built += [exact_power(G, p) for p in (1, 2, 3)]
+        built += [exact_distance_graph(G, p) for p in (1, 2, 3)]
+    for H in built:
+        assert matches_checked_constructor(H), H
 
 
 def test_constructors():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from homdual import powers
-from homdual.errors import InternalCheckError, SizeLimitError
+from homdual.errors import GraphError, InternalCheckError, SizeLimitError
 from homdual.graphs import (
     build_graph,
     complete_graph,
@@ -183,8 +183,19 @@ def test_odd_power_experiment():
     # the exact cube of C5 is another 5-cycle (distance-2 pairs only)
     assert by_index[0]["chi_exact_power"] == 3
     assert rep["max_chi_exact_power"] >= 3
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError):
         odd_power_experiment(corpus, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda G: exact_power(G, 0), "power must be >= 1"),
+    (lambda G: exact_distance_graph(G, -1), "distance must be >= 1"),
+    (lambda G: odd_power_experiment([G], 4), "the odd-power experiment needs odd p"),
+])
+def test_bad_p_raises_graph_error(call, message):
+    """A bad p is a bad operation argument, like every other one."""
+    with pytest.raises(GraphError, match=message):
+        call(cycle_graph(5))
 
 
 def test_odd_power_experiment_bound_check_raises(monkeypatch):
