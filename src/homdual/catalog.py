@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import SizeLimitError
-from .graphs import Graph, bits, connected_components, empty_graph, mask_of
+from .graphs import Graph, bits, empty_graph, is_connected, mask_of
 from .homs import is_isomorphic
 
 GENERATE_LIMIT = 8
@@ -81,7 +81,7 @@ def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,
     out: list[Graph] = []
     for n in range(n_max + 1):
         for G in levels[n]:
-            if f.connected and (G.n == 0 or len(connected_components(G)) != 1):
+            if f.connected and not is_connected(G):
                 continue
             out.append(G)
     return out

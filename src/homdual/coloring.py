@@ -11,6 +11,7 @@ from .errors import GraphError, InternalCheckError, SizeLimitError
 from .graphs import (
     Graph,
     bits,
+    complete_graph,
     connected_components,
     induced_subgraph,
     layers,
@@ -26,7 +27,7 @@ from .sparsity import (
     verify_td,
 )
 
-CLASS_SET_LIMIT = 1 << 16  # color sets walked per verification
+CLASS_SET_LIMIT = 1 << 16  # color sets per walk of class_unions
 LOWTD_EXHAUSTIVE_LIMIT = 11
 
 
@@ -64,22 +65,12 @@ def _check_p(p: int) -> None:
         raise GraphError(f"p must be at least 1 (got {p})")
 
 
-def class_unions(masks: Sequence[int],
-                 sizes: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(class indices, union of their masks) for every set of classes whose
-    size is in ``sizes``: by size, then in lexicographic order."""
-    for size in sizes:
-        for classes in combinations(range(len(masks)), size):
-            S = 0
-            for q in classes:
-                S |= masks[q]
-            yield classes, S
-
-
-def _capped_unions(masks: list[int], sizes: Sequence[int], p: int,
-                   what: str) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``class_unions``, refused before the walk when the sets number more
-    than ``CLASS_SET_LIMIT``."""
+def class_unions(masks: Sequence[int], sizes: Sequence[int], p: int,
+                 what: str) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(class indices, union of their masks) for every set of the disjoint
+    class masks whose size is in ``sizes``: by size, then in lexicographic
+    order. The one class-set walk: refused before it starts, naming
+    ``what`` and p, when the sets number more than ``CLASS_SET_LIMIT``."""
     sets = 0
     for size in sizes:
         sets += math.comb(len(masks), size)
@@ -87,7 +78,8 @@ def _capped_unions(masks: list[int], sizes: Sequence[int], p: int,
             raise SizeLimitError(
                 f"{what} capped at {CLASS_SET_LIMIT} color sets "
                 f"(k = {len(masks)} colors at p = {p} give more)")
-    return class_unions(masks, sizes)
+    return ((classes, sum(map(masks.__getitem__, classes)))
+            for size in sizes for classes in combinations(range(len(masks)), size))
 
 
 def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int]]:
@@ -105,7 +97,7 @@ def verify_p_centered(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[int
     _check_p(p)
     size = min(p - 1, c.k)
     masks = c.class_masks()
-    for classes, S in _capped_unions(masks, (size,), p, "centered verification"):
+    for classes, S in class_unions(masks, (size,), p, "centered verification"):
         stack = connected_components(G, S)
         while stack:
             K = stack.pop()
@@ -146,8 +138,8 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdVi
     sets number more than ``CLASS_SET_LIMIT``.
     """
     _check_p(p)
-    for classes, S in _capped_unions(c.class_masks(), range(1, min(p, c.k) + 1), p,
-                                  "low tree-depth verification"):
+    for classes, S in class_unions(c.class_masks(), range(1, min(p, c.k) + 1), p,
+                                   "low tree-depth verification"):
         i = len(classes)
         for comp in connected_components(G, S):
             if comp.bit_count() <= i:
@@ -203,7 +195,7 @@ def max_low_td_colors(corpus: Iterable[Graph], p: int) -> tuple[int, list[Colori
         if G.n <= best:
             c = Coloring(G, tuple(range(G.n)), G.n)
         elif G.n > LOWTD_EXHAUSTIVE_LIMIT:
-            c = _greedy_low_td(G, p).coloring
+            c = _greedy_low_td(G, p)
         else:
             for k in range(best, G.n + 1):  # n colors, one vertex a class, always pass
                 c = _exhaustive_low_td(G, p, k)
@@ -238,7 +230,6 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
     the first passing coloring is unchanged.
     """
     n, rows = G.n, G.rows
-    others = [((1 << k) - 1) ^ (1 << a) for a in range(k)]
     domains = [(1 << min(v + 1, k)) - 1 for v in range(n)]
     classes = [[0] * k for _ in range(n)]  # classes[v][q]: vertices below v colored q
     used = [0] * n  # used[v]: colors on the vertices below v, 0..used[v] - 1
@@ -264,14 +255,14 @@ def _exhaustive_low_td(G: Graph, p: int, k: int) -> Optional[Coloring]:
             used[v + 1] = top_after
         return False
 
-    for colors in _search(range(n), domains, others, rows, reject=reject):
+    for colors in _search(range(n), domains, complete_graph(k).rows, rows, reject=reject):
         cand = Coloring(G, tuple(colors), k)
         if verify_low_td(G, cand, p)[0]:
             return cand
     return None
 
 
-def _greedy_low_td(G: Graph, p: int) -> LowTdColoring:
+def _greedy_low_td(G: Graph, p: int) -> Coloring:
     """First-fit distance-p coloring on reversed degeneracy order: vertices
     within distance p of each other take distinct colors. It passes the low
     tree-depth check at p with no need to run it: if i <= p classes had a
@@ -288,7 +279,7 @@ def _greedy_low_td(G: Graph, p: int) -> LowTdColoring:
         while q in banned:
             q += 1
         colors[v] = q
-    return LowTdColoring(make_coloring(G, colors), False)
+    return make_coloring(G, colors)
 
 
 def product_centered(G: Graph, cbar: Coloring, p: int) -> Coloring:
@@ -301,7 +292,7 @@ def product_centered(G: Graph, cbar: Coloring, p: int) -> Coloring:
     if not ok:
         raise GraphError("base coloring fails the low tree-depth condition")
     per_subset = []
-    for _, S in class_unions(cbar.class_masks(), (min(p, cbar.k),)):
+    for _, S in class_unions(cbar.class_masks(), (min(p, cbar.k),), p, "the product coloring"):
         sub, old = induced_subgraph(G, S)
         cert = tree_depth(sub)
         cp = centered_from_td(sub, cert)

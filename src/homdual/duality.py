@@ -31,7 +31,7 @@ from .homs import (
 )
 from .catalog import generate_all_graphs
 from .sparsity import tree_depth_value
-from .coloring import Coloring, _capped_unions, class_unions, max_low_td_colors, verify_low_td
+from .coloring import Coloring, class_unions, max_low_td_colors, verify_low_td
 
 POWER_ORDER_CAP = 100_000
 DEFAULT_REP_ORDER = 6
@@ -47,7 +47,8 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int,
     bipartite graph maps onto its two ends and needs no search; any other is
     searched in place on G's rows: the search ``find_homomorphism`` runs on
     the induced subgraph, with the same nodes and no graph built per subset.
-    Returns (True, None) or (False, failing value set).
+    Returns (True, None) or (False, failing value set); ``CLASS_SET_LIMIT``
+    caps the value sets walked.
     """
     if len(phi) != G.n:
         raise GraphError("phi must be total on the vertices")
@@ -57,7 +58,7 @@ def local_hom_check(G: Graph, phi: Sequence[int], p: int,
     values = sorted(classes)
     sizes = (min(p, len(values)),) if values else ()
     has_edge = any(U.rows)
-    for J, pre in class_unions([classes[a] for a in values], sizes):
+    for J, pre in class_unions([classes[a] for a in values], sizes, p, "the local check"):
         if has_edge and is_bipartite(G, pre):
             continue
         if _find_within(G, pre, U) is None:
@@ -129,9 +130,16 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
     order = power_order(u, h, p)
     if order > POWER_ORDER_CAP:
         raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
-    subsets = tuple(combinations(range(h), p))
-    through = tuple(tuple(I for I in subsets if v in I) for v in range(h))
     B = math.comb(h - 1, p - 1)
+    # ``through`` holds h * B subsets, which the order bounds only over a base
+    # of two or more vertices
+    if h * B > POWER_ORDER_CAP:
+        raise SizeLimitError(f"power coordinate table {h} * {B} exceeds cap {POWER_ORDER_CAP}")
+    subsets = tuple(combinations(range(h), p))
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(h)]
+    for I in subsets:  # in lexicographic order, so each list is too
+        for v in I:
+            through[v].append(I)
     if any(len(t) != B for t in through):
         raise InternalCheckError(f"a template vertex lies on other than {B} subsets")
     block = u ** B
@@ -175,7 +183,7 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
             raise InternalCheckError(
                 f"power edges leave the template neighbourhood of vertex {v}")
     alpha = VertexMap(D, H, tuple(z // block for z in range(order)))
-    return TruncatedPower(U, H, p, D, alpha, subsets, through, block, B)
+    return TruncatedPower(U, H, p, D, alpha, subsets, tuple(map(tuple, through)), block, B)
 
 
 def power_local_property(TP: TruncatedPower) -> bool:
@@ -218,7 +226,8 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
     The p-subsets of V(H) come in lexicographic order, the order of every
     ``TP.through[v]``; each nonempty gamma-preimage is searched in place as
     ``local_hom_check`` searches, and its map gives every vertex of the preimage
-    its next digit. The projection composes back to gamma.
+    its next digit; ``CLASS_SET_LIMIT`` caps the subsets walked. The
+    projection composes back to gamma.
     """
     if gamma.source != G or gamma.target != TP.template:
         raise GraphError("gamma must map G into the power's template")
@@ -228,7 +237,7 @@ def lift_homomorphism(G: Graph, gamma: VertexMap, TP: TruncatedPower) -> VertexM
     for x, v in enumerate(gamma.image):
         masks[v] |= 1 << x
     digits: list[list[int]] = [[] for _ in range(G.n)]
-    for I, pre in class_unions(masks, (TP.p,)):
+    for I, pre in class_unions(masks, (TP.p,), TP.p, "the lift"):
         if pre:
             image = _find_within(G, pre, TP.base)
             if image is None:
@@ -284,7 +293,7 @@ def _corpus_base(corpus: Sequence[Graph], colorings: Sequence[Coloring],
     comps: dict[Graph, None] = {}  # an ordered set: labelled copies are cored once
     for G, c in zip(corpus, colorings):
         if forb_member(G, f_set):
-            for _, S in _capped_unions(c.class_masks(), (min(p, c.k),), p, "the base walk"):
+            for _, S in class_unions(c.class_masks(), (min(p, c.k),), p, "the base walk"):
                 for comp in connected_components(G, S):
                     comps[induced_subgraph(G, comp)[0]] = None
     parts: list[Graph] = []
@@ -406,7 +415,8 @@ def regular_partition_report(G: Graph, c: Coloring, p: int,
         raise GraphError("coloring fails the low tree-depth condition")
     entries = []
     unmatched = []
-    for classes, S in class_unions(c.class_masks(), range(1, min(p, c.k) + 1)):
+    for classes, S in class_unions(c.class_masks(), range(1, min(p, c.k) + 1), p,
+                                   "the partition report"):
         for comp in connected_components(G, S):
             sub, _ = induced_subgraph(G, comp)
             match = None

@@ -348,29 +348,25 @@ def layers(rows: Sequence[int], start: int, within: int, depth: int = -1) -> lis
 
 @dataclass(frozen=True)
 class BallFamily:
-    """Pairwise disjoint connected vertex sets of bounded radius."""
+    """Pairwise disjoint connected vertex sets of bounded radius: a family
+    is refused unless its balls lie in the graph, are pairwise disjoint and
+    each is a set of radius at most ``radius_bound``, by the predicate
+    ``enumerate_balls`` uses. No ball has a negative radius."""
 
     graph: Graph
     balls: tuple[int, ...]
     radius_bound: int
 
     def __post_init__(self):
-        validate_ball_family(self.graph, self.balls, self.radius_bound)
-
-
-def validate_ball_family(G: Graph, balls: Sequence[int], r: int) -> None:
-    """Refuse a family unless its balls lie in G, are pairwise disjoint and
-    each is a set of radius at most r, by the predicate ``enumerate_balls``
-    uses. No ball has a negative radius."""
-    seen = 0
-    for b in balls:
-        if b >> G.n:
-            raise GraphError("ball not within graph")
-        if b & seen:
-            raise GraphError("balls overlap")
-        seen |= b
-        if r < 0 or not _radius_at_most(G.rows, b, r, b):  # empty and disconnected fail
-            raise GraphError(f"not a ball of radius at most {r}")
+        G, r, seen = self.graph, self.radius_bound, 0
+        for b in self.balls:
+            if b >> G.n:
+                raise GraphError("ball not within graph")
+            if b & seen:
+                raise GraphError("balls overlap")
+            seen |= b
+            if r < 0 or not _radius_at_most(G.rows, b, r, b):  # empty and disconnected fail
+                raise GraphError(f"not a ball of radius at most {r}")
 
 
 def quotient(G: Graph, P: BallFamily) -> Graph:
@@ -466,21 +462,3 @@ def enumerate_balls(G: Graph, r: int) -> list[int]:
                 stack.append((S, near, todo, b, cand))
         banned |= 1 << v
     return out
-
-
-def _disjoint_later(G: Graph, balls: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(holding, later) for a walk over families of disjoint balls:
-    holding[v] is the bitset of the indices of the balls that contain vertex
-    v, and later[i] that of the balls after ball i disjoint from it."""
-    holding = [0] * G.n
-    for i, b in enumerate(balls):
-        for v in bits(b):
-            holding[v] |= 1 << i
-    full = (1 << len(balls)) - 1
-    later = []
-    for i, b in enumerate(balls):
-        meet = 0
-        for v in bits(b):
-            meet |= holding[v]
-        later.append((full ^ meet) >> (i + 1) << (i + 1))
-    return holding, later

@@ -48,9 +48,8 @@ class HomResult:
         return self.status == PRESENT
 
 
-def _max_clique_mask(G: Graph, within: int, in_triangle: int) -> int:
-    """Maximum clique (bitmask) of G[within], where ``in_triangle`` holds
-    the vertices on a triangle of G[within]: exact up to 16 vertices (the
+def _max_clique_mask(G: Graph, within: int) -> int:
+    """Maximum clique (bitmask) of G[within]: exact up to 16 vertices (the
     numerically largest one), greedy above."""
     rows = G.rows
     if within.bit_count() > 16:
@@ -64,15 +63,6 @@ def _max_clique_mask(G: Graph, within: int, in_triangle: int) -> int:
             if not cand:
                 return clique
             clique |= 1 << max(bits(cand), key=lambda v: (degs[v], -v))
-    if not in_triangle:  # the top edge, else the top vertex
-        rest = within
-        while rest:
-            v = rest.bit_length() - 1
-            near = rows[v] & within
-            if near:
-                return 1 << v | 1 << (near.bit_length() - 1)
-            rest ^= 1 << v
-        return 1 << within.bit_length() >> 1
     best = 0
     stack = [(0, within)]  # branch and bound: take the top vertex, then skip it
     while stack:
@@ -277,7 +267,7 @@ def _find_within(G: Graph, within: int, H: Graph,
     twins = H.twin_representatives()
     if twins != H.full_mask:
         domains = [d & twins for d in domains]
-    clique = _max_clique_mask(G, within, in_triangle)
+    clique = _max_clique_mask(G, within)
     order = _search_order(G, clique, within)
     return next(_search(order, domains, H.rows, G.rows, budget, lookahead=True), None)
 

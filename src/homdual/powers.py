@@ -6,7 +6,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import GraphError, InternalCheckError, SizeLimitError
-from .graphs import Graph, bits, layers
+from .graphs import Graph, bits, complete_graph, layers
 from .homs import _max_clique_mask, _search, _search_order
 
 EXACT_POWER_LIMIT = 7
@@ -88,15 +88,14 @@ def chromatic_number(G: Graph) -> int:
         return 0
     if G.n > CHROMATIC_LIMIT:
         raise SizeLimitError(f"exact chromatic number capped at {CHROMATIC_LIMIT} vertices")
-    clique = _max_clique_mask(G, G.full_mask, G.triangle_mask())
-    other_colors = [G.full_mask ^ (1 << a) for a in range(G.n)]
+    clique = _max_clique_mask(G, G.full_mask)
     order = _search_order(G, clique, G.full_mask)
     omega = clique.bit_count()
     for k in range(omega, G.n + 1):
         domains = [(1 << k) - 1] * G.n
         for color, v in enumerate(order[:omega]):
             domains[v] = 1 << color
-        if next(_search(order, domains, other_colors, G.rows), None) is not None:
+        if next(_search(order, domains, complete_graph(k).rows, G.rows), None) is not None:
             return k
     raise InternalCheckError(f"no colouring of {G.n} vertices with {G.n} colours")
 

@@ -14,7 +14,6 @@ from .graphs import (
     BALL_FAMILY_LIMIT,
     BallFamily,
     Graph,
-    _disjoint_later,
     bits,
     connected_components,
     enumerate_balls,
@@ -231,23 +230,30 @@ def grad_r(G: Graph, r: int) -> GradResult:
     if G.n == 0:
         return GradResult(Fraction(0), BallFamily(G, (), r))
     balls = enumerate_balls(G, r)
-    holding, later = _disjoint_later(G, balls)
-    # touch[i]: the balls meeting a neighbour of ball i, which for the balls
-    # of a family (all disjoint from ball i) means an edge to it
+    holding = [0] * G.n  # holding[v]: the balls that contain v
+    for i, b in enumerate(balls):
+        for v in bits(b):
+            holding[v] |= 1 << i
     beside = [0] * G.n  # beside[v]: the balls meeting a neighbour of v
     for v, row in enumerate(G.rows):
         for u in bits(row):
             beside[v] |= holding[u]
-    touch = []
-    for b in balls:
-        joined = 0
+    # later[i]: the balls after ball i disjoint from it; touch[i]: the balls
+    # meeting a neighbour of ball i, which for the balls of a family (all
+    # disjoint from ball i) means an edge to it
+    full = (1 << len(balls)) - 1
+    later, touch = [], []
+    for i, b in enumerate(balls):
+        meet = joined = 0
         for v in bits(b):
+            meet |= holding[v]
             joined |= beside[v]
+        later.append((full ^ meet) >> (i + 1) << (i + 1))
         touch.append(joined)
     ceiling = _grad_ceiling(G)
     top_num, top_den = ceiling.numerator, ceiling.denominator
     best_num, best_den, best = 0, 1, 1
-    stack = [((1 << len(balls)) - 1, 0, 0)]  # (balls left to add, family, its edges)
+    stack = [(full, 0, 0)]  # (balls left to add, family, its edges)
     while stack:
         avail, picked, edges = stack.pop()
         while avail:

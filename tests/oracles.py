@@ -70,11 +70,25 @@ def brute_twin_representatives(G: Graph) -> int:
     return mask
 
 
+def edge_triangle_mask(G: Graph) -> int:
+    """Vertices on a triangle, edge by edge: an edge uv whose ends share a
+    neighbour lies on a triangle with each common neighbour, so u, v and
+    those neighbours go in. O(m) row intersections, no triangle walk."""
+    mask = 0
+    for u, row in enumerate(G.rows):
+        for v in bits(row >> (u + 1) << (u + 1)):
+            common = row & G.rows[v]
+            if common:
+                mask |= 1 << u | 1 << v | common
+    return mask
+
+
 def matches_checked_constructor(G: Graph) -> bool:
     """Whether a graph a builder took on trust is the one the checked
-    constructor makes from its rows: the same rows, hash and triangle mask."""
+    constructor makes from its rows: the same rows and hash, and a triangle
+    mask that ``edge_triangle_mask`` finds on those rows."""
     C = Graph(G.n, G.rows)
-    return G.rows == C.rows and hash(G) == hash(C) and G.triangle_mask() == C.triangle_mask()
+    return G.rows == C.rows and hash(G) == hash(C) and G.triangle_mask() == edge_triangle_mask(C)
 
 
 def naive_graph6(G: Graph) -> str:

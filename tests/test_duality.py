@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from homdual import duality
 from homdual.catalog import generate_all_graphs
-from homdual.coloring import find_low_td_coloring, max_low_td_colors
+from homdual.coloring import (
+    find_low_td_coloring,
+    make_coloring,
+    max_low_td_colors,
+    verify_low_td,
+    verify_p_centered,
+)
 from homdual.duality import (
     DualBuild,
     TruncatedPower,
@@ -412,6 +418,44 @@ def test_lift_rejects_non_homomorphism():
         lift_homomorphism(C5, VertexMap(C5, K3, (0, 0, 1, 1, 2)), TP)
     with pytest.raises(GraphError):
         lift_homomorphism(C5, VertexMap(C5, complete_graph(4), (0, 1, 0, 1, 2)), TP)
+
+
+def test_class_set_walks_share_one_cap():
+    """Every class-set walk is refused before it starts past
+    ``CLASS_SET_LIMIT``, with one message shape; the local check and the
+    lift, once uncapped, are refused the same way."""
+    P40, E20 = path_graph(40), empty_graph(20)
+    star = build_graph(1201, [(0, i) for i in range(1, 1201)])
+    TP = truncated_power(complete_graph(1), empty_graph(70000), 1)  # C(70000, 1) subsets
+    calls = [
+        (lambda: verify_p_centered(E20, make_coloring(E20, range(20)), 11),
+         "centered verification capped at 65536 color sets (k = 20 colors at p = 11 give more)"),
+        (lambda: verify_low_td(P40, make_coloring(P40, range(40)), 20),
+         "low tree-depth verification capped at 65536 color sets "
+         "(k = 40 colors at p = 20 give more)"),
+        (lambda: build_dual([star], [complete_graph(3)]),
+         "the base walk capped at 65536 color sets (k = 1201 colors at p = 3 give more)"),
+        (lambda: local_hom_check(P40, list(range(40)), 20, complete_graph(2)),
+         "the local check capped at 65536 color sets (k = 40 colors at p = 20 give more)"),
+        (lambda: lift_homomorphism(E20, VertexMap(E20, TP.template, tuple(range(20))), TP),
+         "the lift capped at 65536 color sets (k = 70000 colors at p = 1 give more)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(SizeLimitError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_one_vertex_base_bounds_the_coordinate_table():
+    """Over K1 the power's order is the template's, so the order cap leaves
+    the h * B subsets through the template vertices unbounded; they are
+    capped on their own, before any subset is listed."""
+    K1 = complete_graph(1)
+    with pytest.raises(SizeLimitError, match=r"power coordinate table 200 \* 19701 exceeds"):
+        truncated_power(K1, complete_graph(200), 3)
+    TP = truncated_power(K1, complete_graph(20), 3)  # h * B = 20 * 171
+    assert TP.D.n == 20 and TP.coords == 171
+    assert TP.through == tuple(tuple(I for I in TP.subsets if v in I) for v in range(20))
 
 
 def test_lift_homomorphism_self_checks_raise(monkeypatch):

@@ -734,6 +734,19 @@ def test_cli_power_checks_local_property(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: the truncated power fails the local property\n"
 
 
+def test_cli_power_one_vertex_base_is_refused(tmp_path, capsys):
+    """Over K1, K200 at p = 3 has order 200 but 200 * C(199, 2) coordinates:
+    exit 2 with one ``error:`` line naming the cap, before the table is built."""
+    u = tmp_path / "k1.g6"
+    u.write_text(to_graph6(complete_graph(1)) + "\n")
+    h = tmp_path / "k200.g6"
+    h.write_text(to_graph6(complete_graph(200)) + "\n")
+    assert main(["power", "--in", str(u), "--template", str(h), "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: power coordinate table 200 * 19701 exceeds cap 100000\n"
+
+
 def test_cli_exact_power(p4_file, capsys):
     code, doc = run_cli(["exact-power", "--in", p4_file, "--p", "2",
                          "--kind", "distance"], capsys)

@@ -104,7 +104,7 @@ def plain_find(G, H, budget=None, twins=False):
         return ABSENT, None
     if twins:
         domains = [d & H.twin_representatives() for d in domains]
-    clique = homs._max_clique_mask(G, G.full_mask, G.triangle_mask())
+    clique = homs._max_clique_mask(G, G.full_mask)
     order = homs._search_order(G, clique, G.full_mask)
     try:
         for image in homs._search(order, domains, H.rows, G.rows, budget):
@@ -247,19 +247,15 @@ def test_triangle_mask_leaves_equality_and_hash():
 def test_max_clique_matches_oracle(catalog6):
     """On every vertex mask, the triangles of the induced subgraph are
     found, and the exact branch returns the numerically largest maximum
-    clique, whether it takes the triangle-free shortcut or the branch and
-    bound."""
-    branches = set()
+    clique."""
     for G in catalog6 + [petersen(), doubled_c5()]:
         for mask in range(1 << G.n):
             sub, verts = induced_subgraph(G, mask)
             tri = brute_triangle_mask(sub)
             in_triangle = homs._triangles_within(G, mask)
             assert in_triangle == mask_of(v for i, v in enumerate(verts) if tri >> i & 1)
-            got = homs._max_clique_mask(G, mask, in_triangle)
+            got = homs._max_clique_mask(G, mask)
             assert got == brute_max_clique(G, mask), (G, mask)
-            branches.add(not in_triangle)
-    assert branches == {True, False}
 
 
 def test_twin_representatives(catalog5):
