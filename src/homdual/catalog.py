@@ -21,16 +21,11 @@ class GraphFilters:
 
 def _invariant(G: Graph) -> tuple:
     """Cheap isomorphism-invariant bucket key: order, size, the sorted
-    degrees, the sorted neighbour-degree lists, and the number of edges on
-    a triangle. Both ends of such an edge are in the constructor's triangle
-    mask, so only those rows are walked."""
+    degrees and the sorted neighbour-degree lists."""
     rows = G.rows
     degs = [row.bit_count() for row in rows]
     nbr_degs = sorted(tuple(sorted(degs[u] for u in bits(row))) for row in rows)
-    tmask = G.triangle_mask()
-    tri = sum(1 for v in bits(tmask) for u in bits((rows[v] & tmask) >> (v + 1) << (v + 1))
-              if rows[u] & rows[v])
-    return (G.n, sum(degs) // 2, tuple(sorted(degs)), tuple(nbr_degs), tri)
+    return (G.n, sum(degs) // 2, tuple(sorted(degs)), tuple(nbr_degs))
 
 
 def generate_all_graphs(n_max: int, filters: Optional[GraphFilters] = None,

@@ -160,45 +160,17 @@ _EDGE_WINDOW = 8192  # characters scanned at a time, so no split of the whole te
 # a JSON integer: ASCII digits, no leading zero (a lookahead, faster in re than 0|[1-9][0-9]*)
 _JSON_INT = r"(?!0[0-9])[0-9]+"
 _PLAIN_LINES = re.compile(rf"(?:{_JSON_INT} {_JSON_INT}\r?\n)*")
-_BEFORE_PLAIN_LINE = re.compile(rf"\n(?={_JSON_INT} {_JSON_INT}\r?\n)")
 
 
-def _edge_list_pieces(text: str) -> Iterator[tuple[str, bool]]:
-    """``text`` cut just after newlines into (piece, plain) pairs, in order.
+def _add_plain_edges(window: str, rows: list[int], limit: int) -> bool:
+    """Add the edges of a window of plain lines to ``rows`` and return True;
+    or return False, leaving ``rows`` as it was, if some line holds a loop,
+    an endpoint at or above ``limit`` or more digits than ``int`` converts.
 
-    The text is scanned in windows of about ``_EDGE_WINDOW`` characters,
-    each ending just after a newline. A plain piece is the longest run of
-    whole lines "u v\\n" (or "u v\\r\\n") of two JSON integers, ASCII
-    digits with no leading zero, and one space at that point of its window;
-    any other piece runs from there to the window's next plain line, so a
-    file of commented edges is cut once per window, not once per line.
-    Only newlines cut, so ``str.splitlines`` finds the same lines in the
-    pieces as in the whole text.
-    """
-    pos, size = 0, len(text)
-    while pos < size:
-        stop = text.find("\n", pos + _EDGE_WINDOW) + 1 or size
-        while pos < stop:
-            end = _PLAIN_LINES.match(text, pos, stop).end()
-            if end > pos:
-                yield text[pos:end], True
-                pos = end
-            if pos < stop:
-                plain = _BEFORE_PLAIN_LINE.search(text, pos, stop)
-                end = plain.end() if plain else stop
-                yield text[pos:end], False
-                pos = end
-
-
-def _add_plain_edges(piece: str, rows: list[int], limit: int) -> bool:
-    """Add the edges of a plain piece to ``rows`` and return True; or return
-    False, leaving ``rows`` as it was, if some line holds a loop, an endpoint
-    at or above ``limit`` or more digits than ``int`` converts.
-
-    The JSON scanner reads the piece's tokens as one array: its integers
+    The JSON scanner reads the window's tokens as one array: its integers
     are those of the plain lines, and it refuses an integer that ``int``
     would refuse."""
-    array = piece.rstrip().replace("\r", "").replace(" ", ",").replace("\n", ",")
+    array = window.rstrip().replace("\r", "").replace(" ", ",").replace("\n", ",")
     try:
         ends = json.loads(f"[{array}]")
     except ValueError:
@@ -223,24 +195,33 @@ def parse_edge_list(text: str) -> Graph:
     above ``EDGE_LIST_ORDER_CAP`` (from the header or an endpoint) raises
     ``SizeLimitError`` before any row is allocated for it.
 
-    Runs of plain lines (see ``_edge_list_pieces``) are decoded in bulk,
-    their integers read by the JSON scanner (``_add_plain_edges``), when
-    every edge in them is in range and no loop; any other line, and
-    every line of a run that fails those checks, is read by the per-line
-    loop below, so errors and their line numbers are those it gives.
+    The text is read in windows cut just after newlines, so that
+    ``str.splitlines`` finds the same lines in them as in the whole text:
+    the first line alone, so a size header never costs a whole window, then
+    each window up to the first newline at least ``_EDGE_WINDOW`` characters
+    past its start, or the end of the text. A window of plain lines only,
+    "u v\\n" or "u v\\r\\n" with two JSON integers (ASCII digits, no
+    leading zero) and one space, is decoded in bulk, its integers read by
+    the JSON scanner (``_add_plain_edges``), when every edge in it is in
+    range and no loop; every other window is read by the per-line loop
+    below, so errors and their line numbers are those it gives.
     """
     n = None
     rows: list[int] = []
     outside = None
     beyond = 0  # order asked for by endpoints at or above the cap
     lineno = 0
-    for piece, plain in _edge_list_pieces(text):
-        if plain:
+    pos, size = 0, len(text)
+    stop = text.find("\n") + 1 or size
+    while pos < size:
+        window = text[pos:stop]
+        pos, stop = stop, text.find("\n", stop + _EDGE_WINDOW) + 1 or size
+        if _PLAIN_LINES.fullmatch(window):
             limit = EDGE_LIST_ORDER_CAP if n is None else min(n, EDGE_LIST_ORDER_CAP)
-            if _add_plain_edges(piece, rows, limit):
-                lineno += piece.count("\n")
+            if _add_plain_edges(window, rows, limit):
+                lineno += window.count("\n")
                 continue
-        for raw in piece.splitlines():
+        for raw in window.splitlines():
             lineno += 1
             parts = raw.split("#", 1)[0].split()
             if not parts:

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -316,18 +317,22 @@ def _plain_edge_lines(rng, n, count):
     return lines
 
 
+def _windows(text):
+    """``text`` cut by the parser's window rule: the first line alone, then
+    each window up to the first newline at least ``_EDGE_WINDOW`` characters
+    past its start, or the end of the text."""
+    pos, stop = 0, text.find("\n") + 1 or len(text)
+    while pos < len(text):
+        yield text[pos:stop]
+        pos, stop = stop, text.find("\n", stop + formats._EDGE_WINDOW) + 1 or len(text)
+
+
 def _window_ends(lines, header):
     """Indices i such that a scan window of the plain text ends just
-    before ``lines[i]``, found by the scan's own cut rule."""
-    text = header + "".join(lines)
+    before ``lines[i]``, found by the parser's cut rule."""
     starts = list(itertools.accumulate(map(len, lines), initial=len(header)))
-    ends, pos = [], 0
-    while True:
-        stop = text.find("\n", pos + formats._EDGE_WINDOW) + 1
-        if not stop:
-            return ends
-        ends.append(starts.index(stop))
-        pos = stop
+    return [starts.index(end)
+            for end in itertools.accumulate(map(len, _windows(header + "".join(lines))))]
 
 
 @pytest.mark.parametrize("header", [True, False])
@@ -337,22 +342,38 @@ def test_parse_edge_list_odd_lines_at_window_ends(header):
     three tokens, sign, non-ASCII digit, tab, trailing blanks, leading
     zeros) inserted at, just before and just after each window end, and a
     few at once: the bulk decoder agrees with the per-line reader on every
-    text, and on the plain text with CRLF line ends, which it cuts into
-    plain runs only."""
+    text, on texts opening with a comment or a plain edge line, without a
+    final newline or with one odd line in the last window, and on the plain
+    text with CRLF line ends, whose every window it decodes in bulk."""
     rng = random.Random(28 + header)
     n = 300
     head = f"n {n}\n" if header else ""
     lines = _plain_edge_lines(rng, n, 4000)
     ends = _window_ends(lines, head)
-    assert len(ends) >= 3 and len(head + "".join(lines)) > 3 * formats._EDGE_WINDOW
-    _assert_matches_per_line(head + "".join(lines))
+    assert len(ends) >= 4 and len(head + "".join(lines)) > 3 * formats._EDGE_WINDOW
+    body = head + "".join(lines)
+    last = (ends[-2] + len(lines)) // 2  # inside the last window
+    for text in (body, "# note\n" + body, "".join(lines), body.rstrip("\n"),
+                 head + "".join(lines[:last] + ["# note\n"] + lines[last:])):
+        _assert_matches_per_line(text)
     crlf = "".join(lines).replace("\n", "\r\n")
-    assert all(plain for _, plain in formats._edge_list_pieces(crlf))
+    windows = list(_windows(crlf))
+    assert all(formats._PLAIN_LINES.fullmatch(w) for w in windows)
+    bulk = []
+
+    def add_plain_edges(window, rows, limit, add=formats._add_plain_edges):
+        bulk.append(window if add(window, rows, limit) else None)
+        return bulk[-1] is not None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_add_plain_edges", add_plain_edges)
+        _assert_matches_per_line(crlf)
+    assert bulk == windows
     _assert_matches_per_line(head.replace("\n", "\r\n") + crlf)
     for odd in _ODD_LINES:
         odd = odd.format(n=n)
         for end in ends:
-            for at in (end - 1, end, end + 1):
+            for at in range(max(end - 1, 0), end + 2):
                 _assert_matches_per_line(head + "".join(lines[:at] + [odd] + lines[at:]))
     for _ in range(20):
         mixed = list(lines)
@@ -493,6 +514,34 @@ def test_generate_connected_counts():
     for G in gs:
         by_n[G.n] = by_n.get(G.n, 0) + 1
     assert by_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+
+
+# sha256 over the rows of generate_all_graphs(7, f), graph by graph, for each
+# filter setting below, recorded with the bucket key that also counted the
+# edges on a triangle: a coarser key changes only which bucket a class's
+# first graph lands in, so every setting keeps the same graphs in order.
+CATALOG7_DIGEST = "88a574ce327a3343ad56f384b5809199ec0427b915fc81a51886d8c769d06666"
+_CATALOG7_FILTERS = (GraphFilters(), GraphFilters(connected=True), GraphFilters(max_degree=3),
+                     GraphFilters(max_degree=3, connected=True),
+                     GraphFilters(triangle_free=True),
+                     GraphFilters(connected=True, triangle_free=True))
+
+
+def test_generate_catalog7_pinned(catalog7):
+    """The six catalogs on at most 7 vertices are those pinned by digest, and
+    the unfiltered and connected ones have the class counts of OEIS A000088
+    and A001349 at each order."""
+    catalogs = [catalog7] + [generate_all_graphs(7, f) for f in _CATALOG7_FILTERS[1:]]
+    h = hashlib.sha256()
+    for f, gs in zip(_CATALOG7_FILTERS, catalogs):
+        h.update(f"{f}\n".encode())
+        for G in gs:
+            h.update(f"{G.rows}\n".encode())
+    assert h.hexdigest() == CATALOG7_DIGEST
+    assert [sum(G.n == n for G in catalogs[0]) for n in range(8)] \
+        == [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert [sum(G.n == n for G in catalogs[1]) for n in range(1, 8)] \
+        == [1, 1, 2, 6, 21, 112, 853]
 
 
 def _reach_of_0(rows):
