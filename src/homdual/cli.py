@@ -53,7 +53,7 @@ def _read_graphs(path: str, fmt: str = "g6") -> list[Graph]:
     return [parse_edge_list(text)] if fmt == "edges" else parse_graph_lines(text)
 
 
-def _load_graph(path: Optional[str], fmt: str) -> Graph:
+def _load_graph(path: Optional[str], fmt: str = "g6") -> Graph:
     if not path:
         raise GraphError("provide an input graph with --in")
     graphs = _read_graphs(path, fmt)
@@ -167,7 +167,7 @@ def _cmd_lowtd_find(args):
 
 def _cmd_power(args):
     U = _load_graph(args.infile, args.format)
-    H = _load_graph(args.template, args.format)
+    H = _load_graph(args.template)
     TP = truncated_power(U, H, args.p)
     if not power_local_property(TP):
         raise InternalCheckError("the truncated power fails the local property")
@@ -196,7 +196,7 @@ def _cmd_dual_build(args):
 def _cmd_dual_verify(args):
     corpus = _load_corpus(args)
     f_set = _read_graphs(args.forbid)
-    D = _load_graph(args.dual, "g6") if args.dual else build_dual(corpus, f_set).D
+    D = _load_graph(args.dual) if args.dual else build_dual(corpus, f_set).D
     report = verify_duality(corpus, f_set, D, budget=args.limit_nodes)
     results = report.to_dict()
     return _report("dual-verify", {"corpus": len(corpus), "forbid": len(f_set),
@@ -248,7 +248,8 @@ def _positive(text: str) -> int:
 
 def _add_common(sp):
     sp.add_argument("--in", dest="infile", help="input graph file")
-    sp.add_argument("--format", choices=("g6", "edges"), default="g6")
+    sp.add_argument("--format", choices=("g6", "edges"), default="g6",
+                    help="format of --in; other graph files are graph6")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
     sp.add_argument("--timing", action="store_true",
                     help="include wall time (breaks byte-determinism)")

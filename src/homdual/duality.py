@@ -109,11 +109,21 @@ def _digit_masks(u: int, B: int) -> list[list[int]]:
 
 
 def power_order(u_count: int, h_count: int, p: int) -> int:
+    """Order h * u^B of the power over a u-vertex base and an h-vertex
+    template, B = C(h - 1, p - 1): the one size rule for a power, capping
+    the order and the h * B entries of ``through``, which the order bounds
+    only over a base of two or more vertices."""
     b = math.comb(h_count - 1, p - 1)
     if u_count > 1 and b * u_count.bit_length() > 64:
         raise SizeLimitError(
             f"power order around {h_count} * {u_count}^{b} vastly exceeds any cap")
-    return h_count * (u_count ** b)
+    order = h_count * (u_count ** b)
+    if order > POWER_ORDER_CAP:
+        raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
+    if h_count * b > POWER_ORDER_CAP:
+        raise SizeLimitError(
+            f"power coordinate table {h_count} * {b} exceeds cap {POWER_ORDER_CAP}")
+    return order
 
 
 def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
@@ -128,13 +138,7 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
     if u == 0:
         raise GraphError("base graph must be nonempty")
     order = power_order(u, h, p)
-    if order > POWER_ORDER_CAP:
-        raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
     B = math.comb(h - 1, p - 1)
-    # ``through`` holds h * B subsets, which the order bounds only over a base
-    # of two or more vertices
-    if h * B > POWER_ORDER_CAP:
-        raise SizeLimitError(f"power coordinate table {h} * {B} exceeds cap {POWER_ORDER_CAP}")
     subsets = tuple(combinations(range(h), p))
     through: list[list[tuple[int, ...]]] = [[] for _ in range(h)]
     for I in subsets:  # in lexicographic order, so each list is too
@@ -332,11 +336,9 @@ def build_dual(corpus: Sequence[Graph], f_set: Sequence[Graph]) -> DualBuild:
         raise GraphError("no representative avoids the forbidden family")
     U = disjoint_union(reps)
     template_size = max(n_colors, p)  # the power needs p <= |V(H)|
-    order = power_order(U.n, template_size, p)
     # checked before K_{template_size}, which can be huge: the greedy
     # coloring of a 1,201-vertex star at p = 3 takes 1,201 colors
-    if order > POWER_ORDER_CAP:
-        raise SizeLimitError(f"power order {order} exceeds cap {POWER_ORDER_CAP}")
+    power_order(U.n, template_size, p)
     H = complete_graph(template_size)
     TP = truncated_power(U, H, p)
     if not power_local_property(TP):

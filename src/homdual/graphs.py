@@ -14,8 +14,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphError
 
-BALL_FAMILY_LIMIT = 12
-
 
 def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of ``mask`` in increasing order."""
@@ -38,7 +36,7 @@ def _mirror(rows: list[int]) -> None:
     the lower triangle in tiles where ``_tiles_pay`` says that is cheaper."""
     n = len(rows)
     edges = sum(map(int.bit_count, rows))
-    if edges > 4 * n and _tiles_pay(n, edges):  # no call for fewer: tiles never pay
+    if _tiles_pay(n, edges):
         _mirror_tiles(rows)
         return
     for j, column in enumerate(rows):  # row j is still its lower part here

@@ -105,15 +105,6 @@ def _search_order(G: Graph, clique: int, within: int) -> list[int]:
     return order
 
 
-def _triangles_within(G: Graph, within: int) -> int:
-    """Bitmask of the vertices on a triangle of G[within]: G's own mask on
-    the whole graph, else the triangle walk on the rows inside the mask."""
-    in_triangle = G.triangle_mask() & within
-    if not in_triangle or within == G.full_mask:
-        return in_triangle
-    return _triangle_walk(G.rows, within)
-
-
 def _start_domains(G: Graph, H: Graph, in_triangle: int) -> Optional[list[int]]:
     """Images each vertex of G may take before branching, or None if some
     vertex has none, where ``in_triangle`` holds the vertices on a triangle
@@ -260,13 +251,13 @@ def _find_within(G: Graph, within: int, H: Graph,
         return [0] * G.n
     if H.n == 0:
         return None
-    in_triangle = _triangles_within(G, within)
+    # G keeps its own mask, often found already by a search into G
+    in_triangle = G.triangle_mask() if within == G.full_mask else _triangle_walk(G.rows, within)
     domains = _start_domains(G, H, in_triangle)
     if domains is None:
         return None
     twins = H.twin_representatives()
-    if twins != H.full_mask:
-        domains = [d & twins for d in domains]
+    domains = [d & twins for d in domains]
     clique = _max_clique_mask(G, within)
     order = _search_order(G, clique, within)
     return next(_search(order, domains, H.rows, G.rows, budget, lookahead=True), None)

@@ -11,7 +11,6 @@ from typing import Callable, Optional
 
 from .errors import GraphError, InternalCheckError
 from .graphs import (
-    BALL_FAMILY_LIMIT,
     BallFamily,
     Graph,
     bits,
@@ -22,6 +21,7 @@ from .graphs import (
 )
 
 TD_LIMIT = 16
+BALL_FAMILY_LIMIT = 12
 
 
 @dataclass(frozen=True)

@@ -651,6 +651,25 @@ def test_build_dual_checks_power_cap_before_template(monkeypatch):
         build_dual([G], [complete_graph(3)])
 
 
+def test_build_dual_checks_coordinate_table_before_template(monkeypatch):
+    """The power's size rule refuses the coordinate table before K_h is
+    built: forbidding K2 leaves K1 as the only member and the base, and the
+    star's greedy coloring at p = 2 is a rainbow of 317 colors, so the power
+    over K1 has order 317 but 317 * 316 subsets through its vertices."""
+    built = []
+    real = duality.complete_graph
+
+    def spy(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(duality, "complete_graph", spy)
+    star = build_graph(317, [(0, i) for i in range(1, 317)])
+    with pytest.raises(SizeLimitError, match=r"^power coordinate table 317 \* 316 exceeds cap 100000$"):
+        build_dual([star, complete_graph(1)], [complete_graph(2)])
+    assert built == []
+
+
 def test_build_dual_rejects_bad_forbidden_sets():
     with pytest.raises(GraphError):
         build_dual([complete_graph(1)], [])

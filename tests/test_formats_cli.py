@@ -769,6 +769,23 @@ def test_cli_power(tmp_path, capsys):
     assert parse_graph6(doc["results"]["graph6"]).n == 12
 
 
+def test_cli_power_edge_list_base_graph6_template(tmp_path, capsys):
+    """``--format`` describes ``--in`` only: an edge-list base with a graph6
+    template gives the report of the same base read as graph6."""
+    U = path_graph(3)
+    g6 = tmp_path / "u.g6"
+    g6.write_text(to_graph6(U) + "\n")
+    edges = tmp_path / "u.txt"
+    edges.write_text("n 3\n" + "".join(f"{u} {v}\n" for u, v in U.edges()))
+    h = tmp_path / "h.g6"
+    h.write_text(to_graph6(complete_graph(3)) + "\n")
+    tail = ["--template", str(h), "--p", "2"]
+    code, doc = run_cli(["power", "--format", "edges", "--in", str(edges)] + tail, capsys)
+    assert code == 0
+    assert (code, doc) == run_cli(["power", "--in", str(g6)] + tail, capsys)
+    assert doc["results"]["order"] == 3 * 3 ** 2
+
+
 def test_cli_power_checks_local_property(tmp_path, capsys, monkeypatch):
     """A power that fails the local property is an internal error (exit 2,
     one ``error:`` line), not a report."""

@@ -112,6 +112,16 @@ def test_constructor_names_flipped_pair_on_tiled_graph(monkeypatch):
     assert taken == [G.n] * len(pairs)
 
 
+def test_tiles_never_pay_at_four_edges_per_vertex():
+    """``_mirror`` asks ``_tiles_pay`` alone: at most 4n edges never take
+    the tiles. The test grows with the edge count, so e = 4n settles every
+    smaller e; the smallest graphs are also checked edge count by edge count."""
+    for n in range(1, 2001):
+        assert not graphs._tiles_pay(n, 4 * n), n
+    for n in range(1, 101):
+        assert not any(graphs._tiles_pay(n, e) for e in range(4 * n + 1)), n
+
+
 def test_bad_rows_refused_before_any_mirror(monkeypatch):
     """Range and loop checks run over every row before the symmetry check
     mirrors anything, so an asymmetric pair never hides them."""
