@@ -86,38 +86,17 @@ def _coloring_arg(G: Graph, spec: str):
     return make_coloring(G, colors)
 
 
-def _report(command: str, parameters: dict, results, verdict: bool,
-            args) -> tuple[str, int]:
-    doc = {
-        "schema": SCHEMA,
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "verdict": "pass" if verdict else "fail",
-        "provenance": {
-            "version": __version__,
-            "limit_nodes": getattr(args, "limit_nodes", None),
-        },
-        "wall_time_ms": None,
-    }
-    if getattr(args, "timing", False):
-        doc["wall_time_ms"] = int((time.perf_counter() - args._start) * 1000)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0 if verdict else 1
-
-
-def _cmd_td(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_td(args, G):
     cert = tree_depth(G)
     results = {
         "value": cert.value,
         "optimal": cert.optimal,
         "parents": [(-1 if p is None else p) for p in cert.forest.parent],
     }
-    return _report("td", {"n": G.n, "m": G.edge_count()}, results, True, args)
+    return {"n": G.n, "m": G.edge_count()}, results, True
 
 
-def _cmd_grad(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_grad(args, G):
     res = grad_r(G, args.rank)
     results = {
         "rank": args.rank,
@@ -125,11 +104,10 @@ def _cmd_grad(args):
         "exact": res.exact,
         "witness_balls": [list(bits(b)) for b in res.witness.balls],
     }
-    return _report("grad", {"n": G.n, "rank": args.rank}, results, True, args)
+    return {"n": G.n, "rank": args.rank}, results, True
 
 
-def _cmd_orient(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_orient(args, G):
     orient, k = min_indegree_orientation(G)
     d, order = degeneracy(G)
     results = {
@@ -138,11 +116,10 @@ def _cmd_orient(args):
         "degeneracy": d,
         "peel_order": order,
     }
-    return _report("orient", {"n": G.n}, results, True, args)
+    return {"n": G.n}, results, True
 
 
-def _cmd_centered_verify(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_centered_verify(args, G):
     c = _coloring_arg(G, args.coloring)
     ok, counter = verify_p_centered(G, c, args.p)
     results = {
@@ -150,11 +127,10 @@ def _cmd_centered_verify(args):
         "centered": ok,
         "counterexample": None if counter is None else list(bits(counter)),
     }
-    return _report("centered-verify", {"n": G.n, "p": args.p}, results, ok, args)
+    return {"n": G.n, "p": args.p}, results, ok
 
 
-def _cmd_lowtd_find(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_lowtd_find(args, G):
     res = find_low_td_coloring(G, args.p)
     results = {
         "k": res.coloring.k,
@@ -162,11 +138,10 @@ def _cmd_lowtd_find(args):
         "exhaustive": res.exhaustive,
     }
     verdict = res.exhaustive if args.exhaustive else True
-    return _report("lowtd-find", {"n": G.n, "p": args.p}, results, verdict, args)
+    return {"n": G.n, "p": args.p}, results, verdict
 
 
-def _cmd_power(args):
-    U = _load_graph(args.infile, args.format)
+def _cmd_power(args, U):
     H = _load_graph(args.template)
     TP = truncated_power(U, H, args.p)
     if not power_local_property(TP):
@@ -176,11 +151,10 @@ def _cmd_power(args):
         "edges": TP.D.edge_count(),
         "graph6": to_graph6(TP.D) if TP.D.n <= EMIT_LIMIT else None,
     }
-    return _report("power", {"u": U.n, "h": H.n, "p": args.p}, results, True, args)
+    return {"u": U.n, "h": H.n, "p": args.p}, results, True
 
 
-def _cmd_dual_build(args):
-    corpus = _load_corpus(args)
+def _cmd_dual_build(args, corpus):
     f_set = _read_graphs(args.forbid)
     build = build_dual(corpus, f_set)
     text = to_graph6(build.D) if build.D.n <= EMIT_LIMIT else None
@@ -189,22 +163,18 @@ def _cmd_dual_build(args):
         with open(args.dual_out, "w", encoding="ascii") as fh:
             fh.writelines(graph6_pieces(build.D))
             fh.write("\n")
-    return _report("dual-build", {"corpus": len(corpus), "forbid": len(f_set)},
-                   results, True, args)
+    return {"corpus": len(corpus), "forbid": len(f_set)}, results, True
 
 
-def _cmd_dual_verify(args):
-    corpus = _load_corpus(args)
+def _cmd_dual_verify(args, corpus):
     f_set = _read_graphs(args.forbid)
     D = _load_graph(args.dual) if args.dual else build_dual(corpus, f_set).D
     report = verify_duality(corpus, f_set, D, budget=args.limit_nodes)
-    results = report.to_dict()
-    return _report("dual-verify", {"corpus": len(corpus), "forbid": len(f_set),
-                                   "dual_order": D.n}, results, report.verdict, args)
+    return ({"corpus": len(corpus), "forbid": len(f_set), "dual_order": D.n},
+            report.to_dict(), report.verdict)
 
 
-def _cmd_exact_power(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_exact_power(args, G):
     if args.kind == "path":
         P = exact_power(G, args.p)
     else:
@@ -216,27 +186,22 @@ def _cmd_exact_power(args):
         "graph6": to_graph6(P),
         "odd_girth": "infinity" if og == INFINITY else og,
     }
-    return _report("exact-power", {"n": G.n, "p": args.p}, results, True, args)
+    return {"n": G.n, "p": args.p}, results, True
 
 
-def _cmd_experiment(args):
-    corpus = _load_corpus(args)
+def _cmd_experiment(args, corpus):
     rep = odd_power_experiment(corpus, args.p, n_claim=args.n_claim)
-    verdict = rep.get("claim_holds", True)
-    return _report("experiment-odd-power", {"corpus": len(corpus), "p": args.p},
-                   rep, verdict, args)
+    return {"corpus": len(corpus), "p": args.p}, rep, rep.get("claim_holds", True)
 
 
-def _cmd_regular_partition(args):
-    G = _load_graph(args.infile, args.format)
+def _cmd_regular_partition(args, G):
     c = _coloring_arg(G, args.coloring)
     if args.reps:
         reps = _read_graphs(args.reps)
     else:
         reps = representatives(args.p, args.n_rep)
     rep = regular_partition_report(G, c, args.p, reps)
-    return _report("regular-partition", {"n": G.n, "p": args.p}, rep,
-                   rep["ok"], args)
+    return {"n": G.n, "p": args.p}, rep, rep["ok"]
 
 
 def _positive(text: str) -> int:
@@ -246,96 +211,79 @@ def _positive(text: str) -> int:
     return n
 
 
-def _add_common(sp):
-    sp.add_argument("--in", dest="infile", help="input graph file")
-    sp.add_argument("--format", choices=("g6", "edges"), default="g6",
-                    help="format of --in; other graph files are graph6")
-    sp.add_argument("--out", help="write the JSON report here instead of stdout")
-    sp.add_argument("--timing", action="store_true",
-                    help="include wall time (breaks byte-determinism)")
-
-
-def _add_gen(sp):
-    sp.add_argument("--gen", action="store_true", help="use the built-in generator")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=5)
-    sp.add_argument("--max-degree", dest="max_degree", type=int, default=None)
-    sp.add_argument("--connected", action="store_true")
-    sp.add_argument("--triangle-free", dest="triangle_free", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="homdual")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("td", help="exact tree-depth with witness")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_td)
+    def command(name, handler, help, corpus=False):
+        """A subcommand with the shared options. Its handler takes the parsed
+        arguments and the loaded input graph (or corpus, with the generator's
+        options) and returns the report's parameters, results and verdict."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--in", dest="infile", help="input graph file")
+        sp.add_argument("--format", choices=("g6", "edges"), default="g6",
+                        help="format of --in; other graph files are graph6")
+        sp.add_argument("--out", help="write the JSON report here instead of stdout")
+        sp.add_argument("--timing", action="store_true",
+                        help="include wall time (breaks byte-determinism)")
+        if corpus:
+            sp.add_argument("--gen", action="store_true", help="use the built-in generator")
+            sp.add_argument("--n-max", dest="n_max", type=int, default=5)
+            sp.add_argument("--max-degree", dest="max_degree", type=int, default=None)
+            sp.add_argument("--connected", action="store_true")
+            sp.add_argument("--triangle-free", dest="triangle_free", action="store_true")
+        load = _load_corpus if corpus else (lambda a: _load_graph(a.infile, a.format))
+        sp.set_defaults(func=handler, load=load)
+        return sp
 
-    sp = sub.add_parser("grad", help="greatest reduced average density")
-    _add_common(sp)
+    command("td", _cmd_td, "exact tree-depth with witness")
+
+    sp = command("grad", _cmd_grad, "greatest reduced average density")
     sp.add_argument("--rank", type=int, default=0)
-    sp.set_defaults(func=_cmd_grad)
 
-    sp = sub.add_parser("orient", help="min max-indegree orientation + degeneracy")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_orient)
+    command("orient", _cmd_orient, "min max-indegree orientation + degeneracy")
 
-    sp = sub.add_parser("centered-verify", help="check a p-centered coloring")
-    _add_common(sp)
+    sp = command("centered-verify", _cmd_centered_verify, "check a p-centered coloring")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--coloring", required=True, help="comma-separated colors")
-    sp.set_defaults(func=_cmd_centered_verify)
 
-    sp = sub.add_parser("lowtd-find", help="find a low tree-depth coloring")
-    _add_common(sp)
+    sp = command("lowtd-find", _cmd_lowtd_find, "find a low tree-depth coloring")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--exhaustive", action="store_true",
                     help="fail instead of falling back to the heuristic")
-    sp.set_defaults(func=_cmd_lowtd_find)
 
-    sp = sub.add_parser("power", help="build a truncated power")
-    _add_common(sp)
+    sp = command("power", _cmd_power, "build a truncated power")
     sp.add_argument("--template", required=True, help="template graph file")
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(func=_cmd_power)
 
-    sp = sub.add_parser("dual-build", help="run the dual construction pipeline")
-    _add_common(sp)
-    _add_gen(sp)
+    sp = command("dual-build", _cmd_dual_build, "run the dual construction pipeline",
+                 corpus=True)
     sp.add_argument("--forbid", required=True, help="graph6 file, one per line")
     sp.add_argument("--dual-out", dest="dual_out", help="write the dual as graph6")
-    sp.set_defaults(func=_cmd_dual_build)
 
-    sp = sub.add_parser("dual-verify", help="verify a duality over a corpus")
-    _add_common(sp)
-    _add_gen(sp)
+    sp = command("dual-verify", _cmd_dual_verify, "verify a duality over a corpus",
+                 corpus=True)
     sp.add_argument("--forbid", required=True)
     sp.add_argument("--dual", help="graph6 file with the dual (default: rebuild)")
     sp.add_argument("--limit-nodes", dest="limit_nodes", type=_positive, default=None,
                     help="search-node budget per homomorphism question; a search "
                          "stopped by it is an error (exit 2)")
-    sp.set_defaults(func=_cmd_dual_verify)
 
-    sp = sub.add_parser("exact-power", help="exact path/distance power")
-    _add_common(sp)
+    sp = command("exact-power", _cmd_exact_power, "exact path/distance power")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--kind", choices=("path", "distance"), default="path")
-    sp.set_defaults(func=_cmd_exact_power)
 
-    sp = sub.add_parser("experiment-odd-power", help="odd exact-power chromatic scan")
-    _add_common(sp)
-    _add_gen(sp)
+    sp = command("experiment-odd-power", _cmd_experiment, "odd exact-power chromatic scan",
+                 corpus=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n-claim", dest="n_claim", type=int, default=None)
-    sp.set_defaults(func=_cmd_experiment)
 
-    sp = sub.add_parser("regular-partition", help="match components to representatives")
-    _add_common(sp)
+    sp = command("regular-partition", _cmd_regular_partition,
+                 "match components to representatives")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--reps", help="graph6 file of representatives")
     sp.add_argument("--n-rep", dest="n_rep", type=_positive, default=DEFAULT_REP_ORDER)
-    sp.set_defaults(func=_cmd_regular_partition)
 
     return ap
 
@@ -346,18 +294,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args._start = time.perf_counter()
+    start = time.perf_counter()
     try:
-        text, code = args.func(args)
+        parameters, results, verdict = args.func(args, args.load(args))
+        doc = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "parameters": parameters,
+            "results": results,
+            "verdict": "pass" if verdict else "fail",
+            "provenance": {
+                "version": __version__,
+                "limit_nodes": getattr(args, "limit_nodes", None),
+            },
+            "wall_time_ms": None,
+        }
+        if args.timing:
+            doc["wall_time_ms"] = int((time.perf_counter() - start) * 1000)
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        if args.out:  # a failed write is an error like any other
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (GraphError, OSError, ValueError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    return 0 if verdict else 1
 
 
 def entrypoint() -> None:

@@ -152,25 +152,24 @@ def truncated_power(U: Graph, H: Graph, p: int) -> TruncatedPower:
     digit = _digit_masks(u, B)
     # near[j][a]: local indices whose j-th digit is a base neighbour of a
     near = [[sum(masks[b] for b in bits(U.rows[a])) for a in range(u)] for masks in digit]
-    digits = [[0] * B for _ in range(block)]  # digits[i][j]: the j-th digit of i
-    for j, masks in enumerate(digit):
-        for a, m in enumerate(masks):
-            for i in bits(m):
-                digits[i][j] = a
 
     rows = [0] * order
     for v, w in H.edges():
         for x, y in ((v, w), (w, v)):
-            # (digit of x, mask table of y's digit) per shared subset
-            shared = [(j, near[through[y].index(I)])
-                      for j, I in enumerate(through[x]) if y in I]
-            offset = y * block
-            for i, d in enumerate(digits):
-                m = full
-                for j, table in shared:
-                    m &= table[d[j]]
-                if m:
-                    rows[x * block + i] |= m << offset
+            # split x's block by its digits on the subsets x shares with y:
+            # each part (m, r) holds x's local indices m with one digit
+            # tuple there, and r the indices of y that agree with all of it
+            parts = [(full, full)]
+            for j, I in enumerate(through[x]):
+                if y in I:
+                    table = near[through[y].index(I)]
+                    parts = [(m & digit[j][a], r & table[a])
+                             for m, r in parts for a in range(u) if r & table[a]]
+            base, offset = x * block, y * block
+            for m, r in parts:
+                r <<= offset
+                for i in bits(m):
+                    rows[base + i] |= r
 
     # symmetric: each template edge is built both ways from the base's checked
     # rows. At p >= 3 a triangle-free base gives a triangle-free power, since

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -668,15 +669,17 @@ def test_cli_td_deep_path(tmp_path, capsys):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.sampled_from(("td", "grad")), st.sampled_from(("g6", "edges")),
+@given(st.sampled_from(("td", "grad", "orient", "lowtd-find --p 2")),
+       st.sampled_from(("g6", "edges")),
        st.text(max_size=40) | st.binary(max_size=40))
 @example("td", "edges", "0 1\n1 2\n")
 @example("grad", "g6", "C~\n")
 @example("td", "g6", "C~\u00e9")
 @example("grad", "edges", b"0 1\xff\n")
 def test_cli_exit_code_contract_on_arbitrary_input(command, fmt, data):
-    """Whatever the file holds, ASCII or not, td and grad exit 0 with a JSON
-    report or 2 with a single error line, and raise nothing."""
+    """Whatever the file holds, ASCII or not, td, grad, orient and
+    lowtd-find exit 0 with a JSON report or 2 with a single error line, and
+    raise nothing."""
     raw = data.encode() if isinstance(data, str) else data
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -684,7 +687,7 @@ def test_cli_exit_code_contract_on_arbitrary_input(command, fmt, data):
         with open(path, "wb") as fh:
             fh.write(raw)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--in", path, "--format", fmt])
+            code = main(command.split() + ["--in", path, "--format", fmt])
     assert code in (0, 2), (raw, code)
     if code == 0:
         assert json.loads(out.getvalue())["verdict"] == "pass"
@@ -896,6 +899,52 @@ def test_cli_limit_nodes_only_on_dual_verify(tmp_path, p4_file, capsys):
         assert captured.out == "" and "--limit-nodes" in captured.err
 
 
+def test_cli_shared_options_on_every_command(tmp_path, p4_file, capsys):
+    """Every command takes --in, --format, --out and --timing; exactly the
+    corpus commands take --gen, and every other command refuses it."""
+    k3 = tmp_path / "k3.g6"
+    k3.write_text(to_graph6(complete_graph(3)) + "\n")
+    extra = {
+        "td": [], "grad": [], "orient": [],
+        "centered-verify": ["--p", "2", "--coloring", "0,1,2,0"],
+        "lowtd-find": ["--p", "2"],
+        "power": ["--template", str(k3), "--p", "2"],
+        "dual-build": ["--forbid", str(k3)],
+        "dual-verify": ["--forbid", str(k3)],
+        "exact-power": ["--p", "3"],
+        "experiment-odd-power": ["--p", "3"],
+        "regular-partition": ["--p", "2", "--coloring", "0,1,2,0"],
+    }
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(extra)
+    corpus_commands = {"dual-build", "dual-verify", "experiment-odd-power"}
+    out = tmp_path / "report.json"
+    for name, rest in extra.items():
+        argv = [name, "--in", p4_file, "--format", "g6", "--out", str(out), "--timing"]
+        assert main(argv + rest) in (0, 1), name
+        doc = json.loads(out.read_text())
+        assert doc["command"] == name and isinstance(doc["wall_time_ms"], int)
+        assert capsys.readouterr().out == ""
+        code = main([name, "--gen", "--n-max", "3"] + rest)
+        captured = capsys.readouterr()
+        if name in corpus_commands:
+            assert code in (0, 1) and json.loads(captured.out)["command"] == name
+        else:
+            assert code == 2 and captured.out == ""
+            assert "unrecognized arguments: --gen" in captured.err, name
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_cli_failed_out_write_exits_2(tmp_path, p4_file, capsys, where):
+    """A report that cannot be written, to a missing directory or onto a
+    directory, is an error: exit 2, nothing on stdout, one error line."""
+    assert main(["td", "--in", p4_file, "--out", str(tmp_path / where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_budget_stop_exits_2_never_1(tmp_path, capsys, subcubic7):
     """A search stopped at its node budget decides nothing, so on the
     criterion-9 corpus dual-verify exits 2 with one ``error:`` line that
@@ -982,18 +1031,23 @@ def test_cli_experiment(capsys):
 ])
 def test_cli_corpus_from_file_matches_generator(tmp_path, capsys, argv):
     """A corpus read with --in, as graph6 lines, gives the report the
-    generator gives for the same graphs; an edge list is a corpus of one
-    graph, as its graph6 line is."""
+    generator gives for the same graphs, with or without its filters; an
+    edge list is a corpus of one graph, as its graph6 line is."""
     k3 = tmp_path / "k3.g6"
     k3.write_text(to_graph6(complete_graph(3)) + "\n")
     argv = [a.format(k3=k3) for a in argv]
-    corpus = generate_all_graphs(5, GraphFilters(connected=True))
-    g6 = tmp_path / "corpus.g6"
-    g6.write_text("# connected graphs on at most 5 vertices\n"
-                  + "".join(to_graph6(G) + "\n" for G in corpus))
-    want = run_cli(argv + ["--gen", "--n-max", "5", "--connected"], capsys)
-    assert run_cli(argv + ["--in", str(g6)], capsys) == want
-    assert want[1]["parameters"]["corpus"] == len(corpus)
+    for flags, filters in [
+        (["--connected"], GraphFilters(connected=True)),
+        (["--connected", "--max-degree", "3", "--triangle-free"],
+         GraphFilters(max_degree=3, connected=True, triangle_free=True)),
+    ]:
+        corpus = generate_all_graphs(5, filters)
+        g6 = tmp_path / "corpus.g6"
+        g6.write_text(f"# graphs on at most 5 vertices: {' '.join(flags)}\n"
+                      + "".join(to_graph6(G) + "\n" for G in corpus))
+        want = run_cli(argv + ["--gen", "--n-max", "5"] + flags, capsys)
+        assert run_cli(argv + ["--in", str(g6)], capsys) == want
+        assert want[1]["parameters"]["corpus"] == len(corpus)
     C5 = cycle_graph(5)
     edges = tmp_path / "c5.txt"
     edges.write_text("".join(f"{u} {v}\n" for u, v in C5.edges()))
