@@ -43,7 +43,7 @@ from .sparsity import (
 )
 
 SCHEMA = "sd-report/1"
-EMIT_LIMIT = 500  # largest power or dual whose graph6 goes into the report
+EMIT_LIMIT = 500  # largest power, exact power or dual whose graph6 goes into the report
 
 
 def _read_graphs(path: str, fmt: str = "g6") -> list[Graph]:
@@ -183,7 +183,7 @@ def _cmd_exact_power(args, G):
     results = {
         "kind": args.kind,
         "p": args.p,
-        "graph6": to_graph6(P),
+        "graph6": to_graph6(P) if P.n <= EMIT_LIMIT else None,
         "odd_girth": "infinity" if og == INFINITY else og,
     }
     return {"n": G.n, "p": args.p}, results, True

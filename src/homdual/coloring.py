@@ -130,6 +130,10 @@ class LowTdViolation:
 def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdViolation]]:
     """Every i <= p color classes must induce components of tree-depth <= i;
     returns the first (classes, component) found deeper than that, if any.
+    A component on at most i vertices passes, and so, by counting its
+    edges, does one on at most ``TD_LIMIT`` vertices that is a star (at
+    i >= 2) or a tree on fewer than 2^i vertices, which a centroid splits
+    in halves: tree-depth at most ceil(log2(c + 1)) on c vertices.
 
     Above ``TD_LIMIT`` vertices a component's tree-depth is a greedy upper
     bound, which proves a pass when it is at most i but no violation; a
@@ -142,8 +146,14 @@ def verify_low_td(G: Graph, c: Coloring, p: int) -> tuple[bool, Optional[LowTdVi
                                    "low tree-depth verification"):
         i = len(classes)
         for comp in connected_components(G, S):
-            if comp.bit_count() <= i:
+            order = comp.bit_count()
+            if order <= i:
                 continue  # tree-depth is at most the order
+            if order <= TD_LIMIT:
+                degrees = [(G.rows[v] & comp).bit_count() for v in bits(comp)]
+                if sum(degrees) == 2 * order - 2 and (
+                        order < 1 << i or i >= 2 and max(degrees) == order - 1):
+                    continue  # a tree on fewer than 2^i vertices, or a star
             sub, _ = induced_subgraph(G, comp)
             td = tree_depth_value(sub)
             if td <= i:

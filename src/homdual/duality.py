@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import GraphError, InternalCheckError, SizeLimitError
@@ -17,6 +19,7 @@ from .graphs import (
     induced_subgraph,
     is_bipartite,
     is_connected,
+    path_graph,
 )
 from .homs import (
     VertexMap,
@@ -108,6 +111,20 @@ def _digit_masks(u: int, B: int) -> list[list[int]]:
     return digit
 
 
+def _digit_unions(rows: Sequence[int], u: int, B: int) -> list[list[int]]:
+    """unions[j][a]: the OR of the rows (one per local index of a block,
+    in order) whose j-th digit is a. A u-ary prefix tree: level j + 1 holds
+    one union per digit prefix of length j + 1, its last digit varying
+    fastest, and each level ORs runs of u entries of the level below it;
+    about 3 * u ** B ORs in all."""
+    unions = [[]] * B
+    level = list(rows)
+    for j in reversed(range(B)):
+        unions[j] = [reduce(or_, level[a::u], 0) for a in range(u)]
+        level = [reduce(or_, level[i:i + u], 0) for i in range(0, len(level), u)]
+    return unions
+
+
 def power_order(u_count: int, h_count: int, p: int) -> int:
     """Order h * u^B of the power over a u-vertex base and an h-vertex
     template, B = C(h - 1, p - 1): the one size rule for a power, capping
@@ -197,26 +214,30 @@ def power_local_property(TP: TruncatedPower) -> bool:
     Per subset I, Z[a] holds the preimage vertices with coordinate a at I:
     over each v in I, the digit mask of I's position through v, shifted to
     v's block. A vertex of Z[a] may only have preimage neighbours in the
-    Z[b] with b adjacent to a. Small powers are additionally cross-checked
-    with the generic search.
+    Z[b] with b adjacent to a, so the union of Z[a]'s rows is tested once:
+    the OR over v in I of ``_digit_unions``' union of v's rows with that
+    digit a. Small powers are additionally cross-checked with the generic
+    search.
     """
-    D, U = TP.D, TP.base
+    D, U, block = TP.D, TP.base, TP.block
     digit = _digit_masks(U.n, TP.coords)
+    unions = [_digit_unions(D.rows[v * block:(v + 1) * block], U.n, TP.coords)
+              for v in range(TP.template.n)]
     for I in TP.subsets:
         Z = [0] * U.n
+        R = [0] * U.n  # R[a]: the union of the rows of Z[a]
         for v in I:
-            masks = digit[TP.through[v].index(I)]
+            j = TP.through[v].index(I)
             for a in range(U.n):
-                Z[a] |= masks[a] << v * TP.block
+                Z[a] |= digit[j][a] << v * block
+                R[a] |= unions[v][j][a]
         pre = sum(Z)
         for a in range(U.n):
             allowed = 0
             for b in bits(U.rows[a]):
                 allowed |= Z[b]
-            outside = pre & ~allowed
-            for z in bits(Z[a]):
-                if D.rows[z] & outside:
-                    return False
+            if R[a] & pre & ~allowed:
+                return False
     if D.n <= 200:
         ok, _ = local_hom_check(D, list(TP.alpha.image), TP.p, U)
         if not ok:
@@ -292,14 +313,21 @@ def _corpus_base(corpus: Sequence[Graph], colorings: Sequence[Coloring],
     p-subset's preimage lies in one such union, so its components map into
     these cores. A connected F on at most p vertices that mapped into them
     would map into one core, a subgraph of a member, and so into the member.
+    A bipartite component's core is known without a search: K1 on one
+    vertex, K2 on more (it maps onto any of its edges). No other core is
+    bipartite, so the isomorphism classes kept do not change.
     """
+    small: set[int] = set()  # the orders of the bipartite cores found: 1, 2 or both
     comps: dict[Graph, None] = {}  # an ordered set: labelled copies are cored once
     for G, c in zip(corpus, colorings):
         if forb_member(G, f_set):
             for _, S in class_unions(c.class_masks(), (min(p, c.k),), p, "the base walk"):
                 for comp in connected_components(G, S):
-                    comps[induced_subgraph(G, comp)[0]] = None
-    parts: list[Graph] = []
+                    if is_bipartite(G, comp):
+                        small.add(min(comp.bit_count(), 2))
+                    else:
+                        comps[induced_subgraph(G, comp)[0]] = None
+    parts = [path_graph(k) for k in sorted(small)]  # K1 and K2 are paths
     for K, _ in map(core, comps):
         if not any(is_isomorphic(K, R) for R in parts):
             parts.append(K)

@@ -556,6 +556,45 @@ def brute_truncated_power(U: Graph, H: Graph, p: int) -> list[int]:
     return rows
 
 
+def brute_power_local_property(D: Graph, U: Graph, h: int, p: int) -> bool:
+    """Whether D, laid out as the p-truncated power of U over a template on
+    h vertices, is locally homomorphic to U: every edge of D, at every
+    p-subset holding the template vertices of both its ends, joins vertices
+    whose coordinates there are adjacent in U. Each vertex z is decoded as
+    template vertex z // u^B and B base-u digits of z % u^B, most significant
+    first, one per p-subset through it in lexicographic order."""
+    subsets = list(itertools.combinations(range(h), p))
+    through = [[I for I in subsets if v in I] for v in range(h)]
+    B = len(through[0])
+    block = U.n ** B
+    # shared[v][w]: (position through v, position through w) of each subset
+    # holding both
+    shared = [[[(i, through[w].index(I)) for i, I in enumerate(through[v]) if w in I]
+               for w in range(h)] for v in range(h)]
+
+    def decode(z):
+        v, idx = divmod(z, block)
+        digits = []
+        for _ in range(B):
+            idx, d = divmod(idx, U.n)
+            digits.append(d)
+        return v, digits[::-1]
+
+    coords = [decode(z) for z in range(D.n)]
+    for z, row in enumerate(D.rows):
+        v, x = coords[z]
+        row >>= z + 1  # each edge once, from its lower end
+        y = z
+        while row:
+            step = (row & -row).bit_length()
+            y += step
+            row >>= step
+            w, t = coords[y]
+            if any(not U.rows[x[i]] >> t[k] & 1 for i, k in shared[v][w]):
+                return False
+    return True
+
+
 def brute_core(G: Graph) -> Graph:
     """A smallest induced subgraph that G maps into, trying vertex subsets
     by size, then lexicographically, with ``brute_homomorphism``; G itself
@@ -589,14 +628,17 @@ def brute_exact_power(G: Graph, p: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _forest_tree_depth(n: int, rows: tuple[int, ...]) -> int:
-    return brute_tree_depth(Graph(n, rows))
+    if n <= 6:
+        return brute_tree_depth(Graph(n, rows))
+    return plain_tree_depth(Graph(n, rows))[0]
 
 
 def brute_low_td_violation(G: Graph, colors, p: int):
     """The first (classes, component mask, tree-depth) where i <= p color
     classes induce a component of tree-depth above i, or None: class sets
     by size and then lexicographically, components by lowest vertex, each
-    component's tree-depth by the rooted-forest scan."""
+    component's tree-depth by the rooted-forest scan up to 6 vertices and
+    by the plain recursion above (on trees it meets only subtrees)."""
     k = max(colors, default=-1) + 1
     for i in range(1, min(p, k) + 1):
         for classes in itertools.combinations(range(k), i):

@@ -262,6 +262,61 @@ def test_verify_low_td_matches_oracle():
     assert 1000 < fails < 2000  # both verdicts are well represented
 
 
+def proper_colorings(G):
+    """Every proper coloring of G in canonical form: each vertex takes a
+    color at most one above every color before it."""
+    colors = [0] * G.n
+
+    def extend(v, top):
+        if v == G.n:
+            yield tuple(colors)
+            return
+        for a in range(top + 1):
+            if all(colors[u] != a for u in bits(G.rows[v]) if u < v):
+                colors[v] = a
+                yield from extend(v + 1, max(top, a + 1))
+
+    yield from extend(0, 0)
+
+
+def test_verify_low_td_counting_matches_oracle():
+    """Trees and stars pass by counting edges; verdicts and violations must
+    still be the oracle's: every proper coloring of P2-P9 and K1,1-K1,8 and
+    seeded random colorings of seeded random trees on up to 15 vertices,
+    at p = 1-4; and the one-class coloring of each path and star, which
+    fails at i = 1 (a star is no pass there)."""
+    graphs = [path_graph(n) for n in range(2, 10)]
+    graphs += [build_graph(n + 1, [(0, v) for v in range(1, n + 1)]) for n in range(1, 9)]
+    cases = [(G, colors) for G in graphs for colors in proper_colorings(G)]
+    assert len(cases) == 2 * sum((1, 2, 5, 15, 52, 203, 877, 4140))  # Bell numbers
+    cases += [(G, [0] * G.n) for G in graphs]
+    rng = random.Random(35)
+    for _ in range(60):
+        n = rng.randint(8, 15)
+        T = build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        colors = [0] * n
+        k = rng.randint(2, 5)
+        for v in range(1, n):  # its parent is the one neighbour below it
+            parent = next(bits(T.rows[v]))
+            colors[v] = rng.choice([a for a in range(k) if a != colors[parent]])
+        cases.append((T, colors))
+    verdicts = set()
+    for G, colors in cases:
+        c = make_coloring(G, colors)
+        for p in range(1, 5):
+            ok, violation = verify_low_td(G, c, p)
+            expected = brute_low_td_violation(G, c.colors, p)
+            assert violation == (expected and LowTdViolation(*expected)), (G.rows, colors, p)
+            verdicts.add((ok, p))
+    assert verdicts == {(ok, p) for ok in (True, False) for p in range(1, 5)}
+    # P7 in three colors passes at i = 3, with tree-depth 3; P8 fails there
+    for n, expected in ((7, None), (8, ((0, 1, 2), (1 << 8) - 1, 4))):
+        P = path_graph(n)
+        ok, violation = verify_low_td(P, make_coloring(P, [v % 3 for v in range(n)]), 3)
+        assert ok == (expected is None)
+        assert violation == (expected and LowTdViolation(*expected))
+
+
 def test_find_low_td_coloring_matches_oracle(catalog5):
     """The exhaustive search returns the oracle's coloring, the first
     canonical one with the fewest colors, on every graph up to 5 vertices."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from homdual import duality
 from homdual.catalog import generate_all_graphs
 from homdual.coloring import (
+    class_unions,
     find_low_td_coloring,
     make_coloring,
     max_low_td_colors,
@@ -34,6 +35,7 @@ from homdual.graphs import (
     Graph,
     build_graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -52,7 +54,12 @@ from homdual.homs import (
 )
 from homdual.sparsity import tree_depth_value
 
-from oracles import brute_homomorphism, brute_truncated_power, matches_checked_constructor
+from oracles import (
+    brute_homomorphism,
+    brute_power_local_property,
+    brute_truncated_power,
+    matches_checked_constructor,
+)
 
 
 # --- local homomorphism checks ----------------------------------------------
@@ -351,6 +358,37 @@ def test_power_local_property_rejects_extra_edge():
     assert not power_local_property(_with_edge(TP, z, y))
 
 
+def test_power_local_property_matches_oracle():
+    """The digit-union check agrees with the oracle that decodes every
+    vertex and checks each edge at each shared subset: on the 168 powers of
+    ``test_truncated_power_matches_oracle``, on the criterion-9 power, and
+    on that power with one edge added across each of the 6 digit positions
+    of template vertex 0 (a coordinate on K1 against one on K2, adjacent
+    everywhere else), which exercises every level of the prefix tree."""
+    templates = [complete_graph(k) for k in range(1, 6)] + [path_graph(4), cycle_graph(5)]
+    cases = 0
+    for U in generate_all_graphs(3):
+        for H in templates:
+            for p in range(1, H.n + 1):
+                if U.n == 0 or power_order(U.n, H.n, p) > 5000:
+                    continue
+                TP = truncated_power(U, H, p)
+                assert power_local_property(TP) == brute_power_local_property(TP.D, U, H.n, p)
+                cases += 1
+    assert cases == 168
+    U = disjoint_union([complete_graph(1), complete_graph(2)])
+    TP = truncated_power(U, complete_graph(5), 3)
+    assert power_local_property(TP) and brute_power_local_property(TP.D, U, 5, 3)
+    for j, I in enumerate(TP.through[0]):
+        w = I[-1]  # shares I with 0, at position j of vertex 0's digits
+        z = TP.encode(0, [0 if i == j else 1 for i in range(TP.coords)])
+        y = TP.encode(w, [2] * TP.coords)
+        assert not TP.D.has_edge(z, y)
+        bad = _with_edge(TP, z, y)
+        assert not power_local_property(bad), j
+        assert not brute_power_local_property(bad.D, U, 5, 3), j
+
+
 def test_truncated_power_self_checks_raise(monkeypatch):
     K2, P3 = complete_graph(2), path_graph(3)
     real_graph, real_comb = duality.Graph, duality.math.comb
@@ -583,6 +621,35 @@ def test_corpus_base_covers_c7(subcubic7):
     item = report.items[89]
     assert is_isomorphic(subcubic7[89], C7)
     assert item["forb_member"] and item["hom_to_dual"] and item["consistent"]
+
+
+def test_corpus_base_matches_coring_every_component(subcubic7):
+    """Bipartite components contribute K1 or K2 with no search; the base
+    must be the one got by coring every labelled component, as written out
+    here: on criterion 9 (K1 + K2), C5 forbidden (K1 + K2 + C7, through
+    the non-bipartite path) and K4 forbidden on at most 5 vertices."""
+    def cored(corpus, colorings, f_set, p):
+        comps = {}
+        for G, c in zip(corpus, colorings):
+            if forb_member(G, f_set):
+                for _, S in class_unions(c.class_masks(), (min(p, c.k),), p, "the base walk"):
+                    for comp in connected_components(G, S):
+                        comps[induced_subgraph(G, comp)[0]] = None
+        parts = []
+        for K, _ in map(core, comps):
+            if not any(is_isomorphic(K, R) for R in parts):
+                parts.append(K)
+        return sorted(parts, key=lambda g: (g.n, g.edge_count(), g.rows))
+
+    subcubic5 = [G for G in subcubic7 if G.n <= 5]
+    for F, corpus, orders in [(complete_graph(3), subcubic7, [1, 2]),
+                              (cycle_graph(5), subcubic7, [1, 2, 7]),
+                              (complete_graph(4), subcubic5, [1, 2, 3, 5])]:
+        p = F.n
+        colorings = max_low_td_colors(corpus, p)[1]
+        base = duality._corpus_base(corpus, colorings, [F], p)
+        assert base == cored(corpus, colorings, [F], p), F
+        assert [K.n for K in base] == orders, F
 
 
 def test_every_member_lifts_along_its_own_coloring(subcubic7):

@@ -45,6 +45,7 @@ from homdual.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     path_graph,
 )
 from homdual.homs import is_isomorphic
@@ -823,6 +824,21 @@ def test_cli_exact_power(p4_file, capsys):
     got = parse_graph6(doc["results"]["graph6"])
     assert got == build_graph(4, [(0, 2), (1, 3)])
     assert doc["results"]["odd_girth"] == "infinity"
+
+
+@pytest.mark.parametrize("n, emitted", [(500, True), (501, False)])
+def test_cli_exact_power_obeys_emit_limit(tmp_path, capsys, n, emitted):
+    """As for ``power`` and ``dual-build``, the exact power's graph6 goes
+    into the report only up to ``EMIT_LIMIT`` vertices, ``null`` above."""
+    path = tmp_path / "empty.txt"
+    path.write_text(f"n {n}\n")
+    code, doc = run_cli(["exact-power", "--format", "edges", "--in", str(path),
+                         "--p", "3"], capsys)
+    assert code == 0 and cli.EMIT_LIMIT == 500
+    text = doc["results"]["graph6"]
+    assert (text is not None) == emitted
+    if emitted:
+        assert parse_graph6(text) == empty_graph(n)
 
 
 def test_cli_dual_build_and_verify(tmp_path, capsys):
